@@ -4,10 +4,10 @@
  * argument for an analytical model over simulation is evaluation
  * speed; these benchmarks quantify it (full model evaluations run in
  * microseconds, versus seconds for a trace-driven simulation). The
- * curve and memo benchmarks measure the batched solver kernels: one
- * MVA pass per power curve and memoized re-evaluation of repeated
- * operating points. Thread scaling of the campaign engine lives in
- * bench_perf_parallel.
+ * curve and memo benchmarks measure one MVA pass per bus power curve,
+ * one fixed-point solve per network stage count, and memoized
+ * re-evaluation of repeated operating points. Thread scaling of the
+ * campaign engine lives in bench_perf_parallel.
  */
 
 #include <benchmark/benchmark.h>
@@ -91,7 +91,8 @@ BENCHMARK(BM_NetworkFixedPoint)->Arg(2)->Arg(8)->Arg(12);
 void
 BM_NetworkCurve(benchmark::State &state)
 {
-    // Batched bisection across a whole machine-size curve.
+    // A whole machine-size curve: one fixed-point solve per stage
+    // count, memo off so every iteration really solves.
     const WorkloadParams params = middleParams();
     const unsigned max_stages = static_cast<unsigned>(state.range(0));
     setSolverCacheEnabled(false);
@@ -102,34 +103,6 @@ BM_NetworkCurve(benchmark::State &state)
     setSolverCacheEnabled(true);
 }
 BENCHMARK(BM_NetworkCurve)->Arg(8)->Arg(12);
-
-void
-BM_NetworkBatch(benchmark::State &state)
-{
-    // The campaign sweep shape: many operating points on one machine
-    // size (uniform stage count), varying workload intensity. This is
-    // the throughput-bound case the vector sweep targets — every
-    // 4-lane group takes the no-mask fast path.
-    const std::size_t count = static_cast<std::size_t>(state.range(0));
-    std::vector<double> rates(count);
-    std::vector<double> sizes(count);
-    std::vector<unsigned> stages(count, 8);
-    std::vector<double> out(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        rates[i] = 0.01 + 0.0005 * static_cast<double>(i % 97);
-        sizes[i] = 10.0 + 0.125 * static_cast<double>(i % 33);
-    }
-    for (auto _ : state) {
-        solveComputeFractionBatch(rates.data(), sizes.data(),
-                                  stages.data(), count, out.data());
-        benchmark::DoNotOptimize(out.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(count));
-}
-BENCHMARK(BM_NetworkBatch)->Arg(16)->Arg(64)->Arg(256);
 
 void
 BM_FullBusEvaluation(benchmark::State &state)

@@ -7,8 +7,6 @@
 
 #include "core/campaign/faults.hh"
 #include "core/obs/metrics.hh"
-#include "core/simd.hh"
-#include "core/simd_kernels.hh"
 
 namespace swcc
 {
@@ -160,39 +158,7 @@ solveBusCurve(const PerInstructionCost &cost, unsigned max_processors)
             "bus MVA recursion produced a non-finite solution");
     }
 
-    // Derive pass: straight-line elementwise arithmetic over the
-    // contiguous recursion arrays, dispatched to the vector kernel
-    // when available (bitwise identical to the scalar loop).
-    if (simd::activeIsa() != simd::Isa::Scalar) {
-        // Chunked stack buffers keep the kernel's working set in L1
-        // and avoid heap traffic (four std::vectors measurably slow
-        // this pass down at typical curve sizes).
-        constexpr std::size_t kChunk = 64;
-        double waiting[kChunk];
-        double bus_util[kChunk];
-        double proc_util[kChunk];
-        double power[kChunk];
-        for (std::size_t base = 0; base < n; base += kChunk) {
-            const std::size_t len = std::min(kChunk, n - base);
-            simd::busDeriveVector(responses.data() + base,
-                                  throughputs.data() + base, service,
-                                  cost.cpu, base, len, waiting,
-                                  bus_util, proc_util, power);
-            for (std::size_t c = 0; c < len; ++c) {
-                const std::size_t i = base + c;
-                BusSolution &sol = curve[i];
-                sol.processors = static_cast<unsigned>(i) + 1;
-                sol.cpu = cost.cpu;
-                sol.bus = cost.channel;
-                sol.waiting = waiting[c];
-                sol.busUtilization = bus_util[c];
-                sol.busQueueLength = queues[i];
-                sol.processorUtilization = proc_util[c];
-                sol.processingPower = power[c];
-            }
-        }
-        return curve;
-    }
+    // Derive pass: the per-point outputs with solveBus()'s arithmetic.
     for (std::size_t i = 0; i < n; ++i) {
         BusSolution &sol = curve[i];
         sol.processors = static_cast<unsigned>(i) + 1;

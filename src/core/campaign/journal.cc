@@ -26,7 +26,10 @@ namespace
 
 constexpr std::string_view kHeader = "# swcc journal v1\n";
 
-/** Ring capacity: bounds memory while keeping producers un-stalled. */
+/**
+ * Ring capacity (a power of two): bounds memory while keeping
+ * producers un-stalled.
+ */
 constexpr std::size_t kQueueCapacity = 1024;
 
 /** Records coalesced into one writev+fsync group, at most. */
@@ -108,69 +111,6 @@ std::mutex opened_mutex;
 std::set<std::string> opened_paths;
 
 } // namespace
-
-CommitQueue::CommitQueue(std::size_t capacity)
-{
-    std::size_t size = 1;
-    while (size < capacity) {
-        size <<= 1;
-    }
-    mask_ = size - 1;
-    slots_ = std::make_unique<Slot[]>(size);
-    for (std::size_t i = 0; i < size; ++i) {
-        slots_[i].seq.store(i, std::memory_order_relaxed);
-    }
-}
-
-bool
-CommitQueue::tryPush(std::string &&record)
-{
-    std::uint64_t pos = head_.load(std::memory_order_relaxed);
-    for (;;) {
-        Slot &slot = slots_[pos & mask_];
-        const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
-        const std::int64_t dif =
-            static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(pos);
-        if (dif == 0) {
-            if (head_.compare_exchange_weak(pos, pos + 1,
-                                            std::memory_order_relaxed)) {
-                slot.record = std::move(record);
-                slot.seq.store(pos + 1, std::memory_order_release);
-                return true;
-            }
-        } else if (dif < 0) {
-            return false; // Full: a lap behind the consumers.
-        } else {
-            pos = head_.load(std::memory_order_relaxed);
-        }
-    }
-}
-
-bool
-CommitQueue::tryPop(std::string &record)
-{
-    std::uint64_t pos = tail_.load(std::memory_order_relaxed);
-    for (;;) {
-        Slot &slot = slots_[pos & mask_];
-        const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
-        const std::int64_t dif = static_cast<std::int64_t>(seq) -
-            static_cast<std::int64_t>(pos + 1);
-        if (dif == 0) {
-            if (tail_.compare_exchange_weak(pos, pos + 1,
-                                            std::memory_order_relaxed)) {
-                record = std::move(slot.record);
-                slot.record.clear();
-                slot.seq.store(pos + mask_ + 1,
-                               std::memory_order_release);
-                return true;
-            }
-        } else if (dif < 0) {
-            return false; // Empty.
-        } else {
-            pos = tail_.load(std::memory_order_relaxed);
-        }
-    }
-}
 
 Journal::Journal(std::string path, bool keep_existing)
     : path_(std::move(path)), queue_(kQueueCapacity)

@@ -39,46 +39,16 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "core/mpmc_queue.hh"
+
 namespace swcc::campaign
 {
-
-/**
- * Lock-free bounded MPMC ring (Vyukov-style sequence counters) holding
- * formatted journal records on their way to the committer thread.
- * Producers that find it full fall back to a condition-variable wait —
- * backpressure, not loss.
- */
-class CommitQueue
-{
-  public:
-    /** @param capacity Slot count; rounded up to a power of two. */
-    explicit CommitQueue(std::size_t capacity);
-
-    /** Non-blocking enqueue; false when the ring is full. */
-    bool tryPush(std::string &&record);
-
-    /** Non-blocking dequeue; false when the ring is empty. */
-    bool tryPop(std::string &record);
-
-  private:
-    struct Slot
-    {
-        std::atomic<std::uint64_t> seq;
-        std::string record;
-    };
-
-    std::unique_ptr<Slot[]> slots_;
-    std::uint64_t mask_ = 0;
-    alignas(64) std::atomic<std::uint64_t> head_{0};
-    alignas(64) std::atomic<std::uint64_t> tail_{0};
-};
 
 /**
  * Writer half of the journal (see file comment). Thread-safe: cells
@@ -148,7 +118,12 @@ class Journal
     std::string path_;
     int fd_ = -1;
 
-    CommitQueue queue_;
+    /**
+     * Formatted records on their way to the committer thread. A
+     * producer that finds it full waits on queueCv_: backpressure, not
+     * loss.
+     */
+    MpmcQueue<std::string> queue_;
     std::atomic<bool> stop_{false};
     std::atomic<std::uint64_t> enqueued_{0};
     std::atomic<std::uint64_t> committed_{0};

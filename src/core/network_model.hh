@@ -112,45 +112,6 @@ std::vector<double> patelStageLoads(double m0, unsigned stages);
 double solveComputeFraction(double rate, double size, unsigned stages);
 
 /**
- * Enables/disables warm-bracket seeding in the batched fixed-point
- * sweep, overriding the SWCC_WARM_BRACKET environment gate. Warm
- * seeding starts a cell's bisection from a sign-verified dyadic
- * sub-bracket near the previous cell's converged U, cutting
- * iterations on monotone curve sweeps while staying bitwise identical
- * to the cold solve (the sub-bracket is exactly the one cold
- * bisection reaches at that depth). Thread-safe.
- */
-void setWarmBracketEnabled(bool enabled);
-
-/** True unless disabled via SWCC_WARM_BRACKET=off or the setter. */
-bool warmBracketEnabled();
-
-/**
- * Batched fixed-point solve: one lane-parallel bisection sweep over
- * @p count operating points held in contiguous arrays.
- *
- * Cells are processed in a fixed window of lanes; each bisection step
- * advances the whole window with one SIMD kernel call (AVX2/NEON when
- * the CPU supports it and SWCC_SIMD is not off, a scalar loop
- * otherwise), converged lanes are compacted out and refilled from the
- * pending cells, and refills warm-start from the previous converged U
- * (see setWarmBracketEnabled()). Per point, the sequence of bracket
- * updates — and therefore the returned U — is bitwise identical to
- * solveComputeFraction() in every mode.
- *
- * @param rates  Transaction rates m > 0, one per point.
- * @param sizes  Transaction sizes t > 0, one per point.
- * @param stages Stage counts >= 1, one per point.
- * @param count  Number of points.
- * @param out    Receives the compute fraction U of each point.
- * @throws std::invalid_argument / SolverNonConvergence as the scalar
- *         solver, identifying the first offending point.
- */
-void solveComputeFractionBatch(const double *rates, const double *sizes,
-                               const unsigned *stages, std::size_t count,
-                               double *out);
-
-/**
  * Solves the network model for a workload's per-instruction cost.
  *
  * @param cost c and b computed against a NetworkCostModel of the same
@@ -161,20 +122,6 @@ void solveComputeFractionBatch(const double *rates, const double *sizes,
  */
 NetworkSolution solveNetwork(const PerInstructionCost &cost,
                              unsigned stages);
-
-/**
- * Solves the network model for a whole curve of machines in one
- * batched fixed-point sweep: element i solves @p costs[i] on a
- * network of first_stage + i stages, bitwise identical to calling
- * solveNetwork(costs[i], first_stage + i) per point.
- *
- * @param costs Per-instruction costs, each computed against a
- *              NetworkCostModel of the matching stage count.
- * @param first_stage Stage count of costs[0] (>= 1).
- */
-std::vector<NetworkSolution>
-solveNetworkCurve(const std::vector<PerInstructionCost> &costs,
-                  unsigned first_stage);
 
 /**
  * Smallest stage count whose processor count covers @p processors,

@@ -221,14 +221,15 @@ evaluateNetworkCurve(Scheme scheme, const WorkloadParams &params,
             return curve;
         }
     }
+    // One fixed-point solve per stage count, each the exact operation
+    // sequence evaluateNetwork() runs for that point.
     const FrequencyVector freqs = operationFrequencies(scheme, params);
-    std::vector<PerInstructionCost> costs;
-    costs.reserve(max_stages);
+    curve.reserve(max_stages);
     for (unsigned stages = 1; stages <= max_stages; ++stages) {
-        const NetworkCostModel model(stages);
-        costs.push_back(perInstructionCost(freqs, model));
+        const NetworkCostModel costs(stages);
+        curve.push_back(
+            solveNetwork(perInstructionCost(freqs, costs), stages));
     }
-    curve = solveNetworkCurve(costs, 1);
     if (memo) {
         networkCurveMemo().insert(key, curve);
         for (std::size_t i = 0; i < curve.size(); ++i) {

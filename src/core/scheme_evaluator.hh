@@ -64,9 +64,9 @@ evaluateBusCurve(Scheme scheme, const WorkloadParams &params,
                  unsigned max_processors, const BusCostModel &costs);
 
 /**
- * Evaluates a scheme on networks of 2, 4, ..., 2^max_stages processors
- * in one batched fixed-point sweep (see solveNetworkCurve()). Element
- * i is bitwise identical to evaluateNetwork(scheme, params, i + 1).
+ * Evaluates a scheme on networks of 2, 4, ..., 2^max_stages processors,
+ * one solveNetwork() call per stage count. Element i is bitwise
+ * identical to evaluateNetwork(scheme, params, i + 1).
  *
  * @throws std::invalid_argument for schemes that need a snooping bus.
  */

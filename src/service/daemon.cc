@@ -20,6 +20,7 @@
 #include <unistd.h>
 
 #include "core/campaign/atomic_file.hh"
+#include "core/mpmc_queue.hh"
 #include "core/obs/json.hh"
 #include "core/obs/log.hh"
 #include "core/obs/metrics.hh"
@@ -29,7 +30,6 @@
 #include "core/types.hh"
 #include "service/flight_recorder.hh"
 #include "service/latency_histogram.hh"
-#include "service/mpmc_queue.hh"
 #include "service/protocol.hh"
 #include "service/trace_context.hh"
 

@@ -259,9 +259,9 @@ ServiceKernel::evaluateBatch(const Query *queries, std::size_t count,
                 }
                 continue;
             }
-            // Distinct sizes of one workload: one batched curve solve
-            // answers every member bitwise identically to its point
-            // solve (and seeds the point memo for future queries).
+            // Distinct sizes of one workload: one curve solve answers
+            // every member bitwise identically to its point solve (and
+            // seeds the point memo for future queries).
             if (head.domain == QueryDomain::Bus) {
                 const std::vector<BusSolution> curve = evaluateBusCurve(
                     head.scheme, head.params, solve_size);

@@ -11,10 +11,10 @@
  * The batch path is the daemon's amortization lever: evaluateBatch()
  * groups the in-flight queries that share (domain, scheme, workload)
  * and answers each group whose members ask for different machine
- * sizes with ONE evaluateBusCurve()/evaluateNetworkCurve() call — the
- * batched solver kernels (O(N) prefix MVA, SIMD bisection sweep)
- * compute every size of the group in one pass, so the marginal query
- * costs one extra lane instead of one extra solve. Curve element i is
+ * sizes with ONE evaluateBusCurve()/evaluateNetworkCurve() call — a
+ * bus curve computes every size of the group in one O(N) prefix-MVA
+ * pass, a network curve solves each stage count once, and both seed
+ * the point memo for later single queries. Curve element i is
  * bitwise identical to the single-point solve by the solver-layer
  * contract, so batching never changes a result; duplicate queries
  * within a group are answered from the same solve. All paths share

@@ -583,6 +583,61 @@ TEST(CampaignJournalTest, SyncMakesEarlierAppendsDurable)
     }
 }
 
+TEST(CampaignJournalTest, BurstBeyondTheQueueCapacityLosesNoRecord)
+{
+    // Several times the 1024-slot completion ring in one burst: a
+    // producer that finds the ring full must wait for the committer,
+    // never drop or reorder a record.
+    const std::string path = freshPath("journal_burst.journal");
+    constexpr std::uint64_t kRecords = 5000;
+    {
+        campaign::Journal journal(path, false);
+        for (std::uint64_t k = 0; k < kRecords; ++k) {
+            journal.append(k, {static_cast<double>(k)});
+        }
+        // The second write of key 0 comes after every first write, so
+        // with FIFO commit it is the one load() keeps.
+        journal.append(0, {-1.0});
+    }
+    const auto loaded = campaign::Journal::load(path);
+    ASSERT_EQ(loaded.size(), kRecords);
+    EXPECT_EQ(loaded.at(0).front(), -1.0);
+    for (std::uint64_t k = 1; k < kRecords; ++k) {
+        ASSERT_TRUE(loaded.count(k)) << "record " << k << " missing";
+        EXPECT_EQ(loaded.at(k).front(), static_cast<double>(k));
+    }
+}
+
+TEST(CampaignJournalTest, ConcurrentAppendersAllCommit)
+{
+    // Pool lanes append from many threads at once; every record of
+    // every lane must be durable after one sync().
+    const std::string path = freshPath("journal_concurrent.journal");
+    constexpr unsigned kLanes = 4;
+    constexpr std::uint64_t kPerLane = 800;
+    campaign::Journal journal(path, false);
+    std::vector<std::thread> lanes;
+    for (unsigned lane = 0; lane < kLanes; ++lane) {
+        lanes.emplace_back([&journal, lane] {
+            for (std::uint64_t i = 0; i < kPerLane; ++i) {
+                const std::uint64_t key = lane * kPerLane + i;
+                journal.append(key, {static_cast<double>(key) * 0.5});
+            }
+        });
+    }
+    for (std::thread &t : lanes) {
+        t.join();
+    }
+    journal.sync();
+    const auto loaded = campaign::Journal::load(path);
+    ASSERT_EQ(loaded.size(), kLanes * kPerLane);
+    for (std::uint64_t key = 0; key < kLanes * kPerLane; ++key) {
+        ASSERT_TRUE(loaded.count(key)) << "record " << key << " missing";
+        EXPECT_TRUE(sameBits(loaded.at(key).front(),
+                             static_cast<double>(key) * 0.5));
+    }
+}
+
 TEST_F(CampaignRunCellsTest, BatchedCellsKillThenResumeIsByteIdentical)
 {
     const auto baseline = campaign::runCells(

@@ -113,6 +113,27 @@ TEST(FixedPointTest, RejectsBadArguments)
                  std::invalid_argument);
 }
 
+TEST(FixedPointTest, ExtremeDemandsConvergeInsideTheBound)
+{
+    // Tiny demand drives U against the top of the bracket, huge demand
+    // against the bottom; the bisection must still land strictly inside
+    // (0, 1] and under the blocking-free bound at every stage count the
+    // service admits.
+    for (double rate : {1e-12, 1e-6, 0.02, 0.5, 1.0, 1e6}) {
+        for (double size : {1e-9, 1.0, 12.0, 1e9}) {
+            for (unsigned stages : {1u, 6u, 12u, 24u}) {
+                const double u = solveComputeFraction(rate, size, stages);
+                EXPECT_TRUE(std::isfinite(u));
+                EXPECT_GT(u, 0.0);
+                EXPECT_LE(u, 1.0);
+                EXPECT_LE(u, 1.0 / (1.0 + rate * size) + 1e-12)
+                    << "rate " << rate << " size " << size << " stages "
+                    << stages;
+            }
+        }
+    }
+}
+
 TEST(NetworkSolutionTest, NoTrafficDegeneratesToPureCpu)
 {
     const NetworkSolution sol = solveNetwork(cost(1.4, 0.0), 5);

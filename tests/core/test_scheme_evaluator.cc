@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "core/scheme_evaluator.hh"
 
 namespace swcc
@@ -160,6 +163,31 @@ TEST(CurveTest, NetworkPowerCurveDoublesProcessors)
     ASSERT_EQ(curve.size(), 6u);
     for (unsigned i = 0; i < curve.size(); ++i) {
         EXPECT_EQ(curve[i].processors, 2u << i);
+    }
+}
+
+TEST(CurveTest, NetworkPowerCurveRejectsSnoopySchemes)
+{
+    EXPECT_THROW(networkPowerCurve(Scheme::Dragon, middleParams(), 4),
+                 std::invalid_argument);
+}
+
+TEST(CurveTest, NetworkPowerCurveSolvesUpToTheServiceStageCap)
+{
+    // swccd admits networks of up to 24 stages (16M processors); every
+    // point of such a curve must be a finite, consistent solution.
+    const auto curve =
+        networkPowerCurve(Scheme::SoftwareFlush, middleParams(), 24);
+    ASSERT_EQ(curve.size(), 24u);
+    for (unsigned i = 0; i < curve.size(); ++i) {
+        const NetworkSolution &sol = curve[i];
+        EXPECT_EQ(sol.stages, i + 1);
+        EXPECT_EQ(sol.processors, 2u << i);
+        EXPECT_GT(sol.computeFraction, 0.0);
+        EXPECT_LE(sol.computeFraction, 1.0);
+        EXPECT_GE(sol.waiting, 0.0);
+        EXPECT_TRUE(std::isfinite(sol.processingPower));
+        EXPECT_GT(sol.processingPower, 0.0);
     }
 }
 

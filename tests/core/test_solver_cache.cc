@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the solver memo cache and the batched curve kernels:
+ * Tests for the solver memo cache and the curve kernels:
  * cold-vs-warm bitwise identity, curve-vs-per-point bitwise identity,
  * race-free concurrent insertion (the suite name starts with
  * "Parallel" so the tsan preset picks it up), the disable gate, and
@@ -174,20 +174,97 @@ TEST_F(ParallelSolverCacheTest,
 }
 
 TEST_F(ParallelSolverCacheTest,
-       BatchedFixedPointMatchesScalarBitwise)
+       NetworkCurveMatchesPointSolvesForEveryNetworkScheme)
 {
-    const std::vector<double> rates = {0.01, 0.03, 0.08, 0.2};
-    const std::vector<double> sizes = {4.0, 12.0, 7.5, 2.0};
-    const std::vector<unsigned> stages = {2, 6, 9, 12};
-    std::vector<double> batched(rates.size());
-    solveComputeFractionBatch(rates.data(), sizes.data(),
-                              stages.data(), rates.size(),
-                              batched.data());
-    for (std::size_t i = 0; i < rates.size(); ++i) {
-        EXPECT_TRUE(sameBits(
-            batched[i],
-            solveComputeFraction(rates[i], sizes[i], stages[i])))
-            << "point " << i;
+    // Up to swccd's 24-stage admission limit, for every scheme that
+    // runs on a network: the curve is a loop of point solves and must
+    // stay bitwise equal to them.
+    const WorkloadParams params = middleParams();
+    setSolverCacheEnabled(false);
+    for (Scheme scheme : kAllSchemes) {
+        if (!schemeWorksOnNetwork(scheme)) {
+            continue;
+        }
+        SCOPED_TRACE(schemeName(scheme));
+        const auto curve = evaluateNetworkCurve(scheme, params, 24);
+        ASSERT_EQ(curve.size(), 24u);
+        for (unsigned stages = 1; stages <= 24; ++stages) {
+            expectIdentical(curve[stages - 1],
+                            evaluateNetwork(scheme, params, stages));
+        }
+    }
+    setSolverCacheEnabled(true);
+}
+
+TEST_F(ParallelSolverCacheTest, EvaluatedNetworkCurveSeedsThePointMemo)
+{
+    const WorkloadParams params = middleParams();
+    const auto curve =
+        evaluateNetworkCurve(Scheme::SoftwareFlush, params, 12);
+    const SolverCacheStats before = solverCacheStats();
+    const NetworkSolution point =
+        evaluateNetwork(Scheme::SoftwareFlush, params, 7);
+    const SolverCacheStats after = solverCacheStats();
+    EXPECT_EQ(after.hits, before.hits + 1);
+    EXPECT_EQ(after.misses, before.misses);
+    expectIdentical(curve[6], point);
+}
+
+TEST_F(ParallelSolverCacheTest, BusCurveMatchesPerPointSolvesForEveryScheme)
+{
+    // Saturating schemes (No-Cache) and light ones (Base) both go
+    // through the single scalar derive pass; lengths on either side of
+    // a power of two guard the loop bounds.
+    const WorkloadParams params = middleParams();
+    const BusCostModel costs;
+    for (Scheme scheme : kAllSchemes) {
+        SCOPED_TRACE(schemeName(scheme));
+        const PerInstructionCost cost = perInstructionCost(
+            operationFrequencies(scheme, params), costs);
+        for (unsigned max : {1u, 2u, 63u, 64u, 65u}) {
+            const auto curve = solveBusCurve(cost, max);
+            ASSERT_EQ(curve.size(), max);
+            for (unsigned n = 1; n <= max; ++n) {
+                expectIdentical(curve[n - 1], solveBus(cost, n));
+            }
+        }
+    }
+}
+
+TEST_F(ParallelSolverCacheTest, ConcurrentNetworkCurvesStayBitIdentical)
+{
+    // Threads race to solve and memoize overlapping network curves of
+    // different lengths; every answer must equal a memo-free serial
+    // point solve.
+    const WorkloadParams params = middleParams();
+    std::vector<NetworkSolution> serial;
+    setSolverCacheEnabled(false);
+    for (unsigned stages = 1; stages <= 16; ++stages) {
+        serial.push_back(
+            evaluateNetwork(Scheme::NoCache, params, stages));
+    }
+    setSolverCacheEnabled(true);
+
+    constexpr unsigned kThreads = 4;
+    std::vector<std::vector<NetworkSolution>> got(kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int round = 0; round < 3; ++round) {
+                got[t] = evaluateNetworkCurve(Scheme::NoCache, params,
+                                              8 + 4 * (t % 3));
+            }
+        });
+    }
+    for (std::thread &thread : threads) {
+        thread.join();
+    }
+    for (unsigned t = 0; t < kThreads; ++t) {
+        ASSERT_EQ(got[t].size(), 8 + 4 * (t % 3));
+        for (std::size_t i = 0; i < got[t].size(); ++i) {
+            expectIdentical(got[t][i], serial[i]);
+        }
     }
 }
 

@@ -263,6 +263,28 @@ TEST_F(ServiceKernelTest,
     setSolverCacheEnabled(true);
 }
 
+TEST_F(ServiceKernelTest, NetworkGroupClampsItsCurveToTheStageLimit)
+{
+    // bit_ceil(17) = 32 exceeds the 24-stage admission limit, so the
+    // group solves a 24-stage curve. Every member, and the limit
+    // itself, must still equal a memo-free point solve.
+    std::vector<Query> queries;
+    for (unsigned stages : {1u, 3u, 17u, 24u, 3u}) {
+        queries.push_back(networkQuery(Scheme::SoftwareFlush, stages));
+    }
+    std::vector<QueryResult> batched(queries.size());
+    kernel_.evaluateBatch(queries.data(), queries.size(),
+                          batched.data());
+
+    setSolverCacheEnabled(false);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+        SCOPED_TRACE("query " + std::to_string(i));
+        ASSERT_TRUE(batched[i].ok) << batched[i].error;
+        expectIdentical(batched[i], kernel_.evaluate(queries[i]));
+    }
+    setSolverCacheEnabled(true);
+}
+
 TEST_F(ServiceKernelTest, BatchRejectsInvalidMembersIndividually)
 {
     std::vector<Query> queries = {
