@@ -47,11 +47,11 @@
 
 #include <unistd.h>
 
+#include "core/obs/histogram.hh"
 #include "core/report.hh"
 #include "core/solver_cache.hh"
 #include "service/client.hh"
 #include "service/daemon.hh"
-#include "service/latency_histogram.hh"
 #include "service/service_kernel.hh"
 #include "sim/synth/rng.hh"
 
@@ -118,7 +118,7 @@ struct LoadResult
 {
     std::uint64_t requests = 0;
     double seconds = 0.0;
-    LatencyHistogram latency;
+    obs::Histogram latency;
 
     double
     qps() const
@@ -139,7 +139,7 @@ runClosedLoop(const std::string &socket, unsigned threads,
               unsigned pipeline, unsigned duration_ms,
               unsigned scenarios = 4)
 {
-    std::vector<LatencyHistogram> histograms(threads);
+    std::vector<obs::Histogram> histograms(threads);
     std::vector<std::uint64_t> counts(threads, 0);
     std::vector<std::thread> clients;
     std::atomic<bool> stop{false};
@@ -214,7 +214,7 @@ LoadResult
 runOpenLoop(const std::string &socket, unsigned threads, double rate,
             unsigned duration_ms)
 {
-    std::vector<LatencyHistogram> histograms(threads);
+    std::vector<obs::Histogram> histograms(threads);
     std::vector<std::uint64_t> counts(threads, 0);
     std::vector<std::thread> clients;
     const auto start = Clock::now();
@@ -296,7 +296,7 @@ runOpenLoop(const std::string &socket, unsigned threads, double rate,
 }
 
 std::string
-micros(const LatencyHistogram &hist, double quantile)
+micros(const obs::Histogram &hist, double quantile)
 {
     return formatNumber(
         static_cast<double>(hist.valueAtQuantile(quantile)) * 1e-3, 1);

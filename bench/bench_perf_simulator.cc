@@ -263,10 +263,7 @@ reportObservabilityOverhead(const HarnessConfig &config)
 {
     std::cout << "\n=== Observability: tracer disabled vs enabled ===\n"
               << "(Dragon, pero-like, "
-              << static_cast<unsigned>(config.cpus) << " CPUs; "
-              << "instrumentation "
-              << (obs::compiledIn() ? "compiled in" : "compiled out")
-              << ")\n\n";
+              << static_cast<unsigned>(config.cpus) << " CPUs)\n\n";
 
     const SyntheticWorkloadConfig workload =
         profileConfig(AppProfile::PeroLike, config.cpus,

@@ -14,7 +14,6 @@ namespace swcc
 namespace
 {
 
-#if SWCC_OBS_ENABLED
 /** Records one MVA solve (@p iterations = customer-population steps). */
 void
 noteBusSolve(unsigned iterations)
@@ -26,7 +25,6 @@ noteBusSolve(unsigned iterations)
     solves.add(1);
     iters.add(iterations);
 }
-#endif
 
 } // namespace
 
@@ -73,9 +71,7 @@ solveBus(const PerInstructionCost &cost, unsigned processors)
         throughput = static_cast<double>(k) / (think + response);
         queue = throughput * response;
     }
-#if SWCC_OBS_ENABLED
     noteBusSolve(processors);
-#endif
     // Campaign resilience: the retry/poison machinery treats a
     // non-finite recursion (or an injected failure) as a retryable
     // solver fault rather than silently emitting garbage.
@@ -146,9 +142,7 @@ solveBusCurve(const PerInstructionCost &cost, unsigned max_processors)
         throughputs[k - 1] = throughput;
         queues[k - 1] = queue;
     }
-#if SWCC_OBS_ENABLED
     noteBusSolve(max_processors);
-#endif
     // One fault site and finiteness check per curve: an injected or
     // real failure degrades the whole (retryable) cell, exactly as a
     // failed per-point solve would.
@@ -222,9 +216,7 @@ solveBusGeneralService(const PerInstructionCost &cost,
         queue = throughput * response;
         utilization = throughput * service;
     }
-#if SWCC_OBS_ENABLED
     noteBusSolve(processors);
-#endif
     campaign::checkFault(campaign::FaultSite::SolverBus);
     if (!std::isfinite(response) || !std::isfinite(queue)) {
         throw campaign::SolverNonConvergence(

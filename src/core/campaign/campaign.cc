@@ -17,7 +17,6 @@ namespace swcc::campaign
 namespace
 {
 
-#if SWCC_OBS_ENABLED
 /** Adds this run's campaign accounting to the obs registry. */
 void
 recordCampaignMetrics(const CampaignReport &report)
@@ -31,7 +30,6 @@ recordCampaignMetrics(const CampaignReport &report)
     registry.counter("campaign.poisoned").add(report.poisoned);
     registry.counter("campaign.timeouts").add(report.timeouts);
 }
-#endif
 
 std::string
 envString(const char *name)
@@ -209,9 +207,7 @@ runCells(std::size_t n, std::size_t width,
             // Completed cells are enqueued for group commit; the
             // journal's destructor (unwinding with this frame) flushes
             // them, so a `--resume` run recovers every finished cell.
-#if SWCC_OBS_ENABLED
             recordCampaignMetrics(local);
-#endif
             if (report != nullptr) {
                 *report = local;
             }
@@ -243,9 +239,7 @@ runCells(std::size_t n, std::size_t width,
         journal->sync();
     }
 
-#if SWCC_OBS_ENABLED
     recordCampaignMetrics(local);
-#endif
     if (report != nullptr) {
         *report = local;
     }

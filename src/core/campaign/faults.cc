@@ -118,7 +118,6 @@ parseEntry(std::string_view entry)
     rules[siteIndex(site)] = rule;
 }
 
-#if SWCC_OBS_ENABLED
 /** The obs counter mirroring a site's injected count. */
 obs::Counter &
 siteCounter(FaultSite site)
@@ -134,7 +133,6 @@ siteCounter(FaultSite site)
     }();
     return *counters[siteIndex(site)];
 }
-#endif
 
 /** Loads SWCC_FAULT_INJECT / SWCC_FAULT_SEED exactly once. */
 void
@@ -292,9 +290,7 @@ checkFault(FaultSite site)
         return;
     }
     state.injected.fetch_add(1, std::memory_order_relaxed);
-#if SWCC_OBS_ENABLED
     siteCounter(site).add(1);
-#endif
     throwFor(site, op);
 }
 

@@ -84,7 +84,6 @@ doubleToBits(double value)
     return bits;
 }
 
-#if SWCC_OBS_ENABLED
 /** Records one committed group: how many records, one fsync. */
 void
 noteCommit(std::size_t records)
@@ -99,7 +98,6 @@ noteCommit(std::size_t records)
     batches.add(1);
     fsyncs.add(1);
 }
-#endif
 
 /**
  * Paths already opened by a Journal in this process. A campaign's
@@ -312,9 +310,7 @@ Journal::commitBatch(const std::vector<std::string> &batch)
     if (::fsync(fd_) != 0) {
         throw std::runtime_error("cannot fsync journal " + path_);
     }
-#if SWCC_OBS_ENABLED
     noteCommit(batch.size());
-#endif
 }
 
 std::unordered_map<std::uint64_t, std::vector<double>>

@@ -13,28 +13,21 @@ namespace swcc
 namespace
 {
 
-#if SWCC_OBS_ENABLED
 /**
- * Records one bisection solve: how many iterations it took and the
- * bracket width it converged to. Registration is a one-time static;
- * the per-solve cost is two relaxed increments and one histogram
- * observe.
+ * Records one bisection solve and how many iterations it took.
+ * Registration is a one-time static; the per-solve cost is two
+ * relaxed increments.
  */
 void
-noteNetworkSolve(int iterations, double width)
+noteNetworkSolve(int iterations)
 {
     static obs::Counter &solves =
         obs::metrics().counter("solver.network.solves");
     static obs::Counter &iters =
         obs::metrics().counter("solver.network.iterations");
-    static obs::Histogram &residual = obs::metrics().histogram(
-        "solver.network.bracket_width",
-        {1e-15, 1e-13, 1e-11, 1e-9, 1e-6, 1e-3});
     solves.add(1);
     iters.add(static_cast<std::uint64_t>(iterations));
-    residual.observe(width);
 }
-#endif
 
 } // namespace
 
@@ -97,11 +90,7 @@ solveComputeFractionK(double rate, double size, unsigned stages,
             break;
         }
     }
-#if SWCC_OBS_ENABLED
-    noteNetworkSolve(iterations, hi - lo);
-#else
-    (void)iterations;
-#endif
+    noteNetworkSolve(iterations);
     campaign::checkFault(campaign::FaultSite::SolverNet);
     if (!(hi - lo < 1e-6)) {
         throw campaign::SolverNonConvergence(
@@ -185,11 +174,7 @@ solveComputeFraction(double rate, double size, unsigned stages)
             break;
         }
     }
-#if SWCC_OBS_ENABLED
-    noteNetworkSolve(iterations, hi - lo);
-#else
-    (void)iterations;
-#endif
+    noteNetworkSolve(iterations);
     campaign::checkFault(campaign::FaultSite::SolverNet);
     if (!(hi - lo < 1e-6)) {
         throw campaign::SolverNonConvergence(

@@ -13,9 +13,7 @@
  *
  * The level is taken from, in priority order, setLogLevel() (the
  * CLI's `--log-level`), the SWCC_LOG_LEVEL environment variable, and
- * the default (warn). Unlike the metrics and span instrumentation the
- * logger stays functional under SWCC_OBS=OFF: replacing a silent
- * failure with a warning is diagnostics, not instrumentation.
+ * the default (warn).
  */
 
 #ifndef SWCC_CORE_OBS_LOG_HH

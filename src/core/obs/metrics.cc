@@ -25,6 +25,13 @@ renderNumber(double value)
     return os.str();
 }
 
+/** A registry metric's kind: the registry holds no histograms. */
+const char *
+kindName(MetricSnapshot::Kind kind)
+{
+    return kind == MetricSnapshot::Kind::Counter ? "counter" : "gauge";
+}
+
 /** RFC-4180 quoting for fields containing separators or quotes. */
 std::string
 csvEscape(const std::string &field)
@@ -106,42 +113,6 @@ MetricsRegistry::gauge(std::string_view name)
     return *entries_.back().gauge;
 }
 
-Histogram &
-MetricsRegistry::histogram(std::string_view name,
-                           std::vector<double> bounds)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (Entry *existing = findEntry(name)) {
-        if (existing->kind != MetricSnapshot::Kind::Histogram) {
-            throw std::logic_error(
-                "metric '" + std::string(name) +
-                "' already registered as a different kind");
-        }
-        return *existing->histogram;
-    }
-    if (bounds.empty() || bounds.size() > 64 ||
-        !std::is_sorted(bounds.begin(), bounds.end()) ||
-        std::adjacent_find(bounds.begin(), bounds.end()) !=
-            bounds.end()) {
-        throw std::logic_error(
-            "histogram '" + std::string(name) +
-            "' needs 1..64 strictly increasing bucket bounds");
-    }
-    const auto buckets = static_cast<std::uint32_t>(bounds.size()) + 1;
-    if (nextCell_ + buckets > kMaxCells || nextSum_ >= kMaxSums) {
-        throw std::logic_error("metric cell space exhausted");
-    }
-    Entry entry;
-    entry.name = std::string(name);
-    entry.kind = MetricSnapshot::Kind::Histogram;
-    entry.histogram.reset(
-        new Histogram(*this, std::move(bounds), nextCell_, nextSum_));
-    nextCell_ += buckets;
-    ++nextSum_;
-    entries_.push_back(std::move(entry));
-    return *entries_.back().histogram;
-}
-
 MetricsRegistry::Shard &
 MetricsRegistry::localShard()
 {
@@ -163,12 +134,6 @@ MetricsRegistry::cell(std::uint32_t idx)
     return localShard().cells[idx];
 }
 
-std::atomic<double> &
-MetricsRegistry::sumCell(std::uint32_t idx)
-{
-    return localShard().sums[idx];
-}
-
 std::vector<MetricSnapshot>
 MetricsRegistry::snapshot() const
 {
@@ -181,13 +146,6 @@ MetricsRegistry::snapshot() const
         }
         return total;
     };
-    const auto sumTotal = [&](std::uint32_t idx) {
-        double total = 0.0;
-        for (const auto &shard : shards_) {
-            total += shard->sums[idx].load(std::memory_order_relaxed);
-        }
-        return total;
-    };
 
     std::vector<MetricSnapshot> out;
     out.reserve(entries_.size());
@@ -195,27 +153,9 @@ MetricsRegistry::snapshot() const
         MetricSnapshot snap;
         snap.name = entry.name;
         snap.kind = entry.kind;
-        switch (entry.kind) {
-          case MetricSnapshot::Kind::Counter:
-            snap.value = static_cast<double>(
-                cellTotal(entry.counter->cell_));
-            break;
-          case MetricSnapshot::Kind::Gauge:
-            snap.value = entry.gauge->value();
-            break;
-          case MetricSnapshot::Kind::Histogram: {
-            const Histogram &hist = *entry.histogram;
-            snap.bounds = hist.bounds_;
-            snap.counts.resize(hist.bounds_.size() + 1);
-            for (std::size_t b = 0; b < snap.counts.size(); ++b) {
-                snap.counts[b] = cellTotal(
-                    hist.firstCell_ + static_cast<std::uint32_t>(b));
-                snap.count += snap.counts[b];
-            }
-            snap.sum = sumTotal(hist.sumCell_);
-            break;
-          }
-        }
+        snap.value = entry.kind == MetricSnapshot::Kind::Counter
+            ? static_cast<double>(cellTotal(entry.counter->cell_))
+            : entry.gauge->value();
         out.push_back(std::move(snap));
     }
     std::sort(out.begin(), out.end(),
@@ -232,9 +172,6 @@ MetricsRegistry::resetForTest()
     for (const auto &shard : shards_) {
         for (auto &c : shard->cells) {
             c.store(0, std::memory_order_relaxed);
-        }
-        for (auto &s : shard->sums) {
-            s.store(0.0, std::memory_order_relaxed);
         }
     }
     for (Entry &entry : entries_) {
@@ -255,37 +192,9 @@ writeMetricsJson(std::ostream &os)
             os << ',';
         }
         first = false;
-        os << "{\"name\":\"" << jsonEscape(snap.name) << "\",";
-        switch (snap.kind) {
-          case MetricSnapshot::Kind::Counter:
-            os << "\"kind\":\"counter\",\"value\":"
-               << renderNumber(snap.value);
-            break;
-          case MetricSnapshot::Kind::Gauge:
-            os << "\"kind\":\"gauge\",\"value\":"
-               << renderNumber(snap.value);
-            break;
-          case MetricSnapshot::Kind::Histogram: {
-            os << "\"kind\":\"histogram\",\"count\":" << snap.count
-               << ",\"sum\":" << renderNumber(snap.sum)
-               << ",\"buckets\":[";
-            for (std::size_t b = 0; b < snap.counts.size(); ++b) {
-                if (b != 0) {
-                    os << ',';
-                }
-                os << "{\"le\":";
-                if (b < snap.bounds.size()) {
-                    os << renderNumber(snap.bounds[b]);
-                } else {
-                    os << "\"inf\"";
-                }
-                os << ",\"count\":" << snap.counts[b] << '}';
-            }
-            os << ']';
-            break;
-          }
-        }
-        os << '}';
+        os << "{\"name\":\"" << jsonEscape(snap.name)
+           << "\",\"kind\":\"" << kindName(snap.kind)
+           << "\",\"value\":" << renderNumber(snap.value) << '}';
     }
     os << "]}\n";
 }
@@ -293,15 +202,10 @@ writeMetricsJson(std::ostream &os)
 void
 writeMetricsCsv(std::ostream &os)
 {
-    os << "name,kind,value,count,sum\n";
+    os << "name,kind,value\n";
     for (const MetricSnapshot &snap : metrics().snapshot()) {
-        const char *kind =
-            snap.kind == MetricSnapshot::Kind::Counter ? "counter"
-            : snap.kind == MetricSnapshot::Kind::Gauge ? "gauge"
-                                                       : "histogram";
-        os << csvEscape(snap.name) << ',' << kind << ','
-           << renderNumber(snap.value) << ',' << snap.count << ','
-           << renderNumber(snap.sum) << '\n';
+        os << csvEscape(snap.name) << ',' << kindName(snap.kind) << ','
+           << renderNumber(snap.value) << '\n';
     }
 }
 

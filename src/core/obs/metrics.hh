@@ -1,6 +1,6 @@
 /**
  * @file
- * Metrics registry: counters, gauges, and fixed-bucket histograms.
+ * Metrics registry: counters and gauges.
  *
  * Each thread records into its own shard — a flat array of relaxed
  * atomic cells allocated on first touch — so recording never takes a
@@ -17,9 +17,9 @@
  *   solves.add();
  * @endcode
  *
- * Under SWCC_OBS=OFF every recording call compiles to nothing; the
- * registry itself remains linkable so exports produce empty (but
- * valid) artifacts.
+ * Distributions are not registry metrics: they are recorded in
+ * single-writer obs::Histogram instances (histogram.hh) whose
+ * snapshots share the MetricSnapshot type below.
  */
 
 #ifndef SWCC_CORE_OBS_METRICS_HH
@@ -34,16 +34,15 @@
 #include <string_view>
 #include <vector>
 
-#ifndef SWCC_OBS_ENABLED
-#define SWCC_OBS_ENABLED 1
-#endif
-
 namespace swcc::obs
 {
 
 class MetricsRegistry;
 
-/** One merged metric as reported by MetricsRegistry::snapshot(). */
+/**
+ * One merged metric as reported by MetricsRegistry::snapshot(), or a
+ * histogram converted by Histogram::snapshot().
+ */
 struct MetricSnapshot
 {
     enum class Kind
@@ -101,44 +100,18 @@ class Gauge
     std::atomic<double> value_{0.0};
 };
 
-/** A fixed-bucket histogram (bucket per upper bound, plus +inf). */
-class Histogram
-{
-  public:
-    /** Records @p value into its bucket; lock-free. */
-    inline void observe(double value);
-
-    const std::vector<double> &bounds() const { return bounds_; }
-
-  private:
-    friend class MetricsRegistry;
-    Histogram(MetricsRegistry &owner, std::vector<double> bounds,
-              std::uint32_t first_cell, std::uint32_t sum_cell)
-        : owner_(&owner), bounds_(std::move(bounds)),
-          firstCell_(first_cell), sumCell_(sum_cell)
-    {
-    }
-
-    MetricsRegistry *owner_;
-    std::vector<double> bounds_;
-    std::uint32_t firstCell_;
-    std::uint32_t sumCell_;
-};
-
 /**
  * The process-wide metric registry (see file comment).
  *
- * Registration (counter()/gauge()/histogram()) takes the registry
- * mutex and is idempotent by name; recording through the returned
- * objects is lock-free.
+ * Registration (counter()/gauge()) takes the registry mutex and is
+ * idempotent by name; recording through the returned objects is
+ * lock-free.
  */
 class MetricsRegistry
 {
   public:
-    /** Cells available across all counters and histogram buckets. */
+    /** Cells available across all counters. */
     static constexpr std::uint32_t kMaxCells = 4096;
-    /** Histogram sum slots available. */
-    static constexpr std::uint32_t kMaxSums = 256;
 
     /**
      * The named counter, created on first use.
@@ -150,22 +123,14 @@ class MetricsRegistry
     /** The named gauge, created on first use. */
     Gauge &gauge(std::string_view name);
 
-    /**
-     * The named histogram, created on first use with strictly
-     * increasing @p bounds (at most 64 buckets).
-     */
-    Histogram &histogram(std::string_view name,
-                         std::vector<double> bounds);
-
     /** Merges all shards into one value per metric, sorted by name. */
     std::vector<MetricSnapshot> snapshot() const;
 
     /** Zeroes every cell and gauge; registrations persist. Tests. */
     void resetForTest();
 
-    /** @internal Hot-path cell accessors (this thread's shard). */
+    /** @internal Hot-path cell accessor (this thread's shard). */
     std::atomic<std::uint64_t> &cell(std::uint32_t idx);
-    std::atomic<double> &sumCell(std::uint32_t idx);
 
   private:
     friend MetricsRegistry &metrics();
@@ -174,8 +139,7 @@ class MetricsRegistry
     struct Shard
     {
         std::vector<std::atomic<std::uint64_t>> cells;
-        std::vector<std::atomic<double>> sums;
-        Shard() : cells(kMaxCells), sums(kMaxSums) {}
+        Shard() : cells(kMaxCells) {}
     };
 
     struct Entry
@@ -184,7 +148,6 @@ class MetricsRegistry
         MetricSnapshot::Kind kind;
         std::unique_ptr<Counter> counter;
         std::unique_ptr<Gauge> gauge;
-        std::unique_ptr<Histogram> histogram;
     };
 
     Shard &localShard();
@@ -194,7 +157,6 @@ class MetricsRegistry
     std::vector<Entry> entries_;
     std::vector<std::unique_ptr<Shard>> shards_;
     std::uint32_t nextCell_ = 0;
-    std::uint32_t nextSum_ = 0;
 };
 
 /** The process-wide registry. */
@@ -203,21 +165,13 @@ MetricsRegistry &metrics();
 inline void
 Counter::add(std::uint64_t n)
 {
-#if SWCC_OBS_ENABLED
     owner_->cell(cell_).fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
 }
 
 inline void
 Gauge::set(double value)
 {
-#if SWCC_OBS_ENABLED
     value_.store(value, std::memory_order_relaxed);
-#else
-    (void)value;
-#endif
 }
 
 inline double
@@ -226,26 +180,9 @@ Gauge::value() const
     return value_.load(std::memory_order_relaxed);
 }
 
-inline void
-Histogram::observe(double value)
-{
-#if SWCC_OBS_ENABLED
-    std::uint32_t bucket = 0;
-    while (bucket < bounds_.size() && value > bounds_[bucket]) {
-        ++bucket;
-    }
-    owner_->cell(firstCell_ + bucket)
-        .fetch_add(1, std::memory_order_relaxed);
-    auto &sum = owner_->sumCell(sumCell_);
-    sum.fetch_add(value, std::memory_order_relaxed);
-#else
-    (void)value;
-#endif
-}
-
 /**
  * Serializes a snapshot of the process registry as JSON
- * (`{"metrics": [...]}`) or CSV (name,kind,value,count,sum rows).
+ * (`{"metrics": [...]}`) or CSV (name,kind,value rows).
  */
 void writeMetricsJson(std::ostream &os);
 void writeMetricsCsv(std::ostream &os);

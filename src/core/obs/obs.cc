@@ -66,14 +66,6 @@ applyCli(const CliConfig &config)
     setProgressEnabled(config.progress);
     if (!config.traceJson.empty()) {
         tracer().setEnabled(true);
-        if (!compiledIn()) {
-            SWCC_LOG_WARN("--trace-json requested but this build has "
-                          "SWCC_OBS=OFF; the trace will be empty");
-        }
-    }
-    if (!config.metricsOut.empty() && !compiledIn()) {
-        SWCC_LOG_WARN("--metrics-out requested but this build has "
-                      "SWCC_OBS=OFF; counters will read zero");
     }
     std::lock_guard<std::mutex> lock(state_mutex);
     pending_metrics_out = config.metricsOut;

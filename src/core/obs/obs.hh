@@ -4,8 +4,9 @@
  *
  * The obs subsystem has three pillars (each usable on its own):
  *
- *  - metrics.hh — counters / gauges / histograms, exported to JSON or
- *    CSV via `--metrics-out`;
+ *  - metrics.hh — counters and gauges, exported to JSON, CSV or
+ *    Prometheus text via `--metrics-out`; histogram.hh — the
+ *    log-linear distribution type whose snapshots render beside them;
  *  - trace.hh — span tracing emitted as Chrome trace-event JSON via
  *    `--trace-json`, loadable in Perfetto;
  *  - log.hh / progress.hh — leveled stderr logging (`--log-level`)
@@ -15,10 +16,6 @@
  * harnesses) shares: a CliConfig describing the four flags, helpers
  * to source it from the environment and argv, and finalize() which
  * writes the requested artifacts once at process end.
- *
- * Instrumentation compiles out under `cmake -DSWCC_OBS=OFF`; the
- * flags remain accepted and finalize() still writes (empty but valid)
- * artifacts so tooling works identically in both builds.
  */
 
 #ifndef SWCC_CORE_OBS_OBS_HH
@@ -27,6 +24,7 @@
 #include <functional>
 #include <string>
 
+#include "core/obs/histogram.hh"
 #include "core/obs/json.hh"
 #include "core/obs/log.hh"
 #include "core/obs/metrics.hh"
@@ -35,13 +33,6 @@
 
 namespace swcc::obs
 {
-
-/** True when instrumentation was compiled in (SWCC_OBS=ON). */
-constexpr bool
-compiledIn()
-{
-    return SWCC_OBS_ENABLED != 0;
-}
 
 /** The four observability flags shared by every entry point. */
 struct CliConfig

@@ -15,10 +15,6 @@
  *
  * Reporting is off unless enabled with setProgressEnabled() (wired to
  * `--progress`). tick() is safe to call from worker threads.
- *
- * Like the logger — and unlike span/metric instrumentation — the
- * reporter stays functional under SWCC_OBS=OFF: it is user-facing
- * run feedback, not hot-path telemetry.
  */
 
 #ifndef SWCC_CORE_OBS_PROGRESS_HH

@@ -6,9 +6,8 @@
  * registry, so the same code path serves both the process-wide
  * registry export (`--metrics-out foo.prom`) and the swccd scrape
  * endpoint, which mixes registry snapshots with manually sampled
- * daemon gauges and merged per-worker latency histograms. Everything
- * here is plain string formatting and stays fully functional under
- * SWCC_OBS=OFF.
+ * daemon gauges and merged per-worker obs::Histogram snapshots
+ * (histogram.hh). Everything here is plain string formatting.
  *
  * Naming follows the exposition-format rules: dots and any other
  * character outside [a-zA-Z0-9_:] map to '_', counters gain a

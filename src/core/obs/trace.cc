@@ -37,14 +37,10 @@ tracer()
 void
 TraceRecorder::setEnabled(bool on)
 {
-#if SWCC_OBS_ENABLED
     enabled_.store(on, std::memory_order_relaxed);
     if (on) {
         setProcessName(kWallPid, "swcc");
     }
-#else
-    (void)on;
-#endif
 }
 
 std::uint32_t
@@ -85,16 +81,12 @@ TraceRecorder::callerTid()
 void
 TraceRecorder::append(const TraceRecord &record)
 {
-#if SWCC_OBS_ENABLED
     Ring &ring = localRing();
     const std::uint64_t n =
         ring.count.load(std::memory_order_relaxed);
     ring.records[n % ring.records.size()] = record;
     // Release so a quiescent-point reader sees the record contents.
     ring.count.store(n + 1, std::memory_order_release);
-#else
-    (void)record;
-#endif
 }
 
 void

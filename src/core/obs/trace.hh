@@ -21,10 +21,8 @@
  *    simulated machine spent its cycles.
  *
  * The recorder starts disabled: every instrumentation site guards on
- * enabled() (or a cached pointer), so the cost of compiled-in but
- * runtime-disabled tracing is a single predictable branch. Under
- * SWCC_OBS=OFF the recording functions compile to nothing and
- * enabled() is constant false, so the guarded blocks fold away.
+ * enabled() (or a cached pointer), so the cost of disabled tracing is
+ * a single predictable branch.
  */
 
 #ifndef SWCC_CORE_OBS_TRACE_HH
@@ -40,10 +38,6 @@
 #include <string_view>
 #include <utility>
 #include <vector>
-
-#ifndef SWCC_OBS_ENABLED
-#define SWCC_OBS_ENABLED 1
-#endif
 
 namespace swcc::obs
 {
@@ -94,14 +88,10 @@ class TraceRecorder
     bool
     enabled() const
     {
-#if SWCC_OBS_ENABLED
         return enabled_.load(std::memory_order_relaxed);
-#else
-        return false;
-#endif
     }
 
-    /** Enables/disables recording (no-op under SWCC_OBS=OFF). */
+    /** Enables/disables recording. */
     void setEnabled(bool on);
 
     /** Interns @p name, returning a stable id for record* calls. */
@@ -206,44 +196,35 @@ TraceRecorder &tracer();
 
 /**
  * RAII X-event span on the calling thread's wall-time track. Costs
- * one branch when tracing is disabled; compiles out entirely under
- * SWCC_OBS=OFF.
+ * one branch when tracing is disabled.
  */
 class ScopedSpan
 {
   public:
     explicit ScopedSpan(std::uint32_t name)
     {
-#if SWCC_OBS_ENABLED
         if (tracer().enabled()) {
             name_ = name;
             start_ = tracer().nowUs();
         }
-#else
-        (void)name;
-#endif
     }
 
     ~ScopedSpan()
     {
-#if SWCC_OBS_ENABLED
         if (start_ >= 0.0) {
             TraceRecorder &trc = tracer();
             trc.recordComplete(name_, TraceRecorder::kWallPid,
                                trc.callerTid(), start_,
                                trc.nowUs() - start_);
         }
-#endif
     }
 
     ScopedSpan(const ScopedSpan &) = delete;
     ScopedSpan &operator=(const ScopedSpan &) = delete;
 
   private:
-#if SWCC_OBS_ENABLED
     double start_ = -1.0;
     std::uint32_t name_ = 0;
-#endif
 };
 
 /**
@@ -257,36 +238,28 @@ class ScopedPhase
   public:
     explicit ScopedPhase(std::string_view name)
     {
-#if SWCC_OBS_ENABLED
         TraceRecorder &trc = tracer();
         if (trc.enabled()) {
             active_ = true;
             trc.recordBegin(trc.intern(name), TraceRecorder::kWallPid,
                             trc.callerTid(), trc.nowUs());
         }
-#else
-        (void)name;
-#endif
     }
 
     ~ScopedPhase()
     {
-#if SWCC_OBS_ENABLED
         if (active_) {
             TraceRecorder &trc = tracer();
             trc.recordEnd(TraceRecorder::kWallPid, trc.callerTid(),
                           trc.nowUs());
         }
-#endif
     }
 
     ScopedPhase(const ScopedPhase &) = delete;
     ScopedPhase &operator=(const ScopedPhase &) = delete;
 
   private:
-#if SWCC_OBS_ENABLED
     bool active_ = false;
-#endif
 };
 
 /**

@@ -132,7 +132,6 @@ ThreadPool::drainJob(unsigned lane,
     const std::size_t chunk = jobChunk_;
     LaneCounters &counters = laneCounters_[lane];
 
-#if SWCC_OBS_ENABLED
     obs::TraceRecorder &trc = obs::tracer();
     const bool tracing = trc.enabled();
     std::uint32_t chunkName = 0;
@@ -149,7 +148,6 @@ ThreadPool::drainJob(unsigned lane,
         chunkName = trc.intern("pool.chunk");
         stealName = trc.intern("pool.steal");
     }
-#endif
 
     for (;;) {
         const std::size_t begin =
@@ -159,14 +157,12 @@ ThreadPool::drainJob(unsigned lane,
         }
         const std::size_t end = std::min(n, begin + chunk);
         counters.chunks.fetch_add(1, std::memory_order_relaxed);
-#if SWCC_OBS_ENABLED
         double chunkStart = 0.0;
         if (tracing) {
             chunkStart = trc.nowUs();
             trc.recordInstant(stealName, obs::TraceRecorder::kWallPid,
                               trc.callerTid(), chunkStart);
         }
-#endif
         std::size_t executed = 0;
         for (std::size_t i = begin; i < end; ++i) {
             if (failed_.load(std::memory_order_relaxed)) {
@@ -185,13 +181,11 @@ ThreadPool::drainJob(unsigned lane,
             }
         }
         counters.tasks.fetch_add(executed, std::memory_order_relaxed);
-#if SWCC_OBS_ENABLED
         if (tracing) {
             trc.recordComplete(chunkName, obs::TraceRecorder::kWallPid,
                                trc.callerTid(), chunkStart,
                                trc.nowUs() - chunkStart);
         }
-#endif
         if (failed_.load(std::memory_order_relaxed)) {
             return;
         }

@@ -14,14 +14,12 @@ namespace swcc
 namespace
 {
 
-#if SWCC_OBS_ENABLED
 /** Interns a span name once; safe to call on every evaluation. */
 std::uint32_t
 spanName(const char *name)
 {
     return obs::tracer().intern(name);
 }
-#endif
 
 SolverMemo<BusSolution> &
 busMemo()
@@ -246,10 +244,8 @@ std::vector<BusSolution>
 busPowerCurve(Scheme scheme, const WorkloadParams &params,
               unsigned max_processors)
 {
-#if SWCC_OBS_ENABLED
     static const std::uint32_t span = spanName("busPowerCurve");
     obs::ScopedSpan scoped(span);
-#endif
     // One O(N) recursion replaces the old N independent solves; slot i
     // holds the (i+1)-processor solution whatever the thread count.
     return evaluateBusCurve(scheme, params, max_processors);
@@ -259,10 +255,8 @@ std::vector<NetworkSolution>
 networkPowerCurve(Scheme scheme, const WorkloadParams &params,
                   unsigned max_stages)
 {
-#if SWCC_OBS_ENABLED
     static const std::uint32_t span = spanName("networkPowerCurve");
     obs::ScopedSpan scoped(span);
-#endif
     return evaluateNetworkCurve(scheme, params, max_stages);
 }
 

@@ -210,7 +210,6 @@ noteSolverCacheEvictions(std::uint64_t count)
 void
 publishSolverCacheMetrics()
 {
-#if SWCC_OBS_ENABLED
     const SolverCacheStats stats = solverCacheStats();
     obs::MetricsRegistry &registry = obs::metrics();
     registry.gauge("solver_cache.hits")
@@ -219,7 +218,6 @@ publishSolverCacheMetrics()
         .set(static_cast<double>(stats.misses));
     registry.gauge("solver_cache.evictions")
         .set(static_cast<double>(stats.evictions));
-#endif
 }
 
 void

@@ -136,8 +136,7 @@ void noteSolverCacheEvictions(std::uint64_t count);
  * `solver_cache.{hits,misses,evictions}` gauges. Registered as an
  * obs finalize hook on first cache use, so every `--metrics-out`
  * artifact carries the totals; callable any time for a mid-run
- * snapshot (the daemon's stats endpoint reads the raw atomics
- * instead, which stay live under SWCC_OBS=OFF).
+ * snapshot (the daemon's scrape reads the raw atomics instead).
  */
 void publishSolverCacheMetrics();
 

@@ -207,20 +207,6 @@ ServiceClient::query(const Query &query)
 }
 
 std::string
-ServiceClient::stats()
-{
-    if (json_) {
-        const std::string line = "{\"cmd\":\"stats\"}\n";
-        sendRaw(line.data(), line.size());
-    } else {
-        std::vector<std::uint8_t> out;
-        appendControlRequest(out, RequestKind::Stats);
-        sendRaw(out.data(), out.size());
-    }
-    return recvResponse().text;
-}
-
-std::string
 ServiceClient::ping()
 {
     if (json_) {

@@ -59,9 +59,6 @@ class ServiceClient
      */
     QueryResult recvResult();
 
-    /** The daemon's stats JSON document. */
-    std::string stats();
-
     /** Round-trips a ping; returns the echo payload. */
     std::string ping();
 

@@ -21,6 +21,7 @@
 
 #include "core/campaign/atomic_file.hh"
 #include "core/mpmc_queue.hh"
+#include "core/obs/histogram.hh"
 #include "core/obs/json.hh"
 #include "core/obs/log.hh"
 #include "core/obs/metrics.hh"
@@ -29,7 +30,6 @@
 #include "core/solver_cache.hh"
 #include "core/types.hh"
 #include "service/flight_recorder.hh"
-#include "service/latency_histogram.hh"
 #include "service/protocol.hh"
 #include "service/trace_context.hh"
 
@@ -96,13 +96,13 @@ struct WorkerTelemetry
 {
     std::mutex mutex;
     /** Decode-to-completion latency per query (ns). */
-    LatencyHistogram request;
+    obs::Histogram request;
     /** Submission-queue wait per query (ns). */
-    LatencyHistogram queueWait;
+    obs::Histogram queueWait;
     /** Whole-batch solver time per batch (ns). */
-    LatencyHistogram solve;
+    obs::Histogram solve;
     /** Queries per batch. */
-    LatencyHistogram batchSize;
+    obs::Histogram batchSize;
 };
 
 } // namespace
@@ -174,15 +174,6 @@ struct ServiceDaemon::Impl
     std::atomic<std::uint64_t> protocolErrors{0};
     std::atomic<std::int64_t> inflight{0};
 
-#if SWCC_OBS_ENABLED
-    obs::Counter *mQueries = nullptr;
-    obs::Counter *mBatches = nullptr;
-    obs::Counter *mValidationErrors = nullptr;
-    obs::Counter *mProtocolErrors = nullptr;
-    obs::Counter *mConnections = nullptr;
-    obs::Histogram *mBatchSize = nullptr;
-    obs::Histogram *mQueueWaitUs = nullptr;
-
     /** Interned span/flow names (decode → queue → batch → solve →
      * send, all flow events keyed "svc.query"). */
     std::uint32_t nDecode = 0;
@@ -191,13 +182,11 @@ struct ServiceDaemon::Impl
     std::uint32_t nSolve = 0;
     std::uint32_t nSend = 0;
     std::uint32_t nFlow = 0;
-#endif
 
     void acceptLoop();
     void workerLoop(unsigned index);
     void workerBody(unsigned index);
     void submit(Submission sub);
-    std::string buildStatsJson() const;
     std::string buildScrape() const;
     std::string dumpFlight() const;
     void reapFinished(bool join_all);
@@ -271,9 +260,6 @@ struct Connection
                     // abandoned. Per-connection only; just count it.
                     daemon_.protocolErrors.fetch_add(
                         1, std::memory_order_relaxed);
-#if SWCC_OBS_ENABLED
-                    daemon_.mProtocolErrors->add();
-#endif
                 }
                 break;
             }
@@ -336,12 +322,8 @@ struct Connection
             std::string error;
             std::size_t consumed = 0;
             const std::uint64_t decodeNs = daemon_.nowNs();
-#if SWCC_OBS_ENABLED
             const double decodeStartUs =
                 obs::tracer().enabled() ? obs::tracer().nowUs() : 0.0;
-#else
-            const double decodeStartUs = 0.0;
-#endif
             const DecodeStatus status =
                 decodeRequest(buffer.data() + offset,
                               buffer.size() - offset, consumed, frame,
@@ -352,9 +334,6 @@ struct Connection
             if (status == DecodeStatus::BadFrame) {
                 daemon_.protocolErrors.fetch_add(
                     1, std::memory_order_relaxed);
-#if SWCC_OBS_ENABLED
-                daemon_.mProtocolErrors->add();
-#endif
                 // Framing is lost: answer once, then close. Guess the
                 // response dialect from the first byte.
                 const bool json =
@@ -382,22 +361,14 @@ struct Connection
     dispatch(RequestFrame &frame, std::uint64_t decodeNs,
              double decodeStartUs)
     {
-        (void)decodeStartUs;
         if (!frame.fieldError.empty()) {
             daemon_.validationErrors.fetch_add(
                 1, std::memory_order_relaxed);
-#if SWCC_OBS_ENABLED
-            daemon_.mValidationErrors->add();
-#endif
             completeInline(ResponseStatus::BadRequest,
                            frame.fieldError, frame.json);
             return;
         }
         switch (frame.kind) {
-          case RequestKind::Stats:
-            completeInline(ResponseStatus::Ok,
-                           daemon_.buildStatsJson(), frame.json);
-            return;
           case RequestKind::Scrape: {
             const std::string text = daemon_.buildScrape();
             // The JSON dialect answers with one JSON line, so the
@@ -425,9 +396,6 @@ struct Connection
         if (!error.empty()) {
             daemon_.validationErrors.fetch_add(
                 1, std::memory_order_relaxed);
-#if SWCC_OBS_ENABLED
-            daemon_.mValidationErrors->add();
-#endif
             QueryResult result;
             result.domain = frame.query.domain;
             result.error = std::move(error);
@@ -449,7 +417,6 @@ struct Connection
         sub.trace = frame.trace;
         sub.decodeNs = decodeNs;
         pending_.push_back(std::move(slot));
-#if SWCC_OBS_ENABLED
         obs::TraceRecorder &trc = obs::tracer();
         if (trc.enabled()) {
             const std::int32_t tid = trc.callerTid();
@@ -472,7 +439,6 @@ struct Connection
                                  obs::TraceRecorder::kWallPid, tid,
                                  now, sub.trace.traceId);
         }
-#endif
         sub.enqueueNs = daemon_.nowNs();
         workerRefs.fetch_add(1, std::memory_order_acq_rel);
         daemon_.submit(std::move(sub));
@@ -520,16 +486,12 @@ struct Connection
     flushDonePrefix()
     {
         scratch_.clear();
-#if SWCC_OBS_ENABLED
         flushedIds_.clear();
-#endif
         while (!pending_.empty() &&
                pending_.front()->done.load(std::memory_order_acquire)) {
-#if SWCC_OBS_ENABLED
             if (pending_.front()->traceId != 0) {
                 flushedIds_.push_back(pending_.front()->traceId);
             }
-#endif
             std::vector<std::uint8_t> &r = pending_.front()->response;
             scratch_.insert(scratch_.end(), r.begin(), r.end());
             pending_.pop_front();
@@ -537,11 +499,9 @@ struct Connection
         if (scratch_.empty() || writeFailed_ || peerClosed_) {
             return;
         }
-#if SWCC_OBS_ENABLED
         obs::TraceRecorder &trc = obs::tracer();
         const bool tracing = trc.enabled();
         const double sendStartUs = tracing ? trc.nowUs() : 0.0;
-#endif
         std::size_t sent = 0;
         while (sent < scratch_.size()) {
             const ssize_t n =
@@ -562,7 +522,6 @@ struct Connection
             }
             sent += static_cast<std::size_t>(n);
         }
-#if SWCC_OBS_ENABLED
         if (tracing && !flushedIds_.empty()) {
             const std::int32_t tid = trc.callerTid();
             const double sendEndUs = trc.nowUs();
@@ -577,7 +536,6 @@ struct Connection
                                   midUs, id);
             }
         }
-#endif
     }
 
     /** Waits out every in-flight submission before the thread exits. */
@@ -595,10 +553,8 @@ struct Connection
     std::condition_variable cv_;
     std::deque<std::unique_ptr<Pending>> pending_;
     std::vector<std::uint8_t> scratch_;
-#if SWCC_OBS_ENABLED
     std::vector<std::uint64_t> flushedIds_;
     bool threadNamed_ = false;
-#endif
     bool writeFailed_ = false;
     bool peerClosed_ = false;
 };
@@ -654,14 +610,12 @@ ServiceDaemon::Impl::workerBody(unsigned index)
     std::vector<QueryResult> batchResults;
     std::vector<Connection *> waking;
     batch.reserve(config.batchMax);
-#if SWCC_OBS_ENABLED
     obs::TraceRecorder &trc = obs::tracer();
     if (trc.enabled()) {
         trc.setThreadName(obs::TraceRecorder::kWallPid,
                           trc.callerTid(),
                           "swccd.worker" + std::to_string(index));
     }
-#endif
     for (;;) {
         batch.clear();
         Submission sub;
@@ -685,7 +639,6 @@ ServiceDaemon::Impl::workerBody(unsigned index)
         queued.fetch_sub(batch.size(), std::memory_order_release);
         const std::uint64_t popNs = nowNs();
 
-#if SWCC_OBS_ENABLED
         const bool tracing = trc.enabled();
         const std::int32_t tid = tracing ? trc.callerTid() : 0;
         const double batchStartUs = tracing ? trc.nowUs() : 0.0;
@@ -698,7 +651,6 @@ ServiceDaemon::Impl::workerBody(unsigned index)
                                    batchStartUs, s.trace.traceId);
             }
         }
-#endif
         const SolverCacheStats cacheBefore =
             slowLog ? solverCacheStats() : SolverCacheStats{};
 
@@ -710,13 +662,10 @@ ServiceDaemon::Impl::workerBody(unsigned index)
             batchQueries.push_back(s.query);
         }
         const std::uint64_t solveStartNs = nowNs();
-#if SWCC_OBS_ENABLED
         const double solveStartUs = tracing ? trc.nowUs() : 0.0;
-#endif
         kernel.evaluateBatch(batchQueries.data(), batchQueries.size(),
                              batchResults.data());
         const std::uint64_t solveNs = nowNs() - solveStartNs;
-#if SWCC_OBS_ENABLED
         if (tracing) {
             const double solveEndUs = trc.nowUs();
             trc.recordComplete(nSolve, obs::TraceRecorder::kWallPid,
@@ -731,15 +680,9 @@ ServiceDaemon::Impl::workerBody(unsigned index)
                                    midUs, s.trace.traceId);
             }
         }
-#endif
 
         queries.fetch_add(batch.size(), std::memory_order_relaxed);
         batches.fetch_add(1, std::memory_order_relaxed);
-#if SWCC_OBS_ENABLED
-        mQueries->add(batch.size());
-        mBatches->add();
-        mBatchSize->observe(static_cast<double>(batch.size()));
-#endif
         waking.clear();
         for (std::size_t i = 0; i < batch.size(); ++i) {
             std::vector<std::uint8_t> response;
@@ -756,13 +699,11 @@ ServiceDaemon::Impl::workerBody(unsigned index)
         for (Connection *conn : waking) {
             conn->wake();
         }
-#if SWCC_OBS_ENABLED
         if (tracing) {
             trc.recordComplete(nBatch, obs::TraceRecorder::kWallPid,
                                tid, batchStartUs,
                                trc.nowUs() - batchStartUs);
         }
-#endif
 
         // Telemetry happens after the wakes so the flush path never
         // waits on it; slots must not be touched past this point.
@@ -775,12 +716,6 @@ ServiceDaemon::Impl::workerBody(unsigned index)
                 telemetry.request.record(completeNs - s.decodeNs);
             }
         }
-#if SWCC_OBS_ENABLED
-        for (const Submission &s : batch) {
-            mQueueWaitUs->observe(
-                static_cast<double>(popNs - s.enqueueNs) / 1000.0);
-        }
-#endif
         for (std::size_t i = 0; i < batch.size(); ++i) {
             const Submission &s = batch[i];
             FlightRecord record;
@@ -870,9 +805,6 @@ ServiceDaemon::Impl::acceptLoop()
             continue;
         }
         accepted.fetch_add(1, std::memory_order_relaxed);
-#if SWCC_OBS_ENABLED
-        mConnections->add();
-#endif
         auto conn = std::make_unique<Connection>(*this, cfd);
         Connection *raw = conn.get();
         conn->thread = std::thread([raw] { raw->run(); });
@@ -907,100 +839,8 @@ ServiceDaemon::Impl::reapFinished(bool join_all)
     }
 }
 
-std::string
-ServiceDaemon::Impl::buildStatsJson() const
-{
-    const SolverCacheStats cache = solverCacheStats();
-    std::string out = "{\"ok\":true,\"daemon\":{";
-    const auto field = [&out](std::string_view name,
-                              std::uint64_t value, bool comma = true) {
-        out += '"';
-        out += name;
-        out += "\":";
-        out += std::to_string(value);
-        if (comma) {
-            out += ',';
-        }
-    };
-    field("connections_accepted",
-          accepted.load(std::memory_order_relaxed));
-    field("connections_refused",
-          refused.load(std::memory_order_relaxed));
-    field("queries", queries.load(std::memory_order_relaxed));
-    field("batches", batches.load(std::memory_order_relaxed));
-    field("validation_errors",
-          validationErrors.load(std::memory_order_relaxed));
-    field("protocol_errors",
-          protocolErrors.load(std::memory_order_relaxed));
-    field("inflight",
-          static_cast<std::uint64_t>(std::max<std::int64_t>(
-              0, inflight.load(std::memory_order_relaxed))));
-    field("workers", config.workers);
-    field("batch_max", config.batchMax, false);
-    out += "},\"solver_cache\":{";
-    field("hits", cache.hits);
-    field("misses", cache.misses);
-    field("evictions", cache.evictions, false);
-    out += "}}";
-    return out;
-}
-
 namespace
 {
-
-/**
- * Converts a merged LatencyHistogram (nanoseconds) to a sparse
- * MetricSnapshot in the given unit. Only occupied buckets become
- * `le` bounds, and adjacent occupied buckets closer than 1/32
- * (3.125%) apart are coalesced into the higher bound — a long-lived
- * daemon occupies hundreds of the ~1.9k 1.6%-spaced buckets, and a
- * 10 Hz scraper should not pay for resolution no dashboard can
- * show. Folding counts upward keeps every `le` line a correct
- * cumulative count; derived quantiles read at most 3.1% high.
- */
-obs::MetricSnapshot
-histogramSnapshot(std::string name, const LatencyHistogram &hist,
-                  double scale)
-{
-    obs::MetricSnapshot snap;
-    snap.name = std::move(name);
-    snap.kind = obs::MetricSnapshot::Kind::Histogram;
-    snap.count = hist.count();
-    snap.sum = static_cast<double>(hist.sum()) * scale;
-    const std::vector<std::uint64_t> &buckets = hist.buckets();
-    std::uint64_t pending = 0;
-    double pendingBound = 0.0;
-    double anchor = -1.0;
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
-        if (buckets[i] == 0) {
-            continue;
-        }
-        const double bound =
-            static_cast<double>(
-                LatencyHistogram::bucketUpperBound(i)) *
-            scale;
-        if (anchor > 0.0 && bound <= anchor * (1.0 + 1.0 / 32)) {
-            // Within 3.125% of the run's first bound: fold upward.
-            pending += buckets[i];
-            pendingBound = bound;
-            continue;
-        }
-        if (pending > 0) {
-            snap.bounds.push_back(pendingBound);
-            snap.counts.push_back(pending);
-        }
-        anchor = bound;
-        pending = buckets[i];
-        pendingBound = bound;
-    }
-    if (pending > 0) {
-        snap.bounds.push_back(pendingBound);
-        snap.counts.push_back(pending);
-    }
-    // The +Inf bucket (counts has bounds.size() + 1 entries).
-    snap.counts.push_back(0);
-    return snap;
-}
 
 obs::MetricSnapshot
 scalarSnapshot(std::string name, obs::MetricSnapshot::Kind kind,
@@ -1021,8 +861,8 @@ ServiceDaemon::Impl::buildScrape() const
     using Kind = obs::MetricSnapshot::Kind;
     const SolverCacheStats cache = solverCacheStats();
 
-    // Manual section first: always-on atomics plus gauges sampled at
-    // scrape time. These stay meaningful under SWCC_OBS=OFF.
+    // Daemon section first: the per-instance atomics plus gauges
+    // sampled at scrape time.
     std::vector<obs::MetricSnapshot> snaps;
     const auto counter = [&](std::string name, std::uint64_t value) {
         snaps.push_back(scalarSnapshot(std::move(name), Kind::Counter,
@@ -1064,11 +904,11 @@ ServiceDaemon::Impl::buildScrape() const
           static_cast<double>(std::min<std::uint64_t>(
               flight.totalRecorded(), flight.capacity())));
 
-    // Merged per-worker latency histograms, in microseconds.
-    LatencyHistogram request;
-    LatencyHistogram queueWait;
-    LatencyHistogram solve;
-    LatencyHistogram batchSize;
+    // Merged per-worker histograms, latencies in microseconds.
+    obs::Histogram request;
+    obs::Histogram queueWait;
+    obs::Histogram solve;
+    obs::Histogram batchSize;
     for (const auto &stats : workerStats) {
         std::lock_guard<std::mutex> lock(stats->mutex);
         request.merge(stats->request);
@@ -1077,14 +917,11 @@ ServiceDaemon::Impl::buildScrape() const
         batchSize.merge(stats->batchSize);
     }
     constexpr double kNsToUs = 1.0 / 1000.0;
+    snaps.push_back(request.snapshot("service.request_us", kNsToUs));
     snaps.push_back(
-        histogramSnapshot("service.request_us", request, kNsToUs));
-    snaps.push_back(histogramSnapshot("service.queue_wait_us",
-                                      queueWait, kNsToUs));
-    snaps.push_back(
-        histogramSnapshot("service.solve_us", solve, kNsToUs));
-    snaps.push_back(
-        histogramSnapshot("service.batch_size", batchSize, 1.0));
+        queueWait.snapshot("service.queue_wait_us", kNsToUs));
+    snaps.push_back(solve.snapshot("service.solve_us", kNsToUs));
+    snaps.push_back(batchSize.snapshot("service.batch_size"));
 
     std::string out;
     std::set<std::string> families;
@@ -1092,8 +929,9 @@ ServiceDaemon::Impl::buildScrape() const
         families.insert(obs::promFamilyName(snap));
         obs::appendPrometheus(out, snap);
     }
-    // Registry metrics ride along when compiled in; families already
-    // rendered from live atomics above win (e.g. service_queries).
+    // Process registry metrics (solver, kernel, pool, ...) ride along;
+    // a family already rendered above wins (e.g. the registry's
+    // solver_cache gauges behind the live cache counters).
     for (const obs::MetricSnapshot &snap :
          obs::metrics().snapshot()) {
         if (families.insert(obs::promFamilyName(snap)).second) {
@@ -1158,24 +996,6 @@ ServiceDaemon::start()
         throw std::runtime_error("cannot bind " + path + ": " +
                                  std::strerror(saved));
     }
-#if SWCC_OBS_ENABLED
-    obs::MetricsRegistry &registry = obs::metrics();
-    impl.mQueries = &registry.counter("service.queries");
-    impl.mBatches = &registry.counter("service.batches");
-    impl.mValidationErrors =
-        &registry.counter("service.validation_errors");
-    impl.mProtocolErrors = &registry.counter("service.protocol_errors");
-    impl.mConnections = &registry.counter("service.connections");
-    impl.mBatchSize = &registry.histogram(
-        "service.batch_size", {1, 2, 4, 8, 16, 32, 64, 128});
-    impl.mQueueWaitUs = &registry.histogram(
-        "service.queue_wait_us",
-        {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000,
-         20000, 50000, 100000});
-    registry.gauge("service.workers")
-        .set(static_cast<double>(impl.config.workers));
-    registry.gauge("service.batch_limit")
-        .set(static_cast<double>(impl.config.batchMax));
     obs::TraceRecorder &trc = obs::tracer();
     impl.nDecode = trc.intern("svc.decode");
     impl.nQueue = trc.intern("svc.queue");
@@ -1183,7 +1003,6 @@ ServiceDaemon::start()
     impl.nSolve = trc.intern("svc.solve");
     impl.nSend = trc.intern("svc.send");
     impl.nFlow = trc.intern("svc.query");
-#endif
     impl.workers.reserve(impl.config.workers);
     for (unsigned i = 0; i < impl.config.workers; ++i) {
         impl.workers.emplace_back(
@@ -1267,12 +1086,6 @@ ServiceDaemon::stats() const
     stats.protocolErrors =
         impl.protocolErrors.load(std::memory_order_relaxed);
     return stats;
-}
-
-std::string
-ServiceDaemon::statsJson() const
-{
-    return impl_->buildStatsJson();
 }
 
 std::string

@@ -77,7 +77,10 @@ struct DaemonConfig
     std::string flightRecorderPath;
 };
 
-/** Monotonic daemon-wide totals (also mirrored as service.* metrics). */
+/**
+ * Monotonic daemon-wide totals: the in-process view of the same
+ * atomics the scrape renders as service_* counters.
+ */
 struct DaemonStats
 {
     std::uint64_t connectionsAccepted = 0;
@@ -123,15 +126,13 @@ class ServiceDaemon
 
     DaemonStats stats() const;
 
-    /** The stats document served by the protocol's Stats request. */
-    std::string statsJson() const;
-
     /**
      * The Prometheus text-exposition document served by the
-     * protocol's Scrape request: always-on daemon/solver-cache
-     * atomics, point-in-time gauges (queue depth, in-flight, active
-     * connections), merged per-worker latency histograms, and — when
-     * compiled in — the process metrics registry.
+     * protocol's Scrape request, the daemon's one stats surface: the
+     * daemon and solver-cache atomics, point-in-time gauges (queue
+     * depth, in-flight, active connections, workers, batch limit),
+     * the merged per-worker obs::Histogram snapshots, and the process
+     * metrics registry (solver, kernel and pool counters).
      */
     std::string scrapeText() const;
 

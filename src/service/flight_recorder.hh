@@ -15,8 +15,8 @@
  * overwritten at that instant.
  *
  * The recorder is always on (plain atomics, ~100 bytes/slot, no
- * obs dependency) so a SWCC_OBS=OFF daemon still yields a usable
- * post-mortem dump on SIGUSR1 or worker death.
+ * obs dependency), so a daemon always yields a post-mortem dump on
+ * SIGUSR1 or worker death.
  */
 
 #ifndef SWCC_SERVICE_FLIGHT_RECORDER_HH

@@ -210,15 +210,13 @@ parseJsonRequest(std::string_view line, RequestFrame &frame)
                 return;
             }
             const std::string cmd = lowercase(value.string);
-            if (cmd == "stats") {
-                frame.kind = RequestKind::Stats;
-            } else if (cmd == "ping") {
+            if (cmd == "ping") {
                 frame.kind = RequestKind::Ping;
             } else if (cmd == "scrape") {
                 frame.kind = RequestKind::Scrape;
             } else {
                 frame.fieldError = "unknown cmd \"" + value.string +
-                    "\" (expected stats, ping, or scrape)";
+                    "\" (expected ping or scrape)";
                 return;
             }
         } else if (key == "domain") {
@@ -387,7 +385,7 @@ parseJsonResponse(std::string_view line, ResponseFrame &frame,
     }
     const obs::JsonValue *ok = doc.find("ok");
     if (ok == nullptr || ok->type != obs::JsonValue::Type::Bool) {
-        // A stats document or other text payload: pass it through.
+        // No ok field: a plain text payload; pass it through.
         frame.status = ResponseStatus::Ok;
         frame.text = line;
         return true;
@@ -665,7 +663,6 @@ decodeRequest(const std::uint8_t *data, std::size_t size,
         getParams(payload + 8, frame.query.params);
         return DecodeStatus::Frame;
       }
-      case static_cast<std::uint8_t>(RequestKind::Stats):
       case static_cast<std::uint8_t>(RequestKind::Ping):
       case static_cast<std::uint8_t>(RequestKind::Scrape):
         frame.kind = static_cast<RequestKind>(kind);

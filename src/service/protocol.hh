@@ -14,7 +14,7 @@
  *   ok-network payload: domain:u8 pad:u8x3 stages:u32 processors:u32
  *                       pad:u32 + 11 x f64
  *   error payload:      UTF-8 message
- *   stats payload:      UTF-8 JSON document
+ *   scrape payload:     Prometheus text exposition
  *
  * Doubles travel as raw IEEE-754 bit patterns, so a binary response
  * is bitwise identical to the in-process solver output. The JSON
@@ -61,7 +61,8 @@ inline constexpr std::size_t kMaxJsonLine = 8192;
 enum class RequestKind : std::uint8_t
 {
     Query = 0,
-    Stats = 1,
+    // 1 is retired and stays unassigned: it decodes as an unknown
+    // kind, so an old client gets a field error, not a new meaning.
     Ping = 2,
     /** Prometheus text-exposition snapshot of the live daemon. */
     Scrape = 3,
@@ -91,7 +92,7 @@ struct RequestFrame
 struct ResponseFrame
 {
     ResponseStatus status = ResponseStatus::Ok;
-    /** Error message / stats or ping payload for non-query frames. */
+    /** Error message / scrape or ping payload for non-query frames. */
     std::string text;
     bool isQueryResult = false;
     QueryDomain domain = QueryDomain::Bus;
@@ -113,7 +114,7 @@ enum class DecodeStatus
 void appendQueryRequest(std::vector<std::uint8_t> &out,
                         const Query &query);
 
-/** Appends a binary stats/ping request frame (client side). */
+/** Appends a binary ping/scrape request frame (client side). */
 void appendControlRequest(std::vector<std::uint8_t> &out,
                           RequestKind kind);
 
@@ -124,7 +125,7 @@ void appendControlRequest(std::vector<std::uint8_t> &out,
 void appendQueryResponse(std::vector<std::uint8_t> &out,
                          const QueryResult &result, bool json);
 
-/** Appends a text response (stats JSON, ping echo, error). */
+/** Appends a text response (scrape text, ping echo, error). */
 void appendTextResponse(std::vector<std::uint8_t> &out,
                         ResponseStatus status, std::string_view text,
                         bool json);

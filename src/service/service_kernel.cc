@@ -68,7 +68,6 @@ groupKey(const Query &query)
         .key();
 }
 
-#if SWCC_OBS_ENABLED
 obs::Counter &
 queriesCounter()
 {
@@ -92,7 +91,6 @@ coalescedCounter()
         obs::metrics().counter("service.kernel.coalesced");
     return counter;
 }
-#endif
 
 } // namespace
 
@@ -168,9 +166,7 @@ ServiceKernel::evaluate(const Query &query) const
     if (!result.error.empty()) {
         return result;
     }
-#if SWCC_OBS_ENABLED
     queriesCounter().add();
-#endif
     try {
         if (query.domain == QueryDomain::Bus) {
             result.bus =
@@ -190,11 +186,9 @@ void
 ServiceKernel::evaluateBatch(const Query *queries, std::size_t count,
                              QueryResult *results) const
 {
-#if SWCC_OBS_ENABLED
     static const std::uint32_t span =
         obs::tracer().intern("service.batch");
     obs::ScopedSpan scoped(span);
-#endif
     // Reject inadmissible queries and bucket the rest by their
     // coalescible identity (domain, scheme, workload).
     std::unordered_map<SolverCacheKey, std::vector<std::size_t>,
@@ -213,10 +207,8 @@ ServiceKernel::evaluateBatch(const Query *queries, std::size_t count,
     for (const auto &[key, members] : groups) {
         (void)key;
         const Query &head = queries[members.front()];
-#if SWCC_OBS_ENABLED
         queriesCounter().add(members.size());
         groupsCounter().add();
-#endif
         unsigned max_size = 0;
         unsigned min_size = ~0u;
         for (const std::size_t i : members) {
@@ -278,9 +270,7 @@ ServiceKernel::evaluateBatch(const Query *queries, std::size_t count,
                     results[i].ok = true;
                 }
             }
-#if SWCC_OBS_ENABLED
             coalescedCounter().add(members.size());
-#endif
         } catch (const std::exception &e) {
             for (const std::size_t i : members) {
                 results[i].ok = false;

@@ -20,12 +20,10 @@ Bus::acquire(Cycles now, Cycles duration)
     busyCycles_ += duration;
     totalWaited_ += grant.waited;
     ++transactions_;
-#if SWCC_OBS_ENABLED
     if (observer_ != nullptr) {
         observer_->recordComplete(grantName_, observerPid_,
                                   observerTid_, grant.start, duration);
     }
-#endif
     return grant;
 }
 

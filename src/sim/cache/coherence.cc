@@ -13,7 +13,6 @@ namespace swcc
 namespace
 {
 
-#if SWCC_OBS_ENABLED
 /** Publishes the active snoop path (1 = Directory, 0 = scan). */
 void
 noteSnoopPath(bool directory)
@@ -22,7 +21,6 @@ noteSnoopPath(bool directory)
         obs::metrics().gauge("sim.snoop_path.directory");
     path.set(directory ? 1.0 : 0.0);
 }
-#endif
 
 bool
 isMissOp(Operation op)
@@ -78,9 +76,7 @@ CoherenceProtocol::CoherenceProtocol(const CacheConfig &cache_config,
         directory_ = HolderMap(static_cast<std::size_t>(num_cpus) *
                                caches_.front().lines().size());
     }
-#if SWCC_OBS_ENABLED
     noteSnoopPath(useDirectory_);
-#endif
 }
 
 void
@@ -117,9 +113,7 @@ CoherenceProtocol::setSnoopPath(SnoopPath path)
         numCpus() <= kMaxDirectoryCpus;
     SWCC_LOG_DEBUG(std::string("snoop path set to ") +
                    (useDirectory_ ? "Directory" : "ReferenceScan"));
-#if SWCC_OBS_ENABLED
     noteSnoopPath(useDirectory_);
-#endif
 }
 
 CoherenceProtocol::HolderMask
@@ -204,11 +198,9 @@ CoherenceProtocol::countOtherHolders(CpuId cpu, Addr block) const
 void
 checkCoherenceInvariants(const CoherenceProtocol &protocol)
 {
-#if SWCC_OBS_ENABLED
     static obs::Counter &checks =
         obs::metrics().counter("sim.invariant_checks");
     checks.add(1);
-#endif
     struct BlockView
     {
         unsigned holders = 0;

@@ -5,11 +5,51 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "core/obs/log.hh"
+#include "core/obs/metrics.hh"
 #include "sim/mp/system.hh"
 
 namespace swcc
 {
+
+namespace
+{
+
+/**
+ * Bumps extract.fallback.<param> once for each model input @p out
+ * could not measure and so takes from the paper's middle value.
+ */
+void
+countFallbacks(const ExtractedParams &out)
+{
+    static obs::Counter &apl =
+        obs::metrics().counter("extract.fallback.apl");
+    static obs::Counter &mdshd =
+        obs::metrics().counter("extract.fallback.mdshd");
+    static obs::Counter &oclean =
+        obs::metrics().counter("extract.fallback.oclean");
+    static obs::Counter &opres =
+        obs::metrics().counter("extract.fallback.opres");
+    static obs::Counter &nshd =
+        obs::metrics().counter("extract.fallback.nshd");
+    const DragonMeasurements &dragon = out.dragonMeasurements;
+    if (!out.traceStats.apl.has_value()) {
+        apl.add();
+    }
+    if (!out.traceStats.mdshd.has_value()) {
+        mdshd.add();
+    }
+    if (dragon.sharedMisses == 0) {
+        oclean.add();
+    }
+    if (dragon.sharedWrites == 0) {
+        opres.add();
+    }
+    if (dragon.broadcasts == 0) {
+        nshd.add();
+    }
+}
+
+} // namespace
 
 ExtractedParams
 extractParams(const TraceBuffer &trace, const CacheConfig &cache_config,
@@ -71,18 +111,12 @@ extractParams(const TraceBuffer &trace, const CacheConfig &cache_config,
     params.msdat = out.baseStats.dataMissRate();
     params.mains = out.baseStats.instrMissRate();
     params.md = out.baseStats.dirtyMissFraction();
-    // These two are only measurable when the trace actually exercises
-    // write runs / shared dirty misses; a short or read-only trace
-    // silently inheriting the paper's middle value has misled more
-    // than one experiment, so say so.
-    if (!out.traceStats.apl.has_value()) {
-        SWCC_LOG_WARN("trace has no write runs; apl falls back to the "
-                      "paper's middle value");
-    }
-    if (!out.traceStats.mdshd.has_value()) {
-        SWCC_LOG_WARN("trace has no shared-block misses; mdshd falls "
-                      "back to the paper's middle value");
-    }
+    // A trace without write runs cannot measure apl, one without
+    // flushes cannot measure mdshd, and a Dragon run without shared
+    // misses, shared writes or broadcasts cannot measure oclean, opres
+    // or nshd. Each then takes the paper's middle value, and the
+    // extract.fallback.* counters say how often that happened.
+    countFallbacks(out);
     params.apl = std::max(
         1.0, out.traceStats.apl.value_or(
                  1.0 / paramLevelValue(ParamId::InvApl, Level::Middle)));

@@ -40,7 +40,10 @@ struct ExtractedParams
  *
  * Defaults stand in for quantities a trace cannot expose: when the
  * trace has no flushes, mdshd falls back to the Table 7 middle value;
- * when it has no terminated write-runs, apl does likewise.
+ * when it has no terminated write-runs, apl does likewise, as do
+ * oclean, opres and nshd when the Dragon run sees no shared misses,
+ * shared writes or broadcasts. Each fallback bumps the registry
+ * counter extract.fallback.<param>.
  *
  * @param trace Interleaved trace.
  * @param cache_config Cache geometry for the miss-rate simulations.

@@ -159,16 +159,13 @@ MultiprocessorSystem::step(TraceProcessor &proc, SimStats &stats)
             // it here or the stolen cycle never reaches the makespan.
             victim_proc.stats.finishTime = victim_proc.readyAt;
         }
-#if SWCC_OBS_ENABLED
         if (trc_ != nullptr) {
             trc_->recordInstant(stealName_, simPid_,
                                 static_cast<std::int32_t>(victim),
                                 victim_proc.readyAt);
         }
-#endif
     }
 
-#if SWCC_OBS_ENABLED
     // One branch per retire when tracing is off; purely observational
     // when on. Span start is the processor's clock at dispatch, so
     // each CPU track shows retire latency including bus waits.
@@ -189,7 +186,6 @@ MultiprocessorSystem::step(TraceProcessor &proc, SimStats &stats)
                                 bus_.busyCycles());
         }
     }
-#endif
 
     proc.readyAt = now;
     proc.stats.finishTime = now;
@@ -204,7 +200,6 @@ MultiprocessorSystem::step(TraceProcessor &proc, SimStats &stats)
 void
 MultiprocessorSystem::beginRunTrace()
 {
-#if SWCC_OBS_ENABLED
     obs::TraceRecorder &trc = obs::tracer();
     trc_ = &trc;
     simPid_ = trc.nextSimPid();
@@ -228,7 +223,6 @@ MultiprocessorSystem::beginRunTrace()
     busBusyCounterName_ = trc.intern("sim.bus_busy_cycles");
     bus_.setObserver(&trc, simPid_, cpus);
     retired_ = 0;
-#endif
 }
 
 SimStats
@@ -259,14 +253,12 @@ MultiprocessorSystem::run(const TraceBuffer &trace)
     }
     bus_.reset();
 
-#if SWCC_OBS_ENABLED
     if (obs::tracer().enabled()) {
         beginRunTrace();
     } else {
         trc_ = nullptr;
         bus_.setObserver(nullptr, 0, 0);
     }
-#endif
 
     SimStats stats;
     stats.scheme = scheme_;
@@ -326,7 +318,6 @@ MultiprocessorSystem::run(const TraceBuffer &trace)
     stats.busBusyCycles = bus_.busyCycles();
     stats.busTransactions = bus_.transactions();
 
-#if SWCC_OBS_ENABLED
     {
         // Once per run, off the event loop: aggregate counters only.
         static obs::Counter &runs =
@@ -339,7 +330,6 @@ MultiprocessorSystem::run(const TraceBuffer &trace)
         events.add(trace.size());
         xacts.add(stats.busTransactions);
     }
-#endif
     return stats;
 }
 

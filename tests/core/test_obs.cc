@@ -3,10 +3,6 @@
  * Unit tests for the observability layer: metrics registry shard
  * merging, the leveled logger, the JSON parser / Chrome-trace
  * validator, the span recorder, and the progress reporter.
- *
- * Every test must pass under both SWCC_OBS=ON and SWCC_OBS=OFF; where
- * recording compiles away, the expected values switch on
- * obs::compiledIn() (exports stay valid, they just read zero/empty).
  */
 
 #include <gtest/gtest.h>
@@ -70,7 +66,7 @@ TEST(MetricsTest, CountersSumAcrossThreads)
 
     const obs::MetricSnapshot snap = findMetric("test.obs.hits");
     EXPECT_EQ(snap.kind, obs::MetricSnapshot::Kind::Counter);
-    EXPECT_EQ(snap.value, obs::compiledIn() ? 3000.0 : 0.0);
+    EXPECT_EQ(snap.value, 3000.0);
 }
 
 TEST(MetricsTest, RegistrationIsIdempotentAndKindChecked)
@@ -80,44 +76,6 @@ TEST(MetricsTest, RegistrationIsIdempotentAndKindChecked)
     EXPECT_EQ(&a, &b);
     EXPECT_THROW(obs::metrics().gauge("test.obs.idem"),
                  std::logic_error);
-    EXPECT_THROW(obs::metrics().histogram("test.obs.idem", {1.0}),
-                 std::logic_error);
-}
-
-TEST(MetricsTest, HistogramBucketsAndSum)
-{
-    obs::metrics().resetForTest();
-    obs::Histogram &widths =
-        obs::metrics().histogram("test.obs.widths", {1.0, 10.0, 100.0});
-    widths.observe(0.5);   // bucket 0 (<= 1)
-    widths.observe(5.0);   // bucket 1 (<= 10)
-    widths.observe(50.0);  // bucket 2 (<= 100)
-    widths.observe(500.0); // bucket 3 (+inf)
-    widths.observe(500.0); // bucket 3 (+inf)
-
-    const obs::MetricSnapshot snap = findMetric("test.obs.widths");
-    EXPECT_EQ(snap.kind, obs::MetricSnapshot::Kind::Histogram);
-    ASSERT_EQ(snap.bounds.size(), 3u);
-    ASSERT_EQ(snap.counts.size(), 4u);
-    if (obs::compiledIn()) {
-        EXPECT_EQ(snap.counts[0], 1u);
-        EXPECT_EQ(snap.counts[1], 1u);
-        EXPECT_EQ(snap.counts[2], 1u);
-        EXPECT_EQ(snap.counts[3], 2u);
-        EXPECT_EQ(snap.count, 5u);
-        EXPECT_DOUBLE_EQ(snap.sum, 1055.5);
-    } else {
-        EXPECT_EQ(snap.count, 0u);
-    }
-}
-
-TEST(MetricsTest, HistogramRejectsBadBounds)
-{
-    EXPECT_THROW(obs::metrics().histogram("test.obs.empty", {}),
-                 std::logic_error);
-    EXPECT_THROW(
-        obs::metrics().histogram("test.obs.unsorted", {2.0, 1.0}),
-        std::logic_error);
 }
 
 TEST(MetricsTest, JsonExportParses)
@@ -281,19 +239,16 @@ TEST(TraceRecorderTest, EmitsValidChromeTrace)
     const std::uint32_t work = trc.intern("work");
     const std::uint32_t mark = trc.intern("mark");
     const std::uint32_t load = trc.intern("load");
-    if (trc.enabled()) {
-        // Out-of-order appends on one stream: emission must sort.
-        trc.recordComplete(work, 2, 0, 50.0, 10.0);
-        trc.recordComplete(work, 2, 0, 10.0, 5.0);
-        trc.recordInstant(mark, 2, 1, 30.0);
-        trc.recordCounter(load, 2, 1, 40.0, 0.75);
-        trc.recordBegin(work, obs::TraceRecorder::kWallPid,
-                        trc.callerTid(), 1.0);
-        trc.recordEnd(obs::TraceRecorder::kWallPid, trc.callerTid(),
-                      2.0);
-        trc.setProcessName(2, "sim");
-        trc.setThreadName(2, 0, "cpu 0");
-    }
+    // Out-of-order appends on one stream: emission must sort.
+    trc.recordComplete(work, 2, 0, 50.0, 10.0);
+    trc.recordComplete(work, 2, 0, 10.0, 5.0);
+    trc.recordInstant(mark, 2, 1, 30.0);
+    trc.recordCounter(load, 2, 1, 40.0, 0.75);
+    trc.recordBegin(work, obs::TraceRecorder::kWallPid,
+                    trc.callerTid(), 1.0);
+    trc.recordEnd(obs::TraceRecorder::kWallPid, trc.callerTid(), 2.0);
+    trc.setProcessName(2, "sim");
+    trc.setThreadName(2, 0, "cpu 0");
     std::ostringstream os;
     trc.writeChromeTrace(os);
     trc.setEnabled(false);
@@ -312,7 +267,7 @@ TEST(TraceRecorderTest, EmitsValidChromeTrace)
             ++spans;
         }
     }
-    EXPECT_EQ(spans, obs::compiledIn() ? 2u : 0u);
+    EXPECT_EQ(spans, 2u);
 }
 
 TEST(TraceRecorderTest, FlowAndAsyncEventsValidate)
@@ -327,15 +282,13 @@ TEST(TraceRecorderTest, FlowAndAsyncEventsValidate)
     const std::uint32_t solve = trc.intern("svc.solve");
     const std::uint32_t queue = trc.intern("svc.queue");
     const std::uint32_t flow = trc.intern("svc.query");
-    if (trc.enabled()) {
-        trc.recordComplete(decode, 3, 1, 10.0, 4.0);
-        trc.recordFlowStart(flow, 3, 1, 12.0, 77);
-        trc.recordAsyncBegin(queue, 3, 1, 14.0, 77);
-        trc.recordAsyncEnd(queue, 3, 2, 20.0, 77);
-        trc.recordComplete(solve, 3, 2, 20.0, 6.0);
-        trc.recordFlowStep(flow, 3, 2, 23.0, 77);
-        trc.recordFlowEnd(flow, 3, 1, 30.0, 77);
-    }
+    trc.recordComplete(decode, 3, 1, 10.0, 4.0);
+    trc.recordFlowStart(flow, 3, 1, 12.0, 77);
+    trc.recordAsyncBegin(queue, 3, 1, 14.0, 77);
+    trc.recordAsyncEnd(queue, 3, 2, 20.0, 77);
+    trc.recordComplete(solve, 3, 2, 20.0, 6.0);
+    trc.recordFlowStep(flow, 3, 2, 23.0, 77);
+    trc.recordFlowEnd(flow, 3, 1, 30.0, 77);
     std::ostringstream os;
     trc.writeChromeTrace(os);
     trc.setEnabled(false);
@@ -358,8 +311,8 @@ TEST(TraceRecorderTest, FlowAndAsyncEventsValidate)
             ++asyncs;
         }
     }
-    EXPECT_EQ(flows, obs::compiledIn() ? 3u : 0u);
-    EXPECT_EQ(asyncs, obs::compiledIn() ? 2u : 0u);
+    EXPECT_EQ(flows, 3u);
+    EXPECT_EQ(asyncs, 2u);
 }
 
 TEST(TraceRecorderTest, RingWrapDropsOldestButStaysValid)
@@ -368,11 +321,8 @@ TEST(TraceRecorderTest, RingWrapDropsOldestButStaysValid)
     trc.clearForTest();
     trc.setEnabled(true);
     const std::uint32_t name = trc.intern("wrap");
-    if (trc.enabled()) {
-        for (int i = 0; i < 500; ++i) {
-            trc.recordComplete(name, 2, 7, static_cast<double>(i),
-                               0.5);
-        }
+    for (int i = 0; i < 500; ++i) {
+        trc.recordComplete(name, 2, 7, static_cast<double>(i), 0.5);
     }
     std::ostringstream os;
     trc.writeChromeTrace(os);

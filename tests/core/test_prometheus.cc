@@ -3,10 +3,8 @@
  * Unit tests for the Prometheus text-exposition renderer
  * (src/core/obs/prometheus.hh): name sanitization, label escaping,
  * counter `_total` suffixing, histogram expansion to cumulative
- * buckets with the mandatory `+Inf`, and the registry export path.
- * The renderer is pure string formatting, so everything here holds
- * under both SWCC_OBS=ON and SWCC_OBS=OFF (registry counts just read
- * zero when recording compiles away).
+ * buckets with the mandatory `+Inf`, and the registry export path
+ * beside an obs::Histogram snapshot.
  */
 
 #include <gtest/gtest.h>
@@ -15,8 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "core/obs/histogram.hh"
 #include "core/obs/metrics.hh"
-#include "core/obs/obs.hh"
 #include "core/obs/prometheus.hh"
 
 namespace swcc
@@ -130,13 +128,13 @@ TEST(PrometheusTest, RegistryExportRendersEveryKind)
     obs::metrics().resetForTest();
     obs::metrics().counter("test.prom.events").add(5);
     obs::metrics().gauge("test.prom.level").set(1.5);
-    obs::metrics()
-        .histogram("test.prom.lat_us", {1.0, 10.0})
-        .observe(4.0);
+    obs::Histogram latency;
+    latency.record(4);
 
     std::ostringstream os;
     obs::writeMetricsPrometheus(os);
-    const std::string out = os.str();
+    std::string out = os.str();
+    obs::appendPrometheus(out, latency.snapshot("test.prom.lat_us"));
 
     EXPECT_NE(out.find("# TYPE test_prom_events_total counter\n"),
               std::string::npos)
@@ -147,21 +145,13 @@ TEST(PrometheusTest, RegistryExportRendersEveryKind)
     EXPECT_NE(out.find("test_prom_lat_us_bucket{le=\"+Inf\"} "),
               std::string::npos)
         << out;
-    if (obs::compiledIn()) {
-        EXPECT_NE(out.find("test_prom_events_total 5\n"),
-                  std::string::npos)
-            << out;
-        EXPECT_NE(out.find("test_prom_level 1.5\n"),
-                  std::string::npos)
-            << out;
-        EXPECT_NE(out.find("test_prom_lat_us_bucket{le=\"10\"} 1\n"),
-                  std::string::npos)
-            << out;
-    } else {
-        EXPECT_NE(out.find("test_prom_events_total 0\n"),
-                  std::string::npos)
-            << out;
-    }
+    EXPECT_NE(out.find("test_prom_events_total 5\n"), std::string::npos)
+        << out;
+    EXPECT_NE(out.find("test_prom_level 1.5\n"), std::string::npos)
+        << out;
+    EXPECT_NE(out.find("test_prom_lat_us_bucket{le=\"4\"} 1\n"),
+              std::string::npos)
+        << out;
     // No raw dots may leak into metric names: every line must start
     // with a legal name or a comment.
     std::istringstream lines(out);

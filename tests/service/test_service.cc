@@ -449,7 +449,7 @@ TEST_F(ServiceProtocolTest, ErrorResponseRoundTrips)
 TEST_F(ServiceProtocolTest, ControlRequestsRoundTrip)
 {
     for (const RequestKind kind :
-         {RequestKind::Stats, RequestKind::Ping}) {
+         {RequestKind::Ping, RequestKind::Scrape}) {
         std::vector<std::uint8_t> bytes;
         appendControlRequest(bytes, kind);
         const RequestFrame frame = decodeOne(bytes);

@@ -1,6 +1,6 @@
 /**
  * @file
- * End-to-end tests for the swccd daemon: lifecycle, the stats
+ * End-to-end tests for the swccd daemon: lifecycle, the scrape
  * endpoint, graceful drain of in-flight requests, protocol
  * robustness against hostile clients (oversized length prefixes,
  * truncated frames, mid-request disconnects, garbage bytes), and the
@@ -186,7 +186,48 @@ TEST_F(ServiceDaemonTest, JsonDialectIsBitwiseIdenticalToo)
     expectIdentical(client.query(query), kernel.evaluate(query));
 }
 
-TEST_F(ServiceDaemonTest, StatsEndpointReportsCountersAndSolverCache)
+/** The value of the sample line `<name> <value>` in exposition text. */
+double
+promValue(const std::string &text, const std::string &name)
+{
+    const std::string padded = "\n" + text;
+    const std::string needle = "\n" + name + " ";
+    const std::size_t at = padded.find(needle);
+    if (at == std::string::npos) {
+        ADD_FAILURE() << "sample '" << name << "' not in scrape:\n"
+                      << text;
+        return -1.0;
+    }
+    return std::stod(padded.substr(at + needle.size()));
+}
+
+/**
+ * Workers record telemetry *after* flushing completions (off the
+ * latency path), so a scrape racing the response can read stale
+ * counts. Polls until @p name reaches @p target (or ~2s pass) and
+ * returns the last scrape; the caller's assertions then report any
+ * real discrepancy.
+ */
+std::string
+scrapeUntilAtLeast(ServiceClient &client, const std::string &name,
+                   double target)
+{
+    std::string scrape;
+    for (int i = 0; i < 400; ++i) {
+        scrape = client.scrape();
+        const std::string padded = "\n" + scrape;
+        const std::string needle = "\n" + name + " ";
+        const std::size_t at = padded.find(needle);
+        if (at != std::string::npos &&
+            std::stod(padded.substr(at + needle.size())) >= target) {
+            break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return scrape;
+}
+
+TEST_F(ServiceDaemonTest, ScrapeReportsDaemonCountersAndSolverCache)
 {
     startDaemon();
     ServiceClient client;
@@ -194,16 +235,16 @@ TEST_F(ServiceDaemonTest, StatsEndpointReportsCountersAndSolverCache)
     (void)client.query(busQuery(Scheme::Base, 4));
     (void)client.query(busQuery(Scheme::Base, 4)); // memo hit
 
-    const std::string stats = client.stats();
-    EXPECT_NE(stats.find("\"ok\":true"), std::string::npos) << stats;
-    EXPECT_NE(stats.find("\"queries\":"), std::string::npos);
-    EXPECT_NE(stats.find("\"batches\":"), std::string::npos);
-    EXPECT_NE(stats.find("\"connections_accepted\":"),
-              std::string::npos);
-    EXPECT_NE(stats.find("\"solver_cache\""), std::string::npos);
-    EXPECT_NE(stats.find("\"hits\":"), std::string::npos);
-    EXPECT_NE(stats.find("\"misses\":"), std::string::npos);
-    EXPECT_NE(stats.find("\"evictions\":"), std::string::npos);
+    // The query and batch counters are bumped before a response is
+    // sent, so the scrape already holds both queries.
+    const std::string scrape = client.scrape();
+    EXPECT_EQ(promValue(scrape, "service_queries_total"), 2.0);
+    EXPECT_GE(promValue(scrape, "service_batches_total"), 1.0);
+    EXPECT_GE(promValue(scrape, "service_connections_accepted_total"),
+              1.0);
+    EXPECT_GE(promValue(scrape, "solver_cache_hits_total"), 0.0);
+    EXPECT_GE(promValue(scrape, "solver_cache_misses_total"), 0.0);
+    EXPECT_GE(promValue(scrape, "solver_cache_evictions_total"), 0.0);
 
     const DaemonStats totals = daemon_->stats();
     EXPECT_EQ(totals.queries, 2u);
@@ -344,61 +385,36 @@ TEST_F(ServiceDaemonTest, RecoverableFieldErrorsKeepTheConnection)
     EXPECT_TRUE(client.query(busQuery(Scheme::Base, 4)).ok);
 }
 
-/** The value of the sample line `<name> <value>` in exposition text. */
-double
-promValue(const std::string &text, const std::string &name)
+TEST_F(ServiceDaemonTest, BinaryKindOneIsAnUnknownRequestKind)
 {
-    const std::string padded = "\n" + text;
-    const std::string needle = "\n" + name + " ";
-    const std::size_t at = padded.find(needle);
-    if (at == std::string::npos) {
-        ADD_FAILURE() << "sample '" << name << "' not in scrape:\n"
-                      << text;
-        return -1.0;
-    }
-    return std::stod(padded.substr(at + needle.size()));
+    // Kind 1 is retired (the scrape is the one stats surface): a
+    // field error that keeps the connection.
+    startDaemon();
+    ServiceClient client;
+    client.connect(socket_);
+    const std::uint8_t kindOne[8] = {kRequestMagic, kProtocolVersion,
+                                     1, 0, 0, 0, 0, 0};
+    client.sendRaw(kindOne, sizeof kindOne);
+    const ResponseFrame frame = client.recvResponse();
+    EXPECT_EQ(frame.status, ResponseStatus::BadRequest);
+    EXPECT_EQ(frame.text, "unknown request kind 1");
+    EXPECT_EQ(client.ping(), "pong");
 }
 
-/**
- * Workers record telemetry *after* flushing completions (off the
- * latency path), so a scrape racing the response can read stale
- * counts. Polls until @p name reaches @p target (or ~2s pass) and
- * returns the last scrape; the caller's assertions then report any
- * real discrepancy.
- */
-std::string
-scrapeUntilAtLeast(ServiceClient &client, const std::string &name,
-                   double target)
+TEST_F(ServiceDaemonTest, JsonStatsCommandIsAnUnknownCmd)
 {
-    std::string scrape;
-    for (int i = 0; i < 400; ++i) {
-        scrape = client.scrape();
-        const std::string padded = "\n" + scrape;
-        const std::string needle = "\n" + name + " ";
-        const std::size_t at = padded.find(needle);
-        if (at != std::string::npos &&
-            std::stod(padded.substr(at + needle.size())) >= target) {
-            break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    return scrape;
+    startDaemon();
+    ServiceClient client;
+    client.connect(socket_);
+    client.useJson(true);
+    const std::string line = "{\"cmd\":\"stats\"}\n";
+    client.sendRaw(line.data(), line.size());
+    const ResponseFrame frame = client.recvResponse();
+    EXPECT_EQ(frame.status, ResponseStatus::BadRequest);
+    EXPECT_EQ(frame.text,
+              "unknown cmd \"stats\" (expected ping or scrape)");
+    EXPECT_NE(client.ping().find("\"pong\":true"), std::string::npos);
 }
-
-#if SWCC_OBS_ENABLED
-/** Registry snapshot entry by name; fails the test if absent. */
-obs::MetricSnapshot
-findMetric(const std::string &name)
-{
-    for (const obs::MetricSnapshot &snap : obs::metrics().snapshot()) {
-        if (snap.name == name) {
-            return snap;
-        }
-    }
-    ADD_FAILURE() << "metric '" << name << "' not in snapshot";
-    return {};
-}
-#endif
 
 TEST_F(ServiceDaemonTest, ScrapeEndpointServesPrometheusText)
 {
@@ -443,23 +459,19 @@ TEST_F(ServiceDaemonTest, ScrapeEndpointServesPrometheusText)
 TEST_F(ServiceDaemonTest, QueueWaitIsVisibleOnlyThroughTheDaemon)
 {
     startDaemon(2, 16);
-#if SWCC_OBS_ENABLED
-    obs::metrics().resetForTest();
-#endif
+    ServiceClient client;
+    client.connect(socket_);
     // Direct kernel evaluation never queues: whatever happens here
-    // must leave the service.queue_wait_us registry histogram empty.
+    // must leave the daemon's queue-wait histogram empty.
     const ServiceKernel kernel;
     for (unsigned i = 0; i < 8; ++i) {
         (void)kernel.evaluate(busQuery(Scheme::Base, 4 + i));
     }
-#if SWCC_OBS_ENABLED
-    EXPECT_EQ(findMetric("service.queue_wait_us").count, 0u);
-#endif
+    EXPECT_EQ(promValue(client.scrape(), "service_queue_wait_us_count"),
+              0.0);
 
     // A pipelined burst through the daemon rides the MPMC queue, so
     // every query accrues a measurable (nonzero-count) queue wait.
-    ServiceClient client;
-    client.connect(socket_);
     for (unsigned i = 0; i < 32; ++i) {
         client.sendQuery(busQuery(Scheme::Dragon, 1 + i % 64));
     }
@@ -469,15 +481,6 @@ TEST_F(ServiceDaemonTest, QueueWaitIsVisibleOnlyThroughTheDaemon)
     const std::string scrape = scrapeUntilAtLeast(
         client, "service_queue_wait_us_count", 32.0);
     EXPECT_GE(promValue(scrape, "service_queue_wait_us_count"), 32.0);
-#if SWCC_OBS_ENABLED
-    // The registry observe trails the telemetry mutex; poll it too.
-    for (int i = 0;
-         i < 400 && findMetric("service.queue_wait_us").count < 32;
-         ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    EXPECT_GE(findMetric("service.queue_wait_us").count, 32u);
-#endif
 }
 
 TEST_F(ServiceDaemonTest, FlightRecorderDumpIsValidJson)
@@ -566,9 +569,6 @@ TEST_F(ServiceDaemonTest, SlowQueryLogEmitsParseableJson)
 
 TEST_F(ServiceDaemonTest, TracedRunEmitsConnectedFlowAcrossThreads)
 {
-    if (!obs::compiledIn()) {
-        GTEST_SKIP() << "tracing compiles out under SWCC_OBS=OFF";
-    }
     obs::TraceRecorder &trc = obs::tracer();
     trc.clearForTest();
     trc.setEnabled(true);

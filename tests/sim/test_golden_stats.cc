@@ -230,7 +230,6 @@ TEST(GoldenStatsTest, NewProtocolsFallBackBeyondSixtyFourCpus)
     }
 }
 
-#if SWCC_OBS_ENABLED
 TEST(GoldenStatsTest, SnoopPathGaugeTracksTheEffectivePath)
 {
     // sim.snoop_path.directory is a last-write-wins gauge published at
@@ -259,7 +258,6 @@ TEST(GoldenStatsTest, SnoopPathGaugeTracksTheEffectivePath)
         EXPECT_DOUBLE_EQ(gauge.value(), 0.0) << schemeName(scheme);
     }
 }
-#endif
 
 TEST(GoldenStatsTest, SnoopPathCannotChangeOnAWarmSystem)
 {

@@ -4,8 +4,7 @@
  * tracing on must not change a single simulator statistic, and the
  * trace the simulator emits must be a valid Chrome trace-event
  * document (non-decreasing timestamps per thread, balanced B/E
- * pairs). Both tests also pass under SWCC_OBS=OFF, where the emitted
- * document is empty but still valid.
+ * pairs).
  */
 
 #include <gtest/gtest.h>
@@ -97,11 +96,7 @@ TEST(ObsGoldenTest, SimulatorTraceIsValidChromeJson)
             ++sim_spans;
         }
     }
-    if (obs::compiledIn()) {
-        EXPECT_GT(sim_spans, 0u);
-    } else {
-        EXPECT_EQ(events->array.size(), 0u);
-    }
+    EXPECT_GT(sim_spans, 0u);
 }
 
 } // namespace

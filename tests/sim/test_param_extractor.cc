@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
+#include "core/obs/metrics.hh"
 #include "sim/mp/param_extractor.hh"
 #include "sim/synth/app_profiles.hh"
 #include "sim/synth/trace_generator.hh"
@@ -126,6 +130,74 @@ TEST(ExtractorDefaultsTest, DynamicSharingWorksWithoutClassifier)
     const ExtractedParams marked = extractParams(
         trace, cache64k(), workload.sharedClassifier());
     EXPECT_LE(extracted.params.shd, marked.params.shd + 1e-12);
+}
+
+/** The extract.fallback.<param> counters, keyed by param. */
+std::map<std::string, double>
+fallbackCounts()
+{
+    const std::string prefix = "extract.fallback.";
+    std::map<std::string, double> out;
+    for (const char *param : {"apl", "mdshd", "oclean", "opres", "nshd"}) {
+        out[param] = 0.0;
+    }
+    for (const obs::MetricSnapshot &snap : obs::metrics().snapshot()) {
+        if (snap.name.starts_with(prefix)) {
+            out[snap.name.substr(prefix.size())] = snap.value;
+        }
+    }
+    return out;
+}
+
+/**
+ * Two CPUs taking turns on one block: each turn loads it, optionally
+ * stores to it, and ends with a fetched flush of it.
+ */
+TraceBuffer
+pingPongTrace(bool stores)
+{
+    constexpr Addr kBlock = 0x1000;
+    TraceBuffer trace;
+    for (int turn = 0; turn < 64; ++turn) {
+        for (CpuId cpu = 0; cpu < 2; ++cpu) {
+            const Addr code = 0x100 * (cpu + 1u);
+            trace.append(cpu, RefType::IFetch, code);
+            trace.append(cpu, RefType::Load, kBlock);
+            if (stores) {
+                trace.append(cpu, RefType::Store, kBlock);
+            }
+            trace.append(cpu, RefType::IFetch, code + 4);
+            trace.append(cpu, RefType::Flush, kBlock);
+        }
+    }
+    return trace;
+}
+
+TEST(ExtractorDefaultsTest, FallbacksAreCountedPerParameter)
+{
+    // Without stores there are no write runs (apl), no shared writes
+    // (opres) and no broadcasts (nshd); the flushes and the first
+    // shared misses still measure mdshd and oclean.
+    const TraceBuffer readOnly = pingPongTrace(false);
+    for (int call = 1; call <= 2; ++call) {
+        const std::map<std::string, double> before = fallbackCounts();
+        (void)extractParams(readOnly, cache64k());
+        const std::map<std::string, double> after = fallbackCounts();
+        EXPECT_EQ(after.at("apl") - before.at("apl"), 1.0) << call;
+        EXPECT_EQ(after.at("opres") - before.at("opres"), 1.0) << call;
+        EXPECT_EQ(after.at("nshd") - before.at("nshd"), 1.0) << call;
+        EXPECT_EQ(after.at("mdshd"), before.at("mdshd")) << call;
+        EXPECT_EQ(after.at("oclean"), before.at("oclean")) << call;
+    }
+
+    // With stores the trace measures all five: no counter moves.
+    const std::map<std::string, double> before = fallbackCounts();
+    const ExtractedParams measured =
+        extractParams(pingPongTrace(true), cache64k());
+    EXPECT_EQ(fallbackCounts(), before);
+    EXPECT_TRUE(measured.traceStats.apl.has_value());
+    EXPECT_TRUE(measured.traceStats.mdshd.has_value());
+    EXPECT_GT(measured.dragonMeasurements.broadcasts, 0u);
 }
 
 TEST(ExtractorDefaultsTest, SingleCpuTraceHasNoSharing)

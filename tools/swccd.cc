@@ -10,9 +10,12 @@
  *
  * Loads the cost tables once, binds the unix socket, prints a ready
  * line, and serves until SIGINT/SIGTERM triggers a graceful drain.
- * On exit it prints the stats document and writes the observability
- * artifacts (--metrics-out / --trace-json), so a service run exports
- * the same solver_cache.* and service.* metrics as a CLI run.
+ * On exit it prints a final scrape (the Prometheus text exposition
+ * the Scrape request serves) and writes the observability artifacts
+ * (--metrics-out / --trace-json). The --metrics-out file holds the
+ * process registry, as for a CLI run: solver_cache.*, solver.*,
+ * service.kernel.* and pool metrics. The daemon's own service.*
+ * totals and histograms live in the scrape only.
  */
 
 #include <csignal>
@@ -209,7 +212,7 @@ main(int argc, char **argv)
 
     g_daemon = nullptr;
     daemon.stop();
-    std::cout << daemon.statsJson() << std::endl;
+    std::cout << daemon.scrapeText() << std::flush;
     try {
         swcc::obs::finalize();
     } catch (const std::exception &e) {
