@@ -231,6 +231,10 @@ reportSweepSpeedup(const HarnessConfig &config)
         return result;
     };
 
+    // Memo off: with it, every sweep after the first would copy the
+    // stored extractions, and the parallel row would time lookups and
+    // compare copies instead of simulating.
+    setSolverCacheEnabled(false);
     setThreadCount(1);
     const std::vector<std::string> serial_stats = serialized_sweep();
     const double serial = bestOf(config.reps, [&] { validate(sweep); });
@@ -239,6 +243,7 @@ reportSweepSpeedup(const HarnessConfig &config)
     const double parallel =
         bestOf(config.reps, [&] { validate(sweep); });
     setThreadCount(0);
+    setSolverCacheEnabled(true);
 
     const bool identical = serial_stats == parallel_stats;
     TextTable table({"serial ms", "parallel ms", "speedup", "threads",

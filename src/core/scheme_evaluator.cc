@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "core/campaign/faults.hh"
 #include "core/obs/trace.hh"
 #include "core/per_instruction.hh"
 #include "core/solver_cache.hh"
@@ -57,17 +56,6 @@ networkCurveMemo()
     return true;
 }();
 
-/**
- * True when results may be served from / stored into the memo. Fault
- * injection must reach the solvers' checkFault() sites, so an armed
- * fault plan bypasses the cache entirely.
- */
-bool
-memoUsable()
-{
-    return solverCacheEnabled() && !campaign::faultsActive();
-}
-
 SolverCacheKey
 busPointKey(Scheme scheme, const WorkloadParams &params,
             unsigned processors, const BusCostModel &costs)
@@ -107,7 +95,7 @@ BusSolution
 evaluateBus(Scheme scheme, const WorkloadParams &params,
             unsigned processors, const BusCostModel &costs)
 {
-    const bool memo = memoUsable();
+    const bool memo = solverMemoUsable();
     BusSolution sol;
     SolverCacheKey key;
     if (memo) {
@@ -134,7 +122,7 @@ evaluateNetwork(Scheme scheme, const WorkloadParams &params,
             "snoopy schemes need a broadcast bus; they cannot run on a "
             "multistage network");
     }
-    const bool memo = memoUsable();
+    const bool memo = solverMemoUsable();
     NetworkSolution sol;
     SolverCacheKey key;
     if (memo) {
@@ -165,7 +153,7 @@ std::vector<BusSolution>
 evaluateBusCurve(Scheme scheme, const WorkloadParams &params,
                  unsigned max_processors, const BusCostModel &costs)
 {
-    const bool memo = memoUsable();
+    const bool memo = solverMemoUsable();
     std::vector<BusSolution> curve;
     SolverCacheKey key;
     if (memo) {
@@ -206,7 +194,7 @@ evaluateNetworkCurve(Scheme scheme, const WorkloadParams &params,
             "snoopy schemes need a broadcast bus; they cannot run on a "
             "multistage network");
     }
-    const bool memo = memoUsable();
+    const bool memo = solverMemoUsable();
     std::vector<NetworkSolution> curve;
     SolverCacheKey key;
     if (memo) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/campaign/cell_hash.hh"
+#include "core/campaign/faults.hh"
 #include "core/cost_model.hh"
 #include "core/obs/metrics.hh"
 #include "core/obs/obs.hh"
@@ -180,6 +181,12 @@ void
 setSolverCacheEnabled(bool enabled)
 {
     cache_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
+}
+
+bool
+solverMemoUsable()
+{
+    return solverCacheEnabled() && !campaign::faultsActive();
 }
 
 SolverCacheStats

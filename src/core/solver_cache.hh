@@ -23,9 +23,21 @@
  * overflow rather than evicting (campaign working sets either fit or
  * churn — LRU bookkeeping would cost more than the rare refill).
  *
+ * The memo also holds per-trace parameter extractions: validatePoint()
+ * (sim/mp/validation.cc) stores each trace's ExtractedParams, keyed on
+ * every input of the trace and of its extraction, so every scheme
+ * validated on one trace in a process shares one extraction. An entry
+ * is about 0.8 KiB plus 96 B per CPU (its Base and Dragon per-CPU
+ * statistics), so at the bound above (16 shards x 4096 entries) the
+ * extraction memo tops out near 100 MiB for 8-CPU traces.
+ *
  * Gate: SWCC_SOLVER_CACHE=off|0|false disables it process-wide;
  * setSolverCacheEnabled() overrides programmatically (benches measure
- * cold vs warm, tests compare cached vs uncached bitwise).
+ * cold vs warm, tests compare cached vs uncached bitwise). The gate,
+ * the fault-injection bypass (solverMemoUsable()) and
+ * clearSolverCache() cover every memo, extractions included, and
+ * solverCacheStats() (the solver_cache.hits/misses gauges) counts
+ * extraction lookups alongside solver lookups.
  */
 
 #ifndef SWCC_CORE_SOLVER_CACHE_HH
@@ -121,6 +133,14 @@ bool solverCacheEnabled();
 
 /** Programmatic override of the SWCC_SOLVER_CACHE gate. */
 void setSolverCacheEnabled(bool enabled);
+
+/**
+ * True when results may be served from / stored into a memo: the
+ * cache is enabled and no fault plan is armed. Fault injection must
+ * reach the solvers' checkFault() sites, so an armed plan bypasses
+ * every memo entirely. Every memo user gates on this one predicate.
+ */
+bool solverMemoUsable();
 
 /** Process-wide hit/miss counters (all memo instances). */
 SolverCacheStats solverCacheStats();

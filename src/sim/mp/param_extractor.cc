@@ -97,7 +97,7 @@ extractParams(const TraceBuffer &trace, const CacheConfig &cache_config,
         }
         MultiprocessorSystem dragon_system(Scheme::Dragon, cache_config,
                                            cpus, measure);
-        dragon_system.run(trace);
+        out.dragonStats = dragon_system.run(trace);
         const auto &dragon =
             static_cast<const DragonProtocol &>(dragon_system.protocol());
         out.dragonMeasurements = dragon.measurements();

@@ -31,6 +31,12 @@ struct ExtractedParams
     TraceStatistics traceStats;
     /** Base-scheme cache statistics (miss rates, md). */
     SimStats baseStats;
+    /**
+     * Dragon-scheme statistics of the run behind dragonMeasurements.
+     * The classifier steers only the measurements, so these equal any
+     * Dragon run of the trace at the same cache geometry.
+     */
+    SimStats dragonStats;
     /** Dragon sharing measurements (oclean, opres, nshd). */
     DragonMeasurements dragonMeasurements;
 };
@@ -43,7 +49,9 @@ struct ExtractedParams
  * when it has no terminated write-runs, apl does likewise, as do
  * oclean, opres and nshd when the Dragon run sees no shared misses,
  * shared writes or broadcasts. Each fallback bumps the registry
- * counter extract.fallback.<param>.
+ * counter extract.fallback.<param>. The counters count extractions
+ * performed: validatePoint() extracts each distinct trace once per
+ * process, so a cell served from its memo adds nothing.
  *
  * @param trace Interleaved trace.
  * @param cache_config Cache geometry for the miss-rate simulations.

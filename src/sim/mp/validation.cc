@@ -1,9 +1,12 @@
 #include "sim/mp/validation.hh"
 
+#include <utility>
+
 #include "core/campaign/cell_hash.hh"
 #include "core/obs/progress.hh"
 #include "core/parallel.hh"
 #include "core/scheme_evaluator.hh"
+#include "core/solver_cache.hh"
 #include "sim/mp/param_extractor.hh"
 #include "sim/mp/system.hh"
 #include "sim/synth/trace_generator.hh"
@@ -19,6 +22,47 @@ ValidationPoint::errorPercent() const
         : 0.0;
 }
 
+namespace
+{
+
+/**
+ * Per-trace extraction results. The Table 2 parameters depend on the
+ * trace, not on the scheme validated against it, so every scheme
+ * validated on one trace in a process shares one extraction.
+ */
+SolverMemo<ExtractedParams> &
+extractionMemo()
+{
+    static SolverMemo<ExtractedParams> memo;
+    return memo;
+}
+
+[[maybe_unused]] const bool extraction_clearer_registered = [] {
+    registerSolverCacheClearer(+[] { extractionMemo().clear(); });
+    return true;
+}();
+
+/**
+ * Every input of a validation trace and of its extraction: the
+ * profileConfig() arguments and the cache size (the block size comes
+ * with the profile).
+ */
+SolverCacheKey
+extractionKey(const ValidationConfig &config, CpuId cpus,
+              bool software_trace)
+{
+    return SolverKeyBuilder("extract")
+        .add(profileName(config.profile))
+        .add(std::uint64_t{cpus})
+        .add(static_cast<std::uint64_t>(config.instructionsPerCpu))
+        .add(config.seed + cpus)
+        .add(std::uint64_t{software_trace})
+        .add(static_cast<std::uint64_t>(config.cacheBytes))
+        .key();
+}
+
+} // namespace
+
 ValidationPoint
 validatePoint(const ValidationConfig &config, CpuId cpus)
 {
@@ -27,14 +71,6 @@ validatePoint(const ValidationConfig &config, CpuId cpus)
     SyntheticWorkloadConfig workload = profileConfig(
         config.profile, cpus, config.instructionsPerCpu,
         config.seed + cpus, software_trace);
-    // Lane-resident arena: batched campaign cells run many validation
-    // points per pool lane, and the multi-megabyte trace buffer is the
-    // dominant allocation. clear() resets length and cpu count but
-    // keeps capacity, so every cell after the first on a lane
-    // generates into already-warm memory. Contents are identical to a
-    // fresh generateTrace() call.
-    thread_local TraceBuffer trace;
-    generateTrace(workload, trace);
     const SharedClassifier shared = workload.sharedClassifier();
 
     CacheConfig cache;
@@ -47,11 +83,48 @@ validatePoint(const ValidationConfig &config, CpuId cpus)
     point.cpus = cpus;
     point.cacheBytes = config.cacheBytes;
 
-    MultiprocessorSystem system(config.scheme, cache, cpus, shared);
-    point.sim = system.run(trace);
+    const bool memo = solverMemoUsable();
+    SolverCacheKey key;
+    ExtractedParams extracted;
+    bool stored = false;
+    if (memo) {
+        key = extractionKey(config, cpus, software_trace);
+        stored = extractionMemo().lookup(key, extracted);
+    }
+
+    // Extraction's own Base and Dragon runs are the Base and Dragon
+    // cells' simulations (BaseProtocol ignores the classifier, and
+    // Dragon's steers only its measurements), so those cells never
+    // simulate, and with a stored extraction they need no trace.
+    const bool reuses_run =
+        config.scheme == Scheme::Base || config.scheme == Scheme::Dragon;
+    // Lane-resident arena: batched campaign cells run many validation
+    // points per pool lane, and the multi-megabyte trace buffer is the
+    // dominant allocation. clear() resets length and cpu count but
+    // keeps capacity, so every cell after the first on a lane
+    // generates into already-warm memory. Contents are identical to a
+    // fresh generateTrace() call.
+    thread_local TraceBuffer trace;
+    if (!stored || !reuses_run) {
+        generateTrace(workload, trace);
+    }
+    if (!stored) {
+        extracted = extractParams(trace, cache, shared);
+        if (memo) {
+            extractionMemo().insert(key, extracted);
+        }
+    }
+
+    if (config.scheme == Scheme::Base) {
+        point.sim = std::move(extracted.baseStats);
+    } else if (config.scheme == Scheme::Dragon) {
+        point.sim = std::move(extracted.dragonStats);
+    } else {
+        MultiprocessorSystem system(config.scheme, cache, cpus, shared);
+        point.sim = system.run(trace);
+    }
     point.simPower = point.sim.processingPower();
 
-    const ExtractedParams extracted = extractParams(trace, cache, shared);
     point.model = evaluateBus(config.scheme, extracted.params, cpus);
     point.modelPower = point.model.processingPower;
 

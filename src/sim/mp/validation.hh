@@ -58,6 +58,20 @@ struct ValidationConfig
  * on it, extracts the Table 2 parameters from that same trace, and
  * evaluates the analytical model on them. validate() and the sweep
  * benches fan these cells out across the pool.
+ *
+ * Cells share work without changing any result:
+ *  - Extractions are memoized per trace in the solver memo (see
+ *    solver_cache.hh), keyed on the profile, @p cpus, the trace length
+ *    and seed, whether the trace carries flushes, and the cache size.
+ *    Every scheme validated on one trace in a process shares one
+ *    extraction; a cell that finds it stored skips the trace
+ *    statistics and extraction's Base and Dragon runs.
+ *    SWCC_SOLVER_CACHE=off and an armed fault plan bypass the memo,
+ *    and clearSolverCache() empties it.
+ *  - A Base or Dragon cell, memo on or off, takes its simulator
+ *    statistics from extraction's own Base or Dragon run instead of
+ *    simulating the trace again. When its extraction is stored, it
+ *    neither generates nor simulates the trace.
  */
 ValidationPoint validatePoint(const ValidationConfig &config, CpuId cpus);
 
@@ -69,7 +83,9 @@ ValidationPoint validatePoint(const ValidationConfig &config, CpuId cpus);
  * from that same trace, and the analytical model is evaluated on the
  * extracted parameters — exactly the paper's validation flow. Software
  * schemes are validated with flush-bearing traces (an extension the
- * paper's hardware-coherent traces ruled out).
+ * paper's hardware-coherent traces ruled out). Each cell shares its
+ * trace's extraction with every scheme validated on that trace in the
+ * process, as validatePoint() describes.
  */
 std::vector<ValidationPoint> validate(const ValidationConfig &config);
 

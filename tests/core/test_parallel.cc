@@ -12,9 +12,11 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/obs/metrics.hh"
 #include "core/parallel.hh"
 #include "core/scheme_evaluator.hh"
 #include "core/sensitivity.hh"
+#include "core/solver_cache.hh"
 #include "core/workload.hh"
 #include "sim/mp/validation.hh"
 
@@ -22,6 +24,18 @@ namespace swcc
 {
 namespace
 {
+
+/** Simulator runs so far in this process (the sim.runs counter). */
+std::uint64_t
+simRuns()
+{
+    for (const obs::MetricSnapshot &snap : obs::metrics().snapshot()) {
+        if (snap.name == "sim.runs") {
+            return static_cast<std::uint64_t>(snap.value);
+        }
+    }
+    return 0;
+}
 
 /** Forces a lane count for one test, restoring the default after. */
 class ThreadCountGuard
@@ -232,9 +246,14 @@ TEST(ParallelDeterminismTest, ValidationMatrixIsBitIdentical)
 
     setThreadCount(1);
     const auto serial = validate(config);
+    // Empty the memo so the 4-lane run simulates and extracts itself
+    // instead of copying the serial run's stored extractions.
+    clearSolverCache();
+    const std::uint64_t runs = simRuns();
     setThreadCount(4);
     const auto parallel = validate(config);
     setThreadCount(0);
+    EXPECT_GT(simRuns(), runs);
 
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {

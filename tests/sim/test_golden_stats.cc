@@ -19,6 +19,7 @@
 
 #include "core/obs/metrics.hh"
 #include "core/parallel.hh"
+#include "core/solver_cache.hh"
 #include "sim/cache/invalidate_protocol.hh"
 #include "sim/mp/system.hh"
 #include "sim/mp/validation.hh"
@@ -29,6 +30,18 @@ namespace swcc
 {
 namespace
 {
+
+/** Simulator runs so far in this process (the sim.runs counter). */
+std::uint64_t
+simRuns()
+{
+    for (const obs::MetricSnapshot &snap : obs::metrics().snapshot()) {
+        if (snap.name == "sim.runs") {
+            return static_cast<std::uint64_t>(snap.value);
+        }
+    }
+    return 0;
+}
 
 CacheConfig
 cache64k()
@@ -165,9 +178,14 @@ TEST(GoldenStatsTest, SweepStatisticsAreThreadCountInvariant)
 
     setThreadCount(1);
     const std::vector<std::string> serial = serialized();
+    // Empty the memo so the 4-lane sweep simulates and extracts itself
+    // instead of copying the serial sweep's stored extractions.
+    clearSolverCache();
+    const std::uint64_t runs = simRuns();
     setThreadCount(4);
     const std::vector<std::string> parallel = serialized();
     setThreadCount(0);
+    EXPECT_GT(simRuns(), runs);
 
     EXPECT_EQ(serial, parallel);
 }

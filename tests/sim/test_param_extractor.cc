@@ -10,6 +10,7 @@
 
 #include "core/obs/metrics.hh"
 #include "sim/mp/param_extractor.hh"
+#include "sim/mp/system.hh"
 #include "sim/synth/app_profiles.hh"
 #include "sim/synth/trace_generator.hh"
 
@@ -96,6 +97,27 @@ TEST_F(ExtractorTest, SharingParametersComeFromTheDragonRun)
     EXPECT_GE(extracted_->params.oclean, 0.0);
     EXPECT_LE(extracted_->params.oclean, 1.0);
     EXPECT_GE(extracted_->params.nshd, 0.0);
+}
+
+TEST_F(ExtractorTest, RunStatisticsMatchFreshRunsOfTheTrace)
+{
+    // Validation takes its Base and Dragon cells' statistics from
+    // these runs, so each must equal that scheme's own run of the
+    // trace, with or without the classifier.
+    const SharedClassifier shared = workload_->sharedClassifier();
+    for (const SharedClassifier &classifier :
+         {shared, SharedClassifier{}}) {
+        EXPECT_EQ(extracted_->dragonStats.serialize(),
+                  MultiprocessorSystem(Scheme::Dragon, cache64k(), 4,
+                                       classifier)
+                      .run(*trace_)
+                      .serialize());
+        EXPECT_EQ(extracted_->baseStats.serialize(),
+                  MultiprocessorSystem(Scheme::Base, cache64k(), 4,
+                                       classifier)
+                      .run(*trace_)
+                      .serialize());
+    }
 }
 
 TEST_F(ExtractorTest, FlushBearingTraceYieldsMeasuredMdshd)

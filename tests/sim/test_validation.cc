@@ -7,10 +7,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-
+#include <cstring>
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "core/campaign/faults.hh"
+#include "core/obs/metrics.hh"
+#include "core/parallel.hh"
+#include "core/scheme_evaluator.hh"
+#include "core/solver_cache.hh"
+#include "sim/mp/param_extractor.hh"
+#include "sim/mp/system.hh"
 #include "sim/mp/validation.hh"
+#include "sim/synth/trace_generator.hh"
 
 namespace swcc
 {
@@ -122,6 +132,310 @@ TEST(ValidationPointTest, ErrorPercentIsSigned)
     EXPECT_NEAR(point.errorPercent(), 10.0, 1e-12);
     point.simPower = 0.0;
     EXPECT_DOUBLE_EQ(point.errorPercent(), 0.0);
+}
+
+/** Simulator runs so far in this process (the sim.runs counter). */
+std::uint64_t
+simRuns()
+{
+    for (const obs::MetricSnapshot &snap : obs::metrics().snapshot()) {
+        if (snap.name == "sim.runs") {
+            return static_cast<std::uint64_t>(snap.value);
+        }
+    }
+    return 0;
+}
+
+/** Short validation config: the memo contract, not model accuracy. */
+ValidationConfig
+shortConfig(AppProfile profile, Scheme scheme, CpuId max_cpus)
+{
+    ValidationConfig config;
+    config.profile = profile;
+    config.scheme = scheme;
+    config.maxCpus = max_cpus;
+    config.instructionsPerCpu = 4'000;
+    config.seed = 23;
+    return config;
+}
+
+/** One validate() call per scheme, in kAllSchemes order. */
+std::vector<std::vector<ValidationPoint>>
+validateEveryScheme(AppProfile profile, CpuId max_cpus)
+{
+    std::vector<std::vector<ValidationPoint>> out;
+    for (Scheme scheme : kAllSchemes) {
+        out.push_back(validate(shortConfig(profile, scheme, max_cpus)));
+    }
+    return out;
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void
+expectIdentical(const ValidationPoint &a, const ValidationPoint &b,
+                const std::string &what)
+{
+    EXPECT_EQ(a.profile, b.profile) << what;
+    EXPECT_EQ(a.scheme, b.scheme) << what;
+    EXPECT_EQ(a.cpus, b.cpus) << what;
+    EXPECT_EQ(a.cacheBytes, b.cacheBytes) << what;
+    EXPECT_TRUE(sameBits(a.simPower, b.simPower)) << what;
+    EXPECT_TRUE(sameBits(a.modelPower, b.modelPower)) << what;
+    EXPECT_EQ(a.sim.serialize(), b.sim.serialize()) << what;
+    EXPECT_EQ(a.model.processors, b.model.processors) << what;
+    EXPECT_TRUE(sameBits(a.model.cpu, b.model.cpu)) << what;
+    EXPECT_TRUE(sameBits(a.model.bus, b.model.bus)) << what;
+    EXPECT_TRUE(sameBits(a.model.waiting, b.model.waiting)) << what;
+    EXPECT_TRUE(sameBits(a.model.busUtilization, b.model.busUtilization))
+        << what;
+    EXPECT_TRUE(sameBits(a.model.busQueueLength, b.model.busQueueLength))
+        << what;
+    EXPECT_TRUE(sameBits(a.model.processorUtilization,
+                         b.model.processorUtilization))
+        << what;
+    EXPECT_TRUE(
+        sameBits(a.model.processingPower, b.model.processingPower))
+        << what;
+}
+
+/**
+ * One cell composed by hand from the layers' public functions, one
+ * fresh trace and three full simulator runs per cell: generate the
+ * trace, simulate the scheme, extract the parameters, solve the model.
+ */
+ValidationPoint
+composedPoint(const ValidationConfig &config, CpuId cpus)
+{
+    const SyntheticWorkloadConfig workload = profileConfig(
+        config.profile, cpus, config.instructionsPerCpu,
+        config.seed + cpus, config.scheme == Scheme::SoftwareFlush);
+    const TraceBuffer trace = generateTrace(workload);
+    CacheConfig cache;
+    cache.sizeBytes = config.cacheBytes;
+    cache.blockBytes = workload.blockBytes;
+
+    ValidationPoint point;
+    point.profile = config.profile;
+    point.scheme = config.scheme;
+    point.cpus = cpus;
+    point.cacheBytes = config.cacheBytes;
+    MultiprocessorSystem system(config.scheme, cache, cpus,
+                                workload.sharedClassifier());
+    point.sim = system.run(trace);
+    point.simPower = point.sim.processingPower();
+    const ExtractedParams extracted =
+        extractParams(trace, cache, workload.sharedClassifier());
+    point.model = evaluateBus(config.scheme, extracted.params, cpus);
+    point.modelPower = point.model.processingPower;
+    return point;
+}
+
+/** Fresh, enabled memo and no fault plan around every test. */
+class ValidationMemoTest : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        campaign::clearFaults();
+        setSolverCacheEnabled(true);
+        clearSolverCache();
+    }
+
+    void
+    TearDown() override
+    {
+        campaign::clearFaults();
+        setSolverCacheEnabled(true);
+        clearSolverCache();
+    }
+};
+
+TEST_F(ValidationMemoTest, EachTraceIsSimulatedOncePerScheme)
+{
+    // Three hardware traces (1..3 CPUs) carry seven schemes each and
+    // three flush traces carry Software-Flush. Each trace costs its
+    // extraction's Base and Dragon runs plus one run per other scheme:
+    // 3 * (2 + 5) + 3 * (2 + 1) = 30. Re-extracting per cell would
+    // cost 8 schemes * 3 runs * 3 CPU counts = 72.
+    const std::uint64_t before = simRuns();
+    validateEveryScheme(AppProfile::PeroLike, 3);
+    EXPECT_EQ(simRuns() - before, 30u);
+
+    // A second pass finds every extraction stored: only the schemes
+    // other than Base and Dragon simulate, 3 * (5 + 1) = 18 runs.
+    const std::uint64_t warm = simRuns();
+    validateEveryScheme(AppProfile::PeroLike, 3);
+    EXPECT_EQ(simRuns() - warm, 18u);
+}
+
+TEST_F(ValidationMemoTest, BaseAndDragonReuseExtractionRunsWithMemoOff)
+{
+    // Without the memo every cell extracts, but a Base or Dragon cell
+    // still takes its simulation from that extraction: per CPU count
+    // 2 cells * 2 runs + 6 cells * 3 runs = 22, so 66 over 1..3.
+    setSolverCacheEnabled(false);
+    const SolverCacheStats stats = solverCacheStats();
+    const std::uint64_t before = simRuns();
+    validateEveryScheme(AppProfile::PeroLike, 3);
+    EXPECT_EQ(simRuns() - before, 66u);
+    EXPECT_EQ(solverCacheStats().hits, stats.hits);
+    EXPECT_EQ(solverCacheStats().misses, stats.misses);
+}
+
+TEST_F(ValidationMemoTest, PointsMatchTheComposedFlowColdWarmAndOff)
+{
+    for (AppProfile profile : kAllProfiles) {
+        for (Scheme scheme : kAllSchemes) {
+            const ValidationConfig config =
+                shortConfig(profile, scheme, 2);
+            clearSolverCache();
+            const auto cold = validate(config);
+            const auto warm = validate(config);
+            setSolverCacheEnabled(false);
+            const auto off = validate(config);
+            setSolverCacheEnabled(true);
+            ASSERT_EQ(cold.size(), 2u);
+            ASSERT_EQ(warm.size(), 2u);
+            ASSERT_EQ(off.size(), 2u);
+            for (std::size_t i = 0; i < cold.size(); ++i) {
+                const std::string what =
+                    std::string(profileName(profile)) + "/" +
+                    std::string(schemeName(scheme)) + " cpus=" +
+                    std::to_string(i + 1);
+                const ValidationPoint composed =
+                    composedPoint(config, static_cast<CpuId>(i + 1));
+                expectIdentical(cold[i], composed, what + " cold");
+                expectIdentical(warm[i], composed, what + " warm");
+                expectIdentical(off[i], composed, what + " off");
+            }
+        }
+    }
+}
+
+TEST_F(ValidationMemoTest, KeyCoversEveryInputOfTheTraceAndItsExtraction)
+{
+    // With the base config's entries stored, a config that differs in
+    // any one input of the trace or its extraction must extract
+    // afresh: a key missing that input would serve the base entries.
+    const ValidationConfig base =
+        shortConfig(AppProfile::PopsLike, Scheme::Dragon, 2);
+    std::vector<ValidationConfig> variants(5, base);
+    variants[0].profile = AppProfile::ThorLike;
+    variants[1].cacheBytes = 16 * 1024;
+    variants[2].instructionsPerCpu = 3'000;
+    variants[3].seed = base.seed + 10;
+    variants[4].scheme = Scheme::SoftwareFlush; // Flush-bearing trace.
+    validate(base);
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+        const auto points = validate(variants[v]);
+        ASSERT_EQ(points.size(), 2u);
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            expectIdentical(
+                points[i],
+                composedPoint(variants[v], static_cast<CpuId>(i + 1)),
+                "variant " + std::to_string(v));
+        }
+    }
+}
+
+TEST_F(ValidationMemoTest, EntriesFilledByOneSchemeServeTheOthers)
+{
+    // Every hardware-trace scheme reads the entries the first one
+    // filled: after a No-Cache pass, Base and Dragon neither generate
+    // nor simulate, and the rest simulate only their own scheme.
+    validate(shortConfig(AppProfile::PopsLike, Scheme::NoCache, 3));
+    const SolverCacheStats stats = solverCacheStats();
+    const std::uint64_t before = simRuns();
+    const auto base =
+        validate(shortConfig(AppProfile::PopsLike, Scheme::Base, 3));
+    const auto dragon =
+        validate(shortConfig(AppProfile::PopsLike, Scheme::Dragon, 3));
+    EXPECT_EQ(simRuns(), before);
+    // Each cell hits its extraction; the bus solves are new points.
+    EXPECT_EQ(solverCacheStats().hits - stats.hits, 6u);
+    for (std::size_t i = 0; i < base.size(); ++i) {
+        const CpuId cpus = static_cast<CpuId>(i + 1);
+        expectIdentical(
+            base[i],
+            composedPoint(
+                shortConfig(AppProfile::PopsLike, Scheme::Base, 3), cpus),
+            "base");
+        expectIdentical(
+            dragon[i],
+            composedPoint(
+                shortConfig(AppProfile::PopsLike, Scheme::Dragon, 3),
+                cpus),
+            "dragon");
+    }
+}
+
+TEST_F(ValidationMemoTest, ArmedFaultPlanNeitherReadsNorFillsTheMemo)
+{
+    // Warm every entry, then arm a plan whose site validation never
+    // reaches: the armed run must still extract every cell itself.
+    validateEveryScheme(AppProfile::ThorLike, 2);
+    campaign::configureFaults("trace-io:1", 1);
+    const SolverCacheStats armed = solverCacheStats();
+    const std::uint64_t before = simRuns();
+    const auto faulted = validateEveryScheme(AppProfile::ThorLike, 2);
+    EXPECT_EQ(simRuns() - before, 44u); // The memo-off count, 2 * 22.
+    EXPECT_EQ(solverCacheStats().hits, armed.hits);
+    EXPECT_EQ(solverCacheStats().misses, armed.misses);
+
+    // From an empty memo, an armed run stores nothing: after the plan
+    // is cleared, only the cells sharing a trace with an earlier cell
+    // of the same run hit (6 of each CPU count's 8 extractions), and
+    // every bus point is new.
+    clearSolverCache();
+    validateEveryScheme(AppProfile::ThorLike, 2);
+    campaign::clearFaults();
+    const SolverCacheStats cleared = solverCacheStats();
+    const auto fresh = validateEveryScheme(AppProfile::ThorLike, 2);
+    EXPECT_EQ(solverCacheStats().hits, cleared.hits + 6u * 2u);
+    ASSERT_EQ(faulted.size(), fresh.size());
+    for (std::size_t s = 0; s < fresh.size(); ++s) {
+        for (std::size_t i = 0; i < fresh[s].size(); ++i) {
+            expectIdentical(faulted[s][i], fresh[s][i], "faulted");
+        }
+    }
+}
+
+TEST(ParallelValidationMemoTest, ConcurrentOverlappingValidationsAgree)
+{
+    // Four lanes validate every scheme twice over, in an interleaved
+    // order, so lanes race to fill and read the same entries. Run
+    // under tsan this is the memo's data-race gate; in any build the
+    // points must equal a serial, memo-off reference bit for bit.
+    campaign::clearFaults();
+    setSolverCacheEnabled(false);
+    const auto reference = validateEveryScheme(AppProfile::PopsLike, 3);
+    setSolverCacheEnabled(true);
+    clearSolverCache();
+
+    constexpr std::size_t kTasks = 2 * kNumSchemes;
+    std::vector<std::vector<ValidationPoint>> got(kTasks);
+    setThreadCount(4);
+    parallelFor(kTasks, [&](std::size_t task) {
+        got[task] = validate(shortConfig(
+            AppProfile::PopsLike, kAllSchemes[task % kNumSchemes], 3));
+    });
+    setThreadCount(0);
+    clearSolverCache();
+
+    for (std::size_t task = 0; task < kTasks; ++task) {
+        const auto &expected = reference[task % kNumSchemes];
+        ASSERT_EQ(got[task].size(), expected.size());
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+            expectIdentical(got[task][i], expected[i],
+                            "task " + std::to_string(task));
+        }
+    }
 }
 
 } // namespace
