@@ -15,6 +15,13 @@ namespace swcc
 {
 
 /**
+ * The largest cpu id a trace may hold. numCpus() is a CpuId too, so an
+ * event of cpu 65535 would wrap it to 0; the trace readers reject such
+ * ids.
+ */
+inline constexpr CpuId kMaxTraceCpu = 65534;
+
+/**
  * An interleaved multiprocessor address trace.
  *
  * Events appear in global interleave order; per-processor program order
@@ -26,7 +33,7 @@ class TraceBuffer
   public:
     TraceBuffer() = default;
 
-    /** Appends one event. */
+    /** Appends one event; requires event.cpu <= kMaxTraceCpu (< 65535). */
     void
     append(TraceEvent event)
     {
@@ -36,7 +43,7 @@ class TraceBuffer
         events_.push_back(event);
     }
 
-    /** Appends with individual fields. */
+    /** Appends with individual fields; requires cpu <= kMaxTraceCpu. */
     void
     append(CpuId cpu, RefType type, Addr addr)
     {

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
+#include <streambuf>
 
+#include "core/obs/log.hh"
+#include "sim/synth/rng.hh"
 #include "sim/trace/trace_io.hh"
 
 namespace swcc
@@ -21,6 +25,35 @@ binaryBytes(const TraceBuffer &trace)
     std::ostringstream os;
     writeBinaryTrace(trace, os);
     return os.str();
+}
+
+/** A read-only stream buffer that cannot seek, like a pipe's. */
+class UnseekableBuf : public std::streambuf
+{
+  public:
+    explicit UnseekableBuf(std::string bytes) : bytes_(std::move(bytes))
+    {
+        setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+    }
+
+  private:
+    std::string bytes_;
+};
+
+/** The what() of the runtime_error that decoding @p is throws. */
+std::string
+errorOf(std::istream &is, bool binary)
+{
+    try {
+        if (binary) {
+            readBinaryTrace(is);
+        } else {
+            readTextTrace(is);
+        }
+    } catch (const std::runtime_error &error) {
+        return error.what();
+    }
+    return "no error";
 }
 
 TraceBuffer
@@ -174,6 +207,94 @@ TEST(TraceRobustnessTest, HugeHeaderCountFailsFastWithoutAllocating)
     }
 }
 
+TEST(TraceRobustnessTest, HugeHeaderCountOnAPipeFailsAsTruncated)
+{
+    // Unseekable: the count cannot be checked up front, so the reserve
+    // is capped and the block loop reports the cut.
+    std::string bytes = binaryBytes(sampleTrace());
+    bytes[8 + 7] = '\x7f';
+    UnseekableBuf buf(bytes);
+    std::istream pipe(&buf);
+    const std::string what = errorOf(pipe, true);
+    EXPECT_NE(what.find("truncated"), std::string::npos) << what;
+}
+
+TEST(TraceRobustnessTest, CutInsideSecondBlockIsTruncated)
+{
+    // 4096 records fill the first block; cut 100 bytes into the second.
+    TraceBuffer trace;
+    for (unsigned i = 0; i < 5'000; ++i) {
+        trace.append(static_cast<CpuId>(i % 7), RefType::Load, 16 * i);
+    }
+    const std::string whole = binaryBytes(trace);
+    const std::string cut = whole.substr(0, 16 + 4096 * 16 + 100);
+    std::istringstream seekable(cut);
+    const std::string counted = errorOf(seekable, true);
+    EXPECT_NE(counted.find("truncated"), std::string::npos) << counted;
+
+    UnseekableBuf buf(cut);
+    std::istream pipe(&buf);
+    const std::string what = errorOf(pipe, true);
+    EXPECT_NE(what.find("truncated"), std::string::npos) << what;
+    // 100 bytes are six whole records, so event 4102 is cut.
+    EXPECT_NE(what.find("event 4102"), std::string::npos) << what;
+
+    UnseekableBuf full(whole);
+    std::istream whole_pipe(&full);
+    EXPECT_EQ(readBinaryTrace(whole_pipe).events(), trace.events());
+}
+
+TEST(TraceRobustnessTest, TextCpuIdsAreStrictDecimalBelow65535)
+{
+    // Each was read as some cpu before: -1 as 65535 (wrapping numCpus
+    // to 0), 70000 as 4464, "5l" as 5 and "+7" as 7.
+    const struct
+    {
+        const char *input;
+        const char *line;
+    } rejected[] = {
+        {"0 i 1000\n-1 l 80000000\n", "line 2"},
+        {"70000 l 80000000\n", "line 1"},
+        {"65535 l 80000000\n", "line 1"},
+        {"5l 80000000\n", "line 1"},
+        {"5l x 80000000\n", "line 1"},
+        {"+7 l 80000000\n", "line 1"},
+        {"0x1 l 80000000\n", "line 1"},
+        {"# c\n1 i 10\n99999999999 l 10\n", "line 3"},
+    };
+    for (const auto &c : rejected) {
+        std::istringstream is(c.input);
+        const std::string what = errorOf(is, false);
+        EXPECT_NE(what.find(c.line), std::string::npos)
+            << c.input << " -> " << what;
+    }
+
+    std::istringstream top("65534 l 80000000\n007 s 10\n");
+    const TraceBuffer trace = readTextTrace(top);
+    ASSERT_EQ(trace.size(), 2u);
+    EXPECT_EQ(trace[0].cpu, kMaxTraceCpu);
+    EXPECT_EQ(trace[1].cpu, 7);
+    EXPECT_EQ(trace.numCpus(), 65535u);
+}
+
+TEST(TraceRobustnessTest, BinaryCpu65535IsRejected)
+{
+    TraceBuffer trace;
+    trace.append(0, RefType::IFetch, 0x1000);
+    trace.append(kMaxTraceCpu, RefType::Load, 0x8000'0000);
+    std::string bytes = binaryBytes(trace);
+    std::istringstream top(bytes);
+    EXPECT_EQ(readBinaryTrace(top).numCpus(), 65535u);
+
+    // Event 1's cpu field is the low 16 bits of its meta word.
+    bytes[16 + 16 + 8] = '\xff';
+    bytes[16 + 16 + 9] = '\xff';
+    std::istringstream is(bytes);
+    const std::string what = errorOf(is, true);
+    EXPECT_NE(what.find("cpu"), std::string::npos) << what;
+    EXPECT_NE(what.find("event 1"), std::string::npos) << what;
+}
+
 TEST(TraceRobustnessTest, TextLineNumbersAppearInErrors)
 {
     std::stringstream is("# fine\n0 i 10\n0 q 10\n");
@@ -185,6 +306,160 @@ TEST(TraceRobustnessTest, TextLineNumbersAppearInErrors)
                   std::string::npos)
             << error.what();
     }
+}
+
+/** A valid trace of about 200 events to mutate. */
+TraceBuffer
+fuzzSeedTrace()
+{
+    Rng rng(8);
+    TraceBuffer trace;
+    for (int i = 0; i < 200; ++i) {
+        trace.append(static_cast<CpuId>(rng.below(6)),
+                     static_cast<RefType>(rng.below(4)),
+                     rng.below(2) ? 0x8000'0000 + 16 * rng.below(64)
+                                  : rng.next() >> rng.below(64));
+    }
+    return trace;
+}
+
+/** Applies one random mutation to an encoded trace. */
+void
+mutate(std::string &bytes, Rng &rng, bool binary)
+{
+    static constexpr char kInserts[] = "0123456789abcdefxX \t\r\n#-+";
+    const auto at = [&](std::size_t extra) {
+        return static_cast<std::size_t>(rng.below(bytes.size() + extra));
+    };
+    switch (rng.below(6)) {
+      case 0:
+        if (!bytes.empty()) {
+            bytes[at(0)] ^= static_cast<char>(1u << rng.below(8));
+        }
+        break;
+      case 1:
+        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at(1)),
+                     kInserts[rng.below(sizeof(kInserts) - 1)]);
+        break;
+      case 2:
+        if (!bytes.empty()) {
+            const std::size_t pos = at(0);
+            bytes.erase(pos, 1 + rng.below(8));
+        }
+        break;
+      case 3:
+        bytes.resize(at(1));
+        break;
+      case 4:
+        if (!bytes.empty()) {
+            bytes[at(0)] = static_cast<char>(rng.below(256));
+        }
+        break;
+      default:
+        // A cpu field of 65535: a binary record's low meta bytes, or
+        // the first token of a text line.
+        if (binary && bytes.size() >= 32) {
+            const std::size_t record = rng.below((bytes.size() - 16) / 16);
+            bytes[16 + 16 * record + 8] = '\xff';
+            bytes[16 + 16 * record + 9] = '\xff';
+        } else if (!binary && !bytes.empty()) {
+            const std::size_t line = bytes.find('\n', at(0)) + 1;
+            const std::size_t space = bytes.find(' ', line);
+            if (line != 0 && space != std::string::npos) {
+                bytes.replace(line, space - line, "65535");
+            }
+        }
+        break;
+    }
+}
+
+/**
+ * Decodes one mutant and returns whether it decoded. It must throw
+ * std::runtime_error (any other exception fails the test) or give a
+ * trace whose cpus are all below numCpus() and which both formats
+ * re-encode and re-decode unchanged. A binary mutant decodes the same
+ * from an unseekable stream.
+ */
+bool
+checkMutant(const std::string &bytes, bool binary)
+{
+    std::optional<TraceBuffer> decoded;
+    try {
+        std::istringstream is(bytes);
+        decoded = binary ? readBinaryTrace(is) : readTextTrace(is);
+    } catch (const std::runtime_error &) {
+    }
+    if (binary) {
+        UnseekableBuf buf(bytes);
+        std::istream pipe(&buf);
+        try {
+            const TraceBuffer piped = readBinaryTrace(pipe);
+            EXPECT_TRUE(decoded.has_value()) << "only the pipe decoded";
+            EXPECT_TRUE(decoded && piped.events() == decoded->events());
+        } catch (const std::runtime_error &) {
+            EXPECT_FALSE(decoded.has_value()) << "only the pipe threw";
+        }
+    }
+    if (!decoded) {
+        return false;
+    }
+    for (const TraceEvent &event : *decoded) {
+        EXPECT_LT(event.cpu, decoded->numCpus());
+    }
+    std::stringstream text;
+    writeTextTrace(*decoded, text);
+    const TraceBuffer from_text = readTextTrace(text);
+    EXPECT_EQ(from_text.events(), decoded->events());
+    EXPECT_EQ(from_text.numCpus(), decoded->numCpus());
+    std::stringstream bin;
+    writeBinaryTrace(*decoded, bin);
+    EXPECT_EQ(readBinaryTrace(bin).events(), decoded->events());
+    return true;
+}
+
+/** Runs @p mutants seeded mutants of the seed trace in one format. */
+void
+fuzzDecoder(bool binary, int mutants)
+{
+    // Thousands of rejected mutants would each log a warning.
+    const obs::LogLevel level = obs::logLevel();
+    obs::setLogLevel(obs::LogLevel::Off);
+    std::ostringstream os;
+    if (binary) {
+        writeBinaryTrace(fuzzSeedTrace(), os);
+    } else {
+        writeTextTrace(fuzzSeedTrace(), os);
+    }
+    const std::string seed = os.str();
+    const Rng root(binary ? 0xb1 : 0x7e);
+    int decoded = 0;
+    for (int m = 0; m < mutants; ++m) {
+        Rng rng = root.split(static_cast<std::uint64_t>(m));
+        std::string bytes = seed;
+        const std::uint64_t edits = 1 + rng.below(4);
+        for (std::uint64_t e = 0; e < edits; ++e) {
+            mutate(bytes, rng, binary);
+        }
+        decoded += checkMutant(bytes, binary);
+        if (::testing::Test::HasFailure()) {
+            ADD_FAILURE() << "stopped at mutant " << m;
+            break;
+        }
+    }
+    obs::setLogLevel(level);
+    // Both outcomes must be common, or the mutations miss a decoder.
+    EXPECT_GT(decoded, mutants / 10);
+    EXPECT_LT(decoded, mutants - mutants / 10);
+}
+
+TEST(TraceFuzzTest, TextMutantsThrowOrRoundTrip)
+{
+    fuzzDecoder(false, 4'000);
+}
+
+TEST(TraceFuzzTest, BinaryMutantsThrowOrRoundTrip)
+{
+    fuzzDecoder(true, 4'000);
 }
 
 } // namespace

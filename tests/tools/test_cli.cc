@@ -14,6 +14,7 @@
 #include "core/parallel.hh"
 #include "core/workload.hh"
 #include "cli/options.hh"
+#include "sim/trace/trace_io.hh"
 
 namespace swcc::cli
 {
@@ -207,6 +208,39 @@ TEST(CliTest, GenStatSimRoundTrip)
     EXPECT_NE(output.find("processing power"), std::string::npos);
 
     std::remove(path.c_str());
+}
+
+TEST(CliTest, Cpu65535TracesAreRejectedNotSimulated)
+{
+    // Cpu 65535 used to wrap numCpus() to 0: stat printed "cpus 0" and
+    // sim crashed.
+    const std::string text = ::testing::TempDir() + "/cli_cpu65535.trace";
+    {
+        std::ofstream os(text);
+        os << "0 i 1000\n-1 l 80000000\n";
+    }
+    const std::string binary = ::testing::TempDir() + "/cli_cpu65535.swcc";
+    {
+        TraceBuffer trace;
+        trace.append(0, RefType::IFetch, 0x1000);
+        trace.append(kMaxTraceCpu, RefType::Load, 0x8000'0000);
+        saveTrace(trace, binary);
+        // Event 1's cpu field: after the 16-byte header, one record
+        // and that record's 8-byte address.
+        std::fstream patch(binary,
+                           std::ios::in | std::ios::out | std::ios::binary);
+        patch.seekp(16 + 16 + 8);
+        patch.write("\xff\xff", 2);
+    }
+    for (const auto &[path, where] :
+         {std::pair{text, "line 2"}, std::pair{binary, "event 1"}}) {
+        std::string output;
+        EXPECT_EQ(runCli({"stat", path}, &output), 2);
+        EXPECT_NE(output.find(where), std::string::npos) << output;
+        EXPECT_EQ(runCli({"sim", path, "--scheme", "dragon"}, &output), 2);
+        EXPECT_NE(output.find(where), std::string::npos) << output;
+        std::remove(path.c_str());
+    }
 }
 
 TEST(CliTest, StatWithoutFileFails)
