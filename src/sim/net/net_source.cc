@@ -104,14 +104,19 @@ NetSource::startHolding(double cycles)
     stateLeft_ = cycles;
 }
 
-void
-NetSource::countCycle()
+std::uint64_t
+NetSource::ticksLeft() const
 {
-    switch (state_) {
-      case State::Thinking:   ++thinkCycles_; return;
-      case State::Requesting: ++requestCycles_; return;
-      case State::Holding:    ++holdCycles_; return;
-    }
+    return stateLeft_ <= 0.0
+        ? 1
+        : static_cast<std::uint64_t>(std::ceil(stateLeft_));
+}
+
+void
+NetSource::expire(Rng &rng)
+{
+    stateLeft_ -= static_cast<double>(ticksLeft() - 1);
+    tick(rng);
 }
 
 } // namespace swcc

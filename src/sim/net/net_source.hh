@@ -60,6 +60,20 @@ class NetSource
     void tick(Rng &rng);
 
     /**
+     * tick() calls until the current Thinking or Holding state ends:
+     * 1 when no time is left, else ceil(time left).
+     */
+    std::uint64_t ticksLeft() const;
+
+    /**
+     * Runs the ticksLeft() ticks that end the current Thinking or
+     * Holding state: the silent ones at once, then the last through
+     * tick(). Ends in the same state, with the same draws, as that
+     * many tick() calls (x - 1.0 is exact for 1 <= x < 2^53).
+     */
+    void expire(Rng &rng);
+
+    /**
      * Reports an accepted unit request; after the transaction's drawn
      * unit count the transaction completes and thinking resumes.
      */
@@ -68,16 +82,8 @@ class NetSource
     /** Enters the Holding state for @p cycles (circuit established). */
     void startHolding(double cycles);
 
-    /** Cycles spent in each state, for statistics. */
-    std::uint64_t thinkCycles() const { return thinkCycles_; }
-    std::uint64_t requestCycles() const { return requestCycles_; }
-    std::uint64_t holdCycles() const { return holdCycles_; }
-
     /** Completed transactions. */
     std::uint64_t transactions() const { return transactions_; }
-
-    /** Counts this cycle into the current state's total. */
-    void countCycle();
 
   private:
     void beginThink(Rng &rng);
@@ -92,9 +98,6 @@ class NetSource
     double unitsDone_ = 0.0;
     double unitsTarget_ = 1.0;
 
-    std::uint64_t thinkCycles_ = 0;
-    std::uint64_t requestCycles_ = 0;
-    std::uint64_t holdCycles_ = 0;
     std::uint64_t transactions_ = 0;
 };
 

@@ -1,5 +1,8 @@
 #include "sim/net/omega_network.hh"
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
 #include <stdexcept>
 
 namespace swcc
@@ -50,198 +53,209 @@ OmegaNetwork::OmegaNetwork(const OmegaConfig &config)
         sources_.emplace_back(config_.meanThink, config_.messageCycles,
                               ports_);
     }
+    paths_.assign(static_cast<std::size_t>(ports_) * config_.stages, 0);
     if (config_.mode == NetMode::Circuit) {
-        portFreeAt_.assign(config_.stages,
-                           std::vector<double>(ports_, 0.0));
+        portFreeAt_.assign(paths_.size(), 0.0);
     }
+    slots_.resize(ports_);
     stageOffered_.assign(config_.stages, 0);
+    // Every source starts Thinking with no time left, so all of them
+    // fire in cycle 0.
+    calendar_.reserve(ports_);
+    for (std::uint32_t i = 0; i < ports_; ++i) {
+        schedule(i, 0);
+    }
+    thinking_ = ports_;
 }
 
-std::vector<std::uint32_t>
-OmegaNetwork::route(const std::vector<std::uint32_t> &requesters)
+void
+OmegaNetwork::schedule(std::uint32_t source, std::uint64_t first_tick)
 {
-    struct Attempt
-    {
-        std::uint32_t source;
-        std::uint32_t dest;
-        std::uint32_t pos;
-        bool alive = true;
-    };
+    const std::uint64_t expiry =
+        first_tick + sources_[source].ticksLeft() - 1;
+    calendar_.push_back((expiry << 16) | source);
+    std::push_heap(calendar_.begin(), calendar_.end(), std::greater<>());
+}
 
-    std::vector<Attempt> attempts;
-    attempts.reserve(requesters.size());
-    for (std::uint32_t src : requesters) {
-        attempts.push_back({src, sources_[src].dest(), src, true});
-    }
-
+void
+OmegaNetwork::computePath(std::uint32_t source)
+{
     const unsigned n = config_.stages;
     const std::uint32_t dim = config_.switchDim;
     const std::uint32_t rotate_div = ports_ / dim; // dim^(n-1)
+    const std::uint32_t dest = sources_[source].dest();
+    std::uint32_t *path = &paths_[static_cast<std::size_t>(source) * n];
+    std::uint32_t pos = source;
+    std::uint32_t digit_div = rotate_div;
+    for (unsigned stage = 0; stage < n; ++stage) {
+        // k-ary perfect shuffle into the stage (rotate the top digit
+        // to the bottom), then destination-digit routing.
+        const std::uint32_t shuffled = n == 1
+            ? pos
+            : (pos % rotate_div) * dim + pos / rotate_div;
+        const std::uint32_t out_digit = (dest / digit_div) % dim;
+        pos = (shuffled / dim) * dim + out_digit;
+        path[stage] = pos;
+        digit_div /= dim;
+    }
+}
 
-    // winner[p] = index of the attempt currently holding output port p
-    // at this stage, or -1; contenders[p] counts arrivals so that a
-    // uniformly random one survives (reservoir of size one).
-    std::vector<std::int32_t> winner(ports_);
-    std::vector<std::uint32_t> contenders(ports_);
+void
+OmegaNetwork::route()
+{
+    const unsigned n = config_.stages;
+    const bool circuit = config_.mode == NetMode::Circuit;
+    const double now = static_cast<double>(now_);
+    members_.clear();
+    for (std::uint32_t k = 0; k < requesters_.size(); ++k) {
+        members_.push_back(k);
+    }
+    alive_.assign(requesters_.size(), 1);
 
     for (unsigned stage = 0; stage < n; ++stage) {
-        std::uint64_t offered = 0;
-        std::fill(winner.begin(), winner.end(), -1);
-        std::fill(contenders.begin(), contenders.end(), 0u);
-
-        // Destination digit weight for this stage: dim^(n-1-stage).
-        std::uint32_t digit_div = 1;
-        for (unsigned i = 0; i + stage + 1 < n; ++i) {
-            digit_div *= dim;
-        }
-
-        for (std::size_t k = 0; k < attempts.size(); ++k) {
-            Attempt &att = attempts[k];
-            if (!att.alive) {
-                continue;
-            }
-            ++offered;
-
-            // k-ary perfect shuffle into the stage (rotate the top
-            // digit to the bottom), then destination-digit routing.
-            const std::uint32_t shuffled = n == 1
-                ? att.pos
-                : (att.pos % rotate_div) * dim + att.pos / rotate_div;
-            const std::uint32_t out_digit =
-                (att.dest / digit_div) % dim;
+        stageOffered_[stage] += members_.size();
+        ++epoch_;
+        const double *free_at =
+            circuit ? &portFreeAt_[std::size_t{stage} * ports_] : nullptr;
+        for (std::uint32_t k : members_) {
             const std::uint32_t port =
-                (shuffled / dim) * dim + out_digit;
-
-            if (config_.mode == NetMode::Circuit &&
-                portFreeAt_[stage][port] > now_) {
-                att.alive = false;
+                paths_[std::size_t{requesters_[k]} * n + stage];
+            if (circuit && free_at[port] > now) {
+                alive_[k] = 0;
                 continue;
             }
-
-            const std::uint32_t count = ++contenders[port];
-            const std::int32_t holder = winner[port];
-            if (holder < 0) {
-                winner[port] = static_cast<std::int32_t>(k);
-                att.pos = port;
+            Slot &slot = slots_[port];
+            if (slot.epoch != epoch_) {
+                slot = {epoch_, k, 1};
                 continue;
             }
             // Up to dim inputs of one switch may want this output: the
             // i-th contender replaces the incumbent with probability
             // 1/i, making the final survivor uniform.
-            if (rng_.chance(1.0 / static_cast<double>(count))) {
-                attempts[static_cast<std::size_t>(holder)].alive = false;
-                winner[port] = static_cast<std::int32_t>(k);
-                att.pos = port;
+            ++slot.contenders;
+            if (rng_.chance(1.0 / static_cast<double>(slot.contenders))) {
+                alive_[slot.winner] = 0;
+                slot.winner = k;
             } else {
-                att.alive = false;
+                alive_[k] = 0;
             }
         }
-        stageOffered_[stage] += offered;
+        std::erase_if(members_,
+                      [this](std::uint32_t k) { return !alive_[k]; });
     }
 
-    std::vector<std::uint32_t> accepted;
-    for (const Attempt &att : attempts) {
-        if (att.alive) {
-            accepted.push_back(att.source);
-        }
+    winners_.clear();
+    for (std::uint32_t k : members_) {
+        winners_.push_back(requesters_[k]);
     }
-
-    if (config_.mode == NetMode::Circuit) {
-        // Winners claim every output port along their path for the
-        // whole message duration.
-        for (std::uint32_t src : accepted) {
-            std::uint32_t pos = src;
-            const std::uint32_t dest = sources_[src].dest();
-            std::uint32_t digit_div = ports_ / dim; // dim^(n-1)
-            for (unsigned stage = 0; stage < n; ++stage) {
-                const std::uint32_t shuffled = n == 1
-                    ? pos
-                    : (pos % rotate_div) * dim + pos / rotate_div;
-                const std::uint32_t out_digit =
-                    (dest / digit_div) % dim;
-                pos = (shuffled / dim) * dim + out_digit;
-                portFreeAt_[stage][pos] = now_ + config_.messageCycles;
-                digit_div /= dim;
-            }
-        }
-    }
-    return accepted;
 }
 
 void
 OmegaNetwork::stepCycle()
 {
-    for (NetSource &source : sources_) {
-        source.countCycle();
-    }
+    thinkCycles_ += thinking_;
+    attempts_ += requesters_.size();
+    route();
+    accepted_ += winners_.size();
 
-    std::vector<std::uint32_t> requesters;
-    for (std::uint32_t i = 0; i < ports_; ++i) {
-        if (sources_[i].state() == NetSource::State::Requesting) {
-            requesters.push_back(i);
-        }
-    }
-
-    attempts_ += requesters.size();
-    const std::vector<std::uint32_t> accepted = route(requesters);
-    accepted_ += accepted.size();
-
-    // A source whose transaction completes this cycle must not also
-    // consume a think cycle now; its thinking starts next cycle.
-    std::vector<std::uint8_t> completed(ports_, 0);
-    for (std::uint32_t src : accepted) {
+    // (2) Accepted sources. A source whose transaction completes here
+    // must not also consume a think cycle now; its thinking starts
+    // next cycle. A new circuit holder's setup cycle is its first held
+    // cycle, so it ticks this cycle.
+    const unsigned n = config_.stages;
+    for (std::uint32_t src : winners_) {
+        NetSource &source = sources_[src];
         if (config_.mode == NetMode::UnitRequest) {
-            sources_[src].unitAccepted(rng_);
-            if (sources_[src].state() == NetSource::State::Thinking) {
-                completed[src] = 1;
+            source.unitAccepted(rng_);
+            if (source.state() == NetSource::State::Thinking) {
+                ++thinking_;
+                schedule(src, now_ + 1);
             }
+            continue;
+        }
+        source.startHolding(config_.messageCycles);
+        schedule(src, now_);
+        // The winner claims every output port along its path for the
+        // whole message duration.
+        const std::uint32_t *path = &paths_[std::size_t{src} * n];
+        const double free_at =
+            static_cast<double>(now_) + config_.messageCycles;
+        for (unsigned stage = 0; stage < n; ++stage) {
+            portFreeAt_[std::size_t{stage} * ports_ + path[stage]] =
+                free_at;
+        }
+    }
+    std::erase_if(requesters_, [this](std::uint32_t src) {
+        return sources_[src].state() != NetSource::State::Requesting;
+    });
+
+    // (3) Timers that fire this cycle, by ascending source id.
+    fired_.clear();
+    while (!calendar_.empty() && (calendar_.front() >> 16) == now_) {
+        const auto src =
+            static_cast<std::uint32_t>(calendar_.front() & 0xffff);
+        std::pop_heap(calendar_.begin(), calendar_.end(),
+                      std::greater<>());
+        calendar_.pop_back();
+        NetSource &source = sources_[src];
+        source.expire(rng_);
+        if (source.state() == NetSource::State::Requesting) {
+            --thinking_;
+            computePath(src);
+            fired_.push_back(src);
         } else {
-            // The setup cycle is the first held cycle, so the new
-            // holder ticks normally below.
-            sources_[src].startHolding(config_.messageCycles);
+            ++thinking_;
+            schedule(src, now_ + 1);
         }
     }
-
-    for (std::uint32_t i = 0; i < ports_; ++i) {
-        NetSource &source = sources_[i];
-        if (source.state() != NetSource::State::Requesting &&
-            completed[i] == 0) {
-            source.tick(rng_);
-        }
+    if (!fired_.empty()) {
+        merged_.clear();
+        std::merge(requesters_.begin(), requesters_.end(),
+                   fired_.begin(), fired_.end(),
+                   std::back_inserter(merged_));
+        requesters_.swap(merged_);
     }
 
-    now_ += 1.0;
+    ++now_;
 }
 
 OmegaStats
 OmegaNetwork::run(std::uint64_t cycles)
 {
-    for (std::uint64_t c = 0; c < cycles; ++c) {
+    const std::uint64_t end = now_ + cycles;
+    while (now_ < end) {
+        if (requesters_.empty()) {
+            // Nothing in flight, so every source waits on a timer:
+            // skip to the next one.
+            const std::uint64_t wake =
+                std::min(end, calendar_.front() >> 16);
+            thinkCycles_ += thinking_ * (wake - now_);
+            now_ = wake;
+            if (now_ == end) {
+                break;
+            }
+        }
         stepCycle();
     }
 
     OmegaStats stats;
-    stats.cycles = cycles;
+    stats.cycles = now_;
     stats.attempts = attempts_;
     stats.accepted = accepted_;
-
-    std::uint64_t think = 0;
-    std::uint64_t total = 0;
     for (const NetSource &source : sources_) {
-        think += source.thinkCycles();
-        total += source.thinkCycles() + source.requestCycles() +
-            source.holdCycles();
         stats.transactions += source.transactions();
     }
+    // Every source is in exactly one state in every cycle.
+    const std::uint64_t total = now_ * ports_;
     stats.computeFraction = total > 0
-        ? static_cast<double>(think) / static_cast<double>(total)
+        ? static_cast<double>(thinkCycles_) / static_cast<double>(total)
         : 0.0;
     stats.acceptance = attempts_ > 0
         ? static_cast<double>(accepted_) / static_cast<double>(attempts_)
         : 1.0;
 
     const double port_cycles =
-        static_cast<double>(cycles) * static_cast<double>(ports_);
+        static_cast<double>(now_) * static_cast<double>(ports_);
     stats.stageLoads.reserve(config_.stages + 1);
     for (unsigned stage = 0; stage < config_.stages; ++stage) {
         stats.stageLoads.push_back(

@@ -52,9 +52,13 @@ struct OmegaConfig
     void validate() const;
 };
 
-/** Aggregate results of a network simulation. */
+/**
+ * Aggregate results of a network simulation: the whole simulation so
+ * far, over every run() call.
+ */
 struct OmegaStats
 {
+    /** Cycles simulated, over every run() call. */
     std::uint64_t cycles = 0;
     /** Unit-request (or setup) attempts presented to stage 0. */
     std::uint64_t attempts = 0;
@@ -82,13 +86,24 @@ struct OmegaStats
  * when two requests want the same switch output (or, in circuit mode,
  * the port is held), a random one survives and the rest are dropped,
  * to be retried by their sources next cycle.
+ *
+ * A cycle costs the requests in flight and the sources whose state
+ * ends, not the port count: Thinking and Holding sources wait on a
+ * timer calendar and are touched only in the cycle their timer fires.
+ * The cycle order, which fixes the RNG draw order, is (1) arbitration,
+ * stage-major and by ascending source id within a stage; (2) accepted
+ * sources, ascending; (3) timers that fire this cycle, ascending.
  */
 class OmegaNetwork
 {
   public:
     explicit OmegaNetwork(const OmegaConfig &config);
 
-    /** Runs @p cycles network cycles and returns the statistics. */
+    /**
+     * Runs @p cycles more network cycles and returns the statistics of
+     * the whole simulation so far: run(a) then run(b) returns what a
+     * fresh network's run(a + b) returns.
+     */
     OmegaStats run(std::uint64_t cycles);
 
     /** Number of ports (switchDim^stages). */
@@ -98,18 +113,64 @@ class OmegaNetwork
     /** One synchronous network cycle. */
     void stepCycle();
 
-    /** Routes this cycle's attempts, returning accepted source ids. */
-    std::vector<std::uint32_t> route(
-        const std::vector<std::uint32_t> &requesters);
+    /**
+     * Arbitrates this cycle's requests stage by stage, leaving the
+     * surviving sources, ascending, in winners_.
+     */
+    void route();
+
+    /** Computes the output port at every stage of @p source's request. */
+    void computePath(std::uint32_t source);
+
+    /** Puts @p source's timer on the calendar; it ticks first in
+     *  cycle @p first_tick. */
+    void schedule(std::uint32_t source, std::uint64_t first_tick);
+
+    /**
+     * Arbitration slot of one switch output port. A slot whose epoch
+     * is not the current one is empty, so no per-stage clearing.
+     */
+    struct Slot
+    {
+        std::uint64_t epoch = 0;
+        /** Index into requesters_ of the current winner. */
+        std::uint32_t winner = 0;
+        std::uint32_t contenders = 0;
+    };
 
     OmegaConfig config_;
     std::uint32_t ports_;
     Rng rng_;
     std::vector<NetSource> sources_;
 
-    /** Circuit mode: cycle at which each stage output port frees. */
-    std::vector<std::vector<double>> portFreeAt_;
-    double now_ = 0.0;
+    /** Output port of each source's request at each stage,
+     *  [source * stages + stage]. */
+    std::vector<std::uint32_t> paths_;
+    /** Requesting sources, ascending. */
+    std::vector<std::uint32_t> requesters_;
+    /** Min-heap of (expiry cycle << 16) | source over every Thinking
+     *  and Holding source. */
+    std::vector<std::uint64_t> calendar_;
+    /** Circuit mode: cycle at which each stage output port frees,
+     *  [stage * ports + port]. */
+    std::vector<double> portFreeAt_;
+
+    /** Arbitration scratch, reused every cycle. */
+    std::vector<Slot> slots_;
+    std::uint64_t epoch_ = 0;
+    /** Indices into requesters_ of the requests still alive at the
+     *  current stage, ascending. */
+    std::vector<std::uint32_t> members_;
+    std::vector<std::uint8_t> alive_;
+    std::vector<std::uint32_t> winners_;
+    std::vector<std::uint32_t> fired_;
+    std::vector<std::uint32_t> merged_;
+
+    /** Current cycle; cycles simulated so far. */
+    std::uint64_t now_ = 0;
+    /** Sources in the Thinking state at the start of this cycle. */
+    std::uint64_t thinking_ = 0;
+    std::uint64_t thinkCycles_ = 0;
 
     /** Per-stage sums of offered requests, for stage loads. */
     std::vector<std::uint64_t> stageOffered_;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "sim/net/omega_network.hh"
 
 namespace swcc
@@ -110,6 +112,36 @@ TEST(OmegaNetworkTest, SingleStageNetworkWorks)
     const OmegaStats stats = network.run(10'000);
     EXPECT_GT(stats.transactions, 0u);
     ASSERT_EQ(stats.stageLoads.size(), 2u);
+}
+
+TEST(OmegaNetworkTest, RunsContinueOneSimulation)
+{
+    // Stats describe the whole simulation so far: run(a); run(b) is a
+    // fresh run(a + b), field for field, in both modes, under load and
+    // with idle gaps spanning the split.
+    for (const auto &[think, mode] :
+         {std::pair{7.0, NetMode::UnitRequest},
+          std::pair{7.0, NetMode::Circuit},
+          std::pair{400.0, NetMode::UnitRequest},
+          std::pair{400.0, NetMode::Circuit}}) {
+        const OmegaConfig c = config(4, think, 12.0, mode, 1);
+        OmegaNetwork split(c);
+        split.run(1'500);
+        const OmegaStats second = split.run(700);
+        const OmegaStats whole = OmegaNetwork(c).run(2'200);
+
+        EXPECT_EQ(second.cycles, 2'200u);
+        EXPECT_EQ(second.cycles, whole.cycles);
+        EXPECT_EQ(second.attempts, whole.attempts);
+        EXPECT_EQ(second.accepted, whole.accepted);
+        EXPECT_EQ(second.transactions, whole.transactions);
+        EXPECT_EQ(second.stageLoads, whole.stageLoads);
+        EXPECT_EQ(second.computeFraction, whole.computeFraction);
+        EXPECT_EQ(second.acceptance, whole.acceptance);
+        EXPECT_EQ(second.throughputPerPort, whole.throughputPerPort);
+        EXPECT_LE(second.stageLoads.front(), 1.0);
+        EXPECT_LE(second.throughputPerPort, 1.0);
+    }
 }
 
 TEST(OmegaKaryTest, WideSwitchNetworkRuns)

@@ -64,6 +64,39 @@ TEST(PacketNetworkTest, DeterministicPerSeed)
     EXPECT_DOUBLE_EQ(sa.meanLatency, sb.meanLatency);
 }
 
+TEST(PacketNetworkTest, RunsContinueOneSimulation)
+{
+    // Stats describe the whole simulation so far: run(a); run(b) is a
+    // fresh run(a + b), field for field.
+    const PacketNetConfig c = config(4, 10.0, 1, 4, 11);
+    PacketOmegaNetwork split(c);
+    split.run(1'500);
+    const PacketNetStats second = split.run(700);
+    const PacketNetStats whole = PacketOmegaNetwork(c).run(2'200);
+
+    EXPECT_EQ(second.cycles, 2'200u);
+    EXPECT_EQ(second.cycles, whole.cycles);
+    EXPECT_EQ(second.transactions, whole.transactions);
+    EXPECT_EQ(second.computeFraction, whole.computeFraction);
+    EXPECT_EQ(second.meanLatency, whole.meanLatency);
+    EXPECT_EQ(second.linkLoad, whole.linkLoad);
+    EXPECT_EQ(second.maxQueueDepth, whole.maxQueueDepth);
+    EXPECT_EQ(second.backpressureStalls, whole.backpressureStalls);
+    EXPECT_LE(second.linkLoad, 1.0);
+}
+
+TEST(PacketNetworkTest, LargestValidNetworkRuns)
+{
+    // 14 stages, the most validate() accepts: 16384 ports. Memories
+    // keep no per-requester word counts, which would take 1 GiB here.
+    PacketOmegaNetwork network(config(14, 200.0, 2, 4, 3));
+    EXPECT_EQ(network.ports(), 16'384u);
+    const PacketNetStats stats = network.run(200);
+    EXPECT_EQ(stats.cycles, 200u);
+    EXPECT_GT(stats.transactions, 0u);
+    EXPECT_GT(stats.linkLoad, 0.0);
+}
+
 TEST(PacketNetworkTest, UncontendedLatencyMatchesTransitTime)
 {
     // One lonely transaction at a time: latency ~ 2n + mem + resp - 1
