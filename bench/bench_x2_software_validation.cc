@@ -65,6 +65,8 @@ main(int argc, char **argv)
                           formatNumber(point.errorPercent(), 1)});
         }
         table.print(std::cout);
+        exportCsv(table, "x2_software_validation_" +
+                             std::string(profileName(profile)));
         std::cout << '\n';
     }
 
@@ -93,6 +95,7 @@ main(int argc, char **argv)
         {"data misses", formatNumber(static_cast<double>(
              stats.dataMisses), 0)});
     flush_table.print(std::cout);
+    exportCsv(flush_table, "x2_flush_bookkeeping");
 
     std::cout << "\nFinding: extracted-parameter model predictions "
                  "track the simulated software\nschemes about as well "

@@ -43,6 +43,7 @@ main()
                  1)});
     }
     table.print(std::cout);
+    exportCsv(table, "x4_directory_vs_software");
 
     std::cout << "\nSoftware-Flush vs directory as apl varies (medium "
                  "range otherwise):\n\n";
@@ -61,6 +62,7 @@ main()
                           formatNumber(swf / dir, 2)});
     }
     apl_table.print(std::cout);
+    exportCsv(apl_table, "x4_apl_sweep");
 
     std::cout << "\nDirectory sensitivity to the re-reference fraction "
                  "(coherence misses):\n\n";
@@ -76,6 +78,7 @@ main()
                           1)});
     }
     reref_table.print(std::cout);
+    exportCsv(reref_table, "x4_reref_sensitivity");
 
     std::cout
         << "\nFindings: at the low range Software-Flush and the "

@@ -98,6 +98,7 @@ main()
              formatNumber(result.measured.rerefFraction(), 3)});
     }
     sim_table.print(std::cout);
+    exportCsv(sim_table, "x5_protocols_sim");
 
     std::cout << "\nInvalidate-family variants on the same traces:\n\n";
     TextTable family_table({"profile", "MESI", "MESIF", "MOESI",
@@ -122,6 +123,7 @@ main()
              cache_fills(result.moesi)});
     }
     family_table.print(std::cout);
+    exportCsv(family_table, "x5_invalidate_family");
 
     std::cout << "\nAnalytical model, 16 CPUs, medium parameters, "
                  "sweeping the write-run length:\n\n";
@@ -154,6 +156,7 @@ main()
              scheme_power(Scheme::Hybrid)});
     }
     model_table.print(std::cout);
+    exportCsv(model_table, "x5_model_apl");
 
     std::cout
         << "\nFindings: on fine-grain critical-section workloads the "

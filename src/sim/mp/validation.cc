@@ -1,5 +1,7 @@
 #include "sim/mp/validation.hh"
 
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/campaign/cell_hash.hh"
@@ -142,22 +144,37 @@ validate(const ValidationConfig &config,
          const campaign::CampaignOptions &options,
          campaign::CampaignReport *report)
 {
+    if (config.maxCpus > SyntheticWorkloadConfig::kMaxCpus) {
+        throw std::invalid_argument(
+            "maxCpus must be at most " +
+            std::to_string(SyntheticWorkloadConfig::kMaxCpus));
+    }
     // One simulator instance per processor count, run concurrently.
-    // Each cell seeds its own trace generator from the cell index
+    // Each cell seeds its own trace generator from its processor count
     // (seed + cpus), so the numbers are independent of evaluation
     // order and bit-identical to the serial loop.
     const std::size_t n = config.maxCpus;
     obs::ProgressReporter progress("validate", n);
 
+    // Cell k runs 1 CPU for k = 0, then N, N-1, ..., 2. A cell's trace
+    // holds cpus x instructionsPerCpu instructions and its cost grows
+    // with it, so the largest cells start first and the lanes finish
+    // together; the 1-CPU cell leads because the pool runs index 0
+    // alone on the caller, and that inline prefix outlasts one cell.
+    const auto cpusOf = [n](std::size_t k) {
+        return static_cast<CpuId>(k == 0 ? 1 : n + 1 - k);
+    };
+
     // Freshly evaluated cells keep their full model/sim detail; cells
     // satisfied from the journal fall back to the powers alone.
-    // Index-addressed slots, so concurrent cells never contend.
+    // Slots are addressed by cpus - 1, so concurrent cells never
+    // contend.
     std::vector<ValidationPoint> details(n);
     std::vector<char> have_detail(n, 0);
 
     const auto results = campaign::runCells(
         n, 2,
-        [&](std::size_t i) {
+        [&](std::size_t k) {
             return campaign::CellKey("validate")
                 .add(profileName(config.profile))
                 .add(schemeName(config.scheme))
@@ -165,14 +182,14 @@ validate(const ValidationConfig &config,
                 .add(static_cast<std::uint64_t>(
                     config.instructionsPerCpu))
                 .add(config.seed)
-                .add(static_cast<std::uint64_t>(i + 1))
+                .add(static_cast<std::uint64_t>(cpusOf(k)))
                 .hash();
         },
-        [&](std::size_t i) {
-            const ValidationPoint point =
-                validatePoint(config, static_cast<CpuId>(i + 1));
-            details[i] = point;
-            have_detail[i] = 1;
+        [&](std::size_t k) {
+            const CpuId cpus = cpusOf(k);
+            const ValidationPoint point = validatePoint(config, cpus);
+            details[cpus - 1] = point;
+            have_detail[cpus - 1] = 1;
             progress.tick();
             return std::vector<double>{point.simPower,
                                        point.modelPower};
@@ -180,20 +197,22 @@ validate(const ValidationConfig &config,
         options, report);
 
     std::vector<ValidationPoint> points(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (have_detail[i]) {
-            points[i] = details[i];
+    for (std::size_t k = 0; k < n; ++k) {
+        const CpuId cpus = cpusOf(k);
+        ValidationPoint &point = points[cpus - 1];
+        if (have_detail[cpus - 1]) {
+            point = details[cpus - 1];
         } else {
-            points[i].profile = config.profile;
-            points[i].scheme = config.scheme;
-            points[i].cpus = static_cast<CpuId>(i + 1);
-            points[i].cacheBytes = config.cacheBytes;
+            point.profile = config.profile;
+            point.scheme = config.scheme;
+            point.cpus = cpus;
+            point.cacheBytes = config.cacheBytes;
         }
         // Journal values are bit-exact round-trips, so taking them for
         // fresh cells too keeps resumed and uninterrupted runs
         // byte-identical downstream.
-        points[i].simPower = results[i][0];
-        points[i].modelPower = results[i][1];
+        point.simPower = results[k][0];
+        point.modelPower = results[k][1];
     }
     return points;
 }

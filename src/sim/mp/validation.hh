@@ -96,6 +96,16 @@ std::vector<ValidationPoint> validate(const ValidationConfig &config);
  * modelPower — the detailed model / sim sub-structures are populated
  * only for cells evaluated in this run. The parameterless overload
  * delegates here with journaling disabled.
+ *
+ * Cells go to the pool as 1, N, N-1, ..., 2 CPUs: the pool runs the
+ * first cell alone on the caller, and the rest start heaviest first,
+ * since a cell's cost grows with its trace of cpus x
+ * instructionsPerCpu instructions. Each journal key names its
+ * processor count, not its position, and the points come back
+ * ordered 1..N.
+ *
+ * @throws std::invalid_argument when maxCpus exceeds
+ *         SyntheticWorkloadConfig::kMaxCpus, before any cell runs.
  */
 std::vector<ValidationPoint>
 validate(const ValidationConfig &config,

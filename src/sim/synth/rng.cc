@@ -74,6 +74,11 @@ Rng::below(std::uint64_t bound)
     if (bound == 0) {
         throw std::invalid_argument("Rng::below needs a positive bound");
     }
+    if ((bound & (bound - 1)) == 0) {
+        // A power of two rejects nothing (-bound % bound is 0), and
+        // the remainder is the low bits of the same single draw.
+        return next() & (bound - 1);
+    }
     // Rejection sampling to avoid modulo bias.
     const std::uint64_t threshold = -bound % bound;
     for (;;) {

@@ -11,6 +11,8 @@ TraceGenerator::TraceGenerator(const SyntheticWorkloadConfig &config)
     : config_(config), rng_(config.seed)
 {
     config_.validate();
+    codeExponent_ = -1.0 / config_.codeParetoAlpha;
+    privateExponent_ = -1.0 / config_.privateParetoAlpha;
     nextMigrationAt_ = config_.migrationIntervalInstrs;
     cpus_.resize(config_.numCpus);
     for (unsigned i = 0; i < config_.numCpus; ++i) {
@@ -20,8 +22,7 @@ TraceGenerator::TraceGenerator(const SyntheticWorkloadConfig &config)
         initSegment(cpu.code, config_.codeBytes / config_.blockBytes);
         initSegment(cpu.data, config_.privateBytes / config_.blockBytes);
         cpu.curCodeBlock = config_.codeBase(cpu.processId) +
-            static_cast<Addr>(nextBlock(cpu.code,
-                                        config_.codeParetoAlpha)) *
+            static_cast<Addr>(nextBlock(cpu.code, codeExponent_)) *
             config_.blockBytes;
         startNonCritical(cpu);
         // Desynchronise the phases across processors.
@@ -49,22 +50,24 @@ TraceGenerator::initSegment(SegmentStack &seg, std::size_t num_blocks)
 }
 
 std::uint32_t
-TraceGenerator::nextBlock(SegmentStack &seg, double alpha)
+TraceGenerator::nextBlock(SegmentStack &seg, double exponent)
 {
     // Pareto stack distance: P(d > x) = x^-alpha, support {1, 2, ...}.
     const double u = rng_.uniform();
-    const double draw = std::pow(1.0 - u, -1.0 / alpha);
+    const double draw = std::pow(1.0 - u, exponent);
     const auto distance = draw >= 1e18
         ? std::numeric_limits<std::uint64_t>::max()
         : static_cast<std::uint64_t>(draw);
 
     if (distance <= seg.stack.size()) {
-        // Reuse the block at that LRU depth; move it to the front.
+        // Reuse the block at that LRU depth and move it to the front:
+        // the pos entries above it shift down one slot, so the move
+        // costs the reuse depth, not the stack size.
         const std::size_t pos = static_cast<std::size_t>(distance) - 1;
-        const std::uint32_t block = seg.stack[pos];
-        seg.stack.erase(seg.stack.begin() +
-                        static_cast<std::ptrdiff_t>(pos));
-        seg.stack.insert(seg.stack.begin(), block);
+        std::uint32_t *const front = seg.stack.data();
+        const std::uint32_t block = front[pos];
+        std::move_backward(front, front + pos, front + pos + 1);
+        front[0] = block;
         return block;
     }
     if (seg.allocated < seg.order.size()) {
@@ -144,7 +147,9 @@ TraceGenerator::startCritical(CpuState &cpu)
         cpu.pending.push_back({cpu.lockBlock, cpu.id, RefType::Load});
         emitInstruction(cpu);
         cpu.pending.push_back({cpu.lockBlock, cpu.id, RefType::Store});
-        cpu.touched.insert(cpu.lockBlock);
+        if (config_.emitFlushes) {
+            cpu.touched.insert(cpu.lockBlock);
+        }
     }
 }
 
@@ -185,8 +190,7 @@ TraceGenerator::emitInstruction(CpuState &cpu, bool counts_as_work)
     if (++cpu.codeWord >= words) {
         cpu.codeWord = 0;
         cpu.curCodeBlock = config_.codeBase(cpu.processId) +
-            static_cast<Addr>(nextBlock(cpu.code,
-                                        config_.codeParetoAlpha)) *
+            static_cast<Addr>(nextBlock(cpu.code, codeExponent_)) *
             config_.blockBytes;
     }
 }
@@ -194,8 +198,7 @@ TraceGenerator::emitInstruction(CpuState &cpu, bool counts_as_work)
 void
 TraceGenerator::emitPrivateRef(CpuState &cpu)
 {
-    const std::uint32_t block =
-        nextBlock(cpu.data, config_.privateParetoAlpha);
+    const std::uint32_t block = nextBlock(cpu.data, privateExponent_);
     const Addr addr = config_.privateBase(cpu.processId) +
         static_cast<Addr>(block) * config_.blockBytes +
         4 * rng_.below(config_.blockBytes / 4);
@@ -213,7 +216,9 @@ TraceGenerator::emitSharedRef(CpuState &cpu)
     const RefType type = !cpu.csReadOnly && rng_.chance(config_.wrShared)
         ? RefType::Store : RefType::Load;
     cpu.pending.push_back({addr, cpu.id, type});
-    cpu.touched.insert(block);
+    if (config_.emitFlushes) {
+        cpu.touched.insert(block);
+    }
 }
 
 void
@@ -278,8 +283,7 @@ TraceGenerator::migrate()
         cpu->data.allocated = 0;
         cpu->codeWord = 0;
         cpu->curCodeBlock = config_.codeBase(cpu->processId) +
-            static_cast<Addr>(nextBlock(cpu->code,
-                                        config_.codeParetoAlpha)) *
+            static_cast<Addr>(nextBlock(cpu->code, codeExponent_)) *
             config_.blockBytes;
     }
 }

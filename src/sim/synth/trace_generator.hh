@@ -102,7 +102,10 @@ class TraceGenerator
         Addr lockBlock = 0;
         /** Whether the current section only reads shared data. */
         bool csReadOnly = false;
-        /** Blocks touched in the current section (flushed on exit). */
+        /**
+         * Blocks touched in the current section, flushed on exit;
+         * filled on flush traces only.
+         */
         std::unordered_set<Addr> touched;
         /** Non-flush instructions retired so far. */
         std::size_t retired = 0;
@@ -148,8 +151,9 @@ class TraceGenerator
      * Picks the next block index from a segment stack: Pareto reuse
      * when the distance lands in the stack, shuffled allocation while
      * unallocated blocks remain, coldest-block reuse afterwards.
+     * @param exponent The segment's -1 / alpha.
      */
-    std::uint32_t nextBlock(SegmentStack &seg, double alpha);
+    std::uint32_t nextBlock(SegmentStack &seg, double exponent);
 
     /** Initialises a segment stack over @p num_blocks blocks. */
     void initSegment(SegmentStack &seg, std::size_t num_blocks);
@@ -158,6 +162,9 @@ class TraceGenerator
     void migrate();
 
     SyntheticWorkloadConfig config_;
+    /** -1 / alpha of the code and private-data stack distances. */
+    double codeExponent_ = 0.0;
+    double privateExponent_ = 0.0;
     Rng rng_;
     std::vector<CpuState> cpus_;
     /** Total retired instructions across processors. */

@@ -57,6 +57,11 @@ SyntheticWorkloadConfig::validate() const
     if (numCpus == 0) {
         throw std::invalid_argument("numCpus must be positive");
     }
+    if (numCpus > kMaxCpus) {
+        throw std::invalid_argument(
+            "numCpus must be at most " + std::to_string(kMaxCpus) +
+            " (more private segments would overlap the shared one)");
+    }
     if (instructionsPerCpu == 0) {
         throw std::invalid_argument("instructionsPerCpu must be positive");
     }
@@ -67,6 +72,10 @@ SyntheticWorkloadConfig::validate() const
     checkProb(readOnlyCsFraction, "readOnlyCsFraction");
     checkProb(lockFraction, "lockFraction");
     checkPow2(blockBytes, "blockBytes");
+    if (blockBytes < 4) {
+        throw std::invalid_argument(
+            "blockBytes must hold at least one 4-byte word");
+    }
     if (codeBytes < 64 || codeBytes > kCodeStride) {
         throw std::invalid_argument(
             "codeBytes must fit the code segment stride");

@@ -42,6 +42,12 @@ struct SyntheticWorkloadConfig
     static constexpr Addr kPrivateStride = 0x0100'0000;
     /** Base of the shared data segment. */
     static constexpr Addr kSharedBase = 0x8000'0000;
+    /**
+     * Most processors whose private segments fit below the shared
+     * segment (64); CPU 64's would start at kSharedBase.
+     */
+    static constexpr unsigned kMaxCpus = static_cast<unsigned>(
+        (kSharedBase - kPrivateBase) / kPrivateStride);
 
     /** Label for reports ("pops-like", ...). */
     std::string name = "synthetic";
@@ -130,7 +136,8 @@ struct SyntheticWorkloadConfig
     SharedClassifier sharedClassifier() const;
 
     /**
-     * Checks structural validity (non-zero sizes, probabilities in
+     * Checks structural validity (non-zero sizes, at most kMaxCpus
+     * processors, blocks of at least one word, probabilities in
      * range, segments that cannot overlap).
      *
      * @throws std::invalid_argument naming the offending field.

@@ -158,6 +158,38 @@ TEST(GeneratorTest, RejectsInvalidConfig)
     EXPECT_THROW(generateTrace(config), std::invalid_argument);
 }
 
+TEST(GeneratorTest, ConfigRejectsBlocksSmallerThanAWord)
+{
+    // Word offsets are drawn below blockBytes / 4, so a block must hold
+    // one 4-byte word. validate() itself must say so: generateTrace()
+    // would also throw, but from the draw, after allocating.
+    SyntheticWorkloadConfig config = smallConfig();
+    for (std::size_t bytes : {1u, 2u}) {
+        config.blockBytes = bytes;
+        EXPECT_THROW(config.validate(), std::invalid_argument) << bytes;
+    }
+    config.blockBytes = 4;
+    EXPECT_NO_THROW(config.validate());
+}
+
+TEST(GeneratorTest, ConfigRejectsMoreCpusThanPrivateSegments)
+{
+    // 64 private segments fill the space below the shared segment;
+    // CPU 64's would start at kSharedBase, so its private data would
+    // be classified shared. Past 65535 CPUs a CpuId wraps as well.
+    EXPECT_EQ(SyntheticWorkloadConfig::kMaxCpus, 64u);
+    SyntheticWorkloadConfig config = smallConfig();
+    config.numCpus = SyntheticWorkloadConfig::kMaxCpus;
+    EXPECT_NO_THROW(config.validate());
+    EXPECT_EQ(config.privateBase(63) +
+                  SyntheticWorkloadConfig::kPrivateStride,
+              SyntheticWorkloadConfig::kSharedBase);
+    for (unsigned cpus : {65u, 70'000u}) {
+        config.numCpus = cpus;
+        EXPECT_THROW(config.validate(), std::invalid_argument) << cpus;
+    }
+}
+
 TEST(MigrationTest, OffByDefaultKeepsPrivateDataPrivate)
 {
     SyntheticWorkloadConfig config = smallConfig();

@@ -66,6 +66,20 @@ TEST(RngTest, BelowRespectsBound)
     EXPECT_THROW(rng.below(0), std::invalid_argument);
 }
 
+TEST(RngTest, BelowOfAPowerOfTwoIsTheRemainderOfOneDraw)
+{
+    // A power-of-two bound rejects no draw, so below() consumes exactly
+    // one next() and returns its remainder, as rejection sampling would.
+    Rng rng(9), raw(9);
+    for (unsigned k = 0; k < 64; ++k) {
+        const std::uint64_t bound = std::uint64_t{1} << k;
+        for (int i = 0; i < 16; ++i) {
+            EXPECT_EQ(rng.below(bound), raw.next() % bound) << bound;
+        }
+    }
+    EXPECT_EQ(rng.next(), raw.next());
+}
+
 TEST(RngTest, BelowCoversTheRange)
 {
     Rng rng(5);

@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "core/campaign/cell_hash.hh"
 #include "core/campaign/faults.hh"
+#include "core/campaign/journal.hh"
 #include "core/obs/metrics.hh"
 #include "core/parallel.hh"
 #include "core/scheme_evaluator.hh"
@@ -402,6 +405,86 @@ TEST_F(ValidationMemoTest, ArmedFaultPlanNeitherReadsNorFillsTheMemo)
     for (std::size_t s = 0; s < fresh.size(); ++s) {
         for (std::size_t i = 0; i < fresh[s].size(); ++i) {
             expectIdentical(faulted[s][i], fresh[s][i], "faulted");
+        }
+    }
+}
+
+TEST(ValidationLimitTest, RejectsMoreCpusThanTheGeneratorHolds)
+{
+    // The limit is checked before any cell runs, so no cell simulates
+    // and none is poisoned.
+    const std::uint64_t before = simRuns();
+    EXPECT_THROW(
+        validate(shortConfig(AppProfile::PopsLike, Scheme::Dragon,
+                             SyntheticWorkloadConfig::kMaxCpus + 1)),
+        std::invalid_argument);
+    EXPECT_EQ(simRuns(), before);
+}
+
+/** validate()'s journal key of the cell at @p cpus processors. */
+std::uint64_t
+validateCellKey(const ValidationConfig &config, CpuId cpus)
+{
+    return campaign::CellKey("validate")
+        .add(profileName(config.profile))
+        .add(schemeName(config.scheme))
+        .add(static_cast<std::uint64_t>(config.cacheBytes))
+        .add(static_cast<std::uint64_t>(config.instructionsPerCpu))
+        .add(config.seed)
+        .add(std::uint64_t{cpus})
+        .hash();
+}
+
+/** Same clean memo and fault state as ValidationMemoTest. */
+using ValidationJournalTest = ValidationMemoTest;
+
+TEST_F(ValidationJournalTest, KilledValidationResumesFromItsJournal)
+{
+    // Cells start as 1, 5, 4, 3, 2 CPUs. On one lane a kill at the
+    // third task leaves the 1- and 5-CPU cells journaled, each keyed by
+    // its CPU count; the resumed run evaluates only the other three
+    // and returns the uninterrupted points bit for bit.
+    const ValidationConfig config =
+        shortConfig(AppProfile::PeroLike, Scheme::Mesi, 5);
+    const std::vector<ValidationPoint> fresh = validate(config);
+
+    campaign::CampaignOptions options;
+    options.journalPath = ::testing::TempDir() + "/validate_kill.journal";
+    std::remove(options.journalPath.c_str());
+    options.faultSpec = "task-kill:1@2";
+    setThreadCount(1);
+    EXPECT_THROW(validate(config, options), FatalTaskError);
+
+    const auto journaled = campaign::Journal::load(options.journalPath);
+    EXPECT_EQ(journaled.size(), 2u);
+    EXPECT_EQ(journaled.count(validateCellKey(config, 1)), 1u);
+    EXPECT_EQ(journaled.count(validateCellKey(config, 5)), 1u);
+
+    campaign::clearFaults();
+    options.faultSpec.clear();
+    options.resume = true;
+    campaign::CampaignReport report;
+    const std::vector<ValidationPoint> resumed =
+        validate(config, options, &report);
+    setThreadCount(0);
+    EXPECT_EQ(report.fromJournal, 2u);
+    EXPECT_EQ(report.executed, 3u);
+
+    ASSERT_EQ(resumed.size(), fresh.size());
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+        const CpuId cpus = static_cast<CpuId>(i + 1);
+        const std::string what = "cpus=" + std::to_string(cpus);
+        EXPECT_EQ(resumed[i].cpus, cpus) << what;
+        if (cpus == 1 || cpus == 5) {
+            // From the journal: the powers alone.
+            EXPECT_TRUE(sameBits(resumed[i].simPower, fresh[i].simPower))
+                << what;
+            EXPECT_TRUE(
+                sameBits(resumed[i].modelPower, fresh[i].modelPower))
+                << what;
+            EXPECT_EQ(resumed[i].model.processors, 0u) << what;
+        } else {
+            expectIdentical(resumed[i], fresh[i], what);
         }
     }
 }

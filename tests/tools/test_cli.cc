@@ -243,6 +243,33 @@ TEST(CliTest, Cpu65535TracesAreRejectedNotSimulated)
     }
 }
 
+TEST(CliTest, GenAndValidateRejectMoreCpusThanTheGeneratorHolds)
+{
+    // CPU 64's private segment would overlap the shared one.
+    const std::string path = ::testing::TempDir() + "/cli_cpus65.swcc";
+    std::remove(path.c_str());
+    std::string output;
+    EXPECT_EQ(runCli({"gen", "--cpus", "65", "--instructions", "100",
+                      "--out", path},
+                     &output),
+              2);
+    EXPECT_NE(output.find("numCpus must be at most 64"),
+              std::string::npos)
+        << output;
+    EXPECT_FALSE(std::ifstream(path).good());
+
+    // 65537 would wrap to 1 as a CpuId.
+    for (const char *cpus : {"65", "65537"}) {
+        EXPECT_EQ(runCli({"validate", "--cpus", cpus, "--instructions",
+                          "100"},
+                         &output),
+                  2);
+        EXPECT_NE(output.find("--cpus must be at most 64"),
+                  std::string::npos)
+            << output;
+    }
+}
+
 TEST(CliTest, StatWithoutFileFails)
 {
     std::string output;

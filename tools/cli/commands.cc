@@ -424,8 +424,15 @@ cmdValidate(const Options &options, std::ostream &out)
     config.profile =
         profileFromName(options.valueOr("profile", "pops-like"));
     config.scheme = schemeFromName(options.valueOr("scheme", "dragon"));
-    config.maxCpus =
-        static_cast<CpuId>(options.unsignedOr("cpus", 4));
+    // Checked before the narrowing to CpuId, which would wrap 65537
+    // to 1.
+    const unsigned max_cpus = options.unsignedOr("cpus", 4);
+    if (max_cpus > SyntheticWorkloadConfig::kMaxCpus) {
+        throw std::invalid_argument(
+            "--cpus must be at most " +
+            std::to_string(SyntheticWorkloadConfig::kMaxCpus));
+    }
+    config.maxCpus = static_cast<CpuId>(max_cpus);
     config.instructionsPerCpu =
         options.unsignedOr("instructions", 100'000);
     config.cacheBytes = options.unsignedOr("cache", 64 * 1024);
