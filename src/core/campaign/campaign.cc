@@ -106,31 +106,8 @@ envCampaignOptions(const std::string &tag)
     options.policy.backoffBaseMs =
         envUnsigned("SWCC_BACKOFF_MS", options.policy.backoffBaseMs);
     options.seed = envUnsigned("SWCC_CAMPAIGN_SEED", options.seed);
-    options.cellsPerTask = envUnsigned("SWCC_CELLS_PER_TASK",
-                                       options.cellsPerTask);
     return options;
 }
-
-namespace
-{
-
-/**
- * Batch size for scheduling cells: explicit knob when set, else ~4
- * batches per lane (capped) so cheap cells amortise the wake/steal
- * cost while uneven ones still rebalance.
- */
-std::size_t
-resolveGrain(const CampaignOptions &options, std::size_t pending)
-{
-    if (options.cellsPerTask != 0) {
-        return options.cellsPerTask;
-    }
-    const std::size_t lanes = configuredThreads();
-    const std::size_t grain = pending / (std::max<std::size_t>(lanes, 1) * 4);
-    return std::min<std::size_t>(std::max<std::size_t>(grain, 1), 64);
-}
-
-} // namespace
 
 std::vector<std::vector<double>>
 runCells(std::size_t n, std::size_t width,
@@ -198,8 +175,7 @@ runCells(std::size_t n, std::size_t width,
                         journal->append(keyOf(idx), results[idx]);
                     }
                 },
-                options.policy, &outcomes,
-                resolveGrain(options, pending.size()));
+                options.policy, &outcomes);
             local.retries = stats.retries;
             local.poisoned = stats.poisoned;
             local.timeouts = stats.timeouts;

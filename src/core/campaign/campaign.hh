@@ -53,14 +53,6 @@ struct CampaignOptions
     /** Campaign seed; feeds probabilistic fault injection. */
     std::uint64_t seed = 1;
     /**
-     * Consecutive cells per scheduled task. 0 auto-sizes from the cell
-     * count and lane count (~4 batches per lane, capped at 64) so the
-     * pool schedules batches, not cells — per-cell scheduling made the
-     * steal overhead comparable to the cells themselves on fine grids.
-     * Results are independent of this knob.
-     */
-    std::size_t cellsPerTask = 0;
-    /**
      * Fault spec installed before the run (see faults.hh); empty
      * leaves any SWCC_FAULT_INJECT environment config in place.
      */
@@ -88,9 +80,8 @@ struct CampaignReport
  * Campaign options sourced from the environment, for bench harnesses:
  * SWCC_JOURNAL_DIR (journal at <dir>/<tag>.journal), SWCC_RESUME
  * (1/true/yes/on), SWCC_TASK_RETRIES, SWCC_TASK_TIMEOUT_MS,
- * SWCC_BACKOFF_MS, SWCC_CAMPAIGN_SEED, SWCC_CELLS_PER_TASK. With
- * SWCC_JOURNAL_DIR unset the returned options disable journaling (the
- * benches' default).
+ * SWCC_BACKOFF_MS, SWCC_CAMPAIGN_SEED. With SWCC_JOURNAL_DIR unset
+ * the returned options disable journaling (the benches' default).
  */
 CampaignOptions envCampaignOptions(const std::string &tag);
 

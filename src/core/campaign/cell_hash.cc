@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "core/cost_model.hh"
 #include "core/workload.hh"
 
 namespace swcc::campaign
@@ -13,6 +14,15 @@ namespace
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x00000100000001b3ull;
+/** Seed of key()'s high half: the offset basis, words swapped. */
+constexpr std::uint64_t kFnvOffsetHi = 0x84222325cbf29ce4ull;
+
+/**
+ * A byte that cannot appear inside a field's encoding (fields are
+ * either UTF-8 text or fixed-width little-endian words preceded by a
+ * tag), so ("ab","c") never collides with ("a","bc").
+ */
+constexpr unsigned char kSeparator = 0xff;
 
 /** One canonical bit pattern per double value (see header). */
 std::uint64_t
@@ -43,7 +53,8 @@ fnv1a64(const void *data, std::size_t size, std::uint64_t seed)
     return hash;
 }
 
-CellKey::CellKey(std::string_view domain) : hash_(kFnvOffset)
+CellKey::CellKey(std::string_view domain)
+    : lo_(kFnvOffset), hi_(kFnvOffsetHi)
 {
     add(domain);
 }
@@ -51,17 +62,21 @@ CellKey::CellKey(std::string_view domain) : hash_(kFnvOffset)
 void
 CellKey::mixBytes(const void *data, std::size_t size)
 {
-    hash_ = fnv1a64(data, size, hash_);
+    lo_ = fnv1a64(data, size, lo_);
+    hi_ = fnv1a64(data, size, hi_);
 }
 
 void
-CellKey::mixSeparator()
+CellKey::mixWord(unsigned char tag, std::uint64_t word)
 {
-    // A byte that cannot appear inside a field's encoding (fields are
-    // either UTF-8 text or fixed-width little-endian words preceded by
-    // a tag), so ("ab","c") never collides with ("a","bc").
-    const unsigned char sep = 0xff;
-    mixBytes(&sep, 1);
+    unsigned char bytes[10];
+    bytes[0] = tag;
+    for (int i = 0; i < 8; ++i) {
+        bytes[1 + i] =
+            static_cast<unsigned char>((word >> (8 * i)) & 0xffu);
+    }
+    bytes[9] = kSeparator;
+    mixBytes(bytes, sizeof bytes);
 }
 
 CellKey &
@@ -70,37 +85,21 @@ CellKey::add(std::string_view field)
     const unsigned char tag = 's';
     mixBytes(&tag, 1);
     mixBytes(field.data(), field.size());
-    mixSeparator();
+    mixBytes(&kSeparator, 1);
     return *this;
 }
 
 CellKey &
 CellKey::add(double value)
 {
-    const unsigned char tag = 'd';
-    mixBytes(&tag, 1);
-    std::uint64_t bits = canonicalBits(value);
-    unsigned char bytes[8];
-    for (int i = 0; i < 8; ++i) {
-        bytes[i] = static_cast<unsigned char>((bits >> (8 * i)) & 0xffu);
-    }
-    mixBytes(bytes, sizeof bytes);
-    mixSeparator();
+    mixWord('d', canonicalBits(value));
     return *this;
 }
 
 CellKey &
 CellKey::add(std::uint64_t value)
 {
-    const unsigned char tag = 'u';
-    mixBytes(&tag, 1);
-    unsigned char bytes[8];
-    for (int i = 0; i < 8; ++i) {
-        bytes[i] =
-            static_cast<unsigned char>((value >> (8 * i)) & 0xffu);
-    }
-    mixBytes(bytes, sizeof bytes);
-    mixSeparator();
+    mixWord('u', value);
     return *this;
 }
 
@@ -109,6 +108,20 @@ CellKey::add(const WorkloadParams &params)
 {
     for (ParamId id : kAllParams) {
         add(getParam(params, id));
+    }
+    return *this;
+}
+
+CellKey &
+CellKey::add(const CostModel &costs)
+{
+    for (Operation op : kAllOperations) {
+        if (!costs.supports(op)) {
+            add(std::uint64_t{0});
+            continue;
+        }
+        const OpCost cost = costs.cost(op);
+        add(std::uint64_t{1}).add(cost.cpu).add(cost.channel);
     }
     return *this;
 }

@@ -14,27 +14,53 @@
  * Determinism contract: two cells hash equal iff they were built from
  * the same field sequence. Doubles are hashed by IEEE-754 bit pattern
  * (after normalising -0.0 to 0.0 and any NaN to one canonical NaN),
- * so a value that round-trips through the journal re-hashes
- * identically on any host with IEEE doubles.
+ * and every word is hashed as explicit little-endian bytes, so a value
+ * that round-trips through the journal re-hashes identically on any
+ * host with IEEE doubles.
+ *
+ * The same builder keys the solver memo (solver_cache.hh): key()
+ * carries a second FNV-1a 64 state under a different seed over the
+ * same bytes, and its low half is the journal hash.
  */
 
 #ifndef SWCC_CORE_CAMPAIGN_CELL_HASH_HH
 #define SWCC_CORE_CAMPAIGN_CELL_HASH_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 namespace swcc
 {
+class CostModel;
 struct WorkloadParams;
-}
+
+/** 128-bit memo key: two independent FNV-1a 64 states. */
+struct SolverCacheKey
+{
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+
+    bool operator==(const SolverCacheKey &) const = default;
+};
+
+struct SolverCacheKeyHash
+{
+    std::size_t
+    operator()(const SolverCacheKey &key) const
+    {
+        return static_cast<std::size_t>(
+            key.lo ^ (key.hi * 0x9e3779b97f4a7c15ull));
+    }
+};
+
+} // namespace swcc
 
 namespace swcc::campaign
 {
 
 /**
- * Builder for a campaign cell's identity hash (see file comment).
+ * Builder for cell identity hashes and memo keys (see file comment).
  *
  * @code
  *   const std::uint64_t h = CellKey("sweep")
@@ -45,7 +71,7 @@ namespace swcc::campaign
 class CellKey
 {
   public:
-    /** @param domain Namespace of the campaign ("sweep", ...). */
+    /** @param domain Namespace of the campaign or solver ("sweep", ...). */
     explicit CellKey(std::string_view domain);
 
     /** Appends a string field. */
@@ -60,18 +86,33 @@ class CellKey
     /** Appends every Table 2 parameter of @p params, in table order. */
     CellKey &add(const WorkloadParams &params);
 
-    /** The 64-bit cell hash accumulated so far. */
+    /**
+     * Appends the full cost table via its public interface: for every
+     * operation, whether it is supported and (if so) its cpu/channel
+     * cycles. Two semantically equal tables key identically.
+     */
+    CellKey &add(const CostModel &costs);
+
+    /** The 64-bit journal hash accumulated so far. */
     std::uint64_t
     hash() const
     {
-        return hash_;
+        return lo_;
+    }
+
+    /** The 128-bit memo key accumulated so far. */
+    SolverCacheKey
+    key() const
+    {
+        return {lo_, hi_};
     }
 
   private:
     void mixBytes(const void *data, std::size_t size);
-    void mixSeparator();
+    void mixWord(unsigned char tag, std::uint64_t word);
 
-    std::uint64_t hash_;
+    std::uint64_t lo_;
+    std::uint64_t hi_;
 };
 
 /** FNV-1a 64 of a byte range; the primitive CellKey is built on. */

@@ -65,7 +65,8 @@ envThreads()
     }
     char *end = nullptr;
     const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0' || parsed == 0 || parsed > 4096) {
+    if (end == env || *end != '\0' || parsed == 0 ||
+        parsed > kMaxThreads) {
         return 0; // Nonsense values fall back to the default.
     }
     return static_cast<unsigned>(parsed);
@@ -316,6 +317,11 @@ hardwareThreads()
 void
 setThreadCount(unsigned threads)
 {
+    if (threads > kMaxThreads) {
+        throw std::invalid_argument(
+            "thread count " + std::to_string(threads) +
+            " exceeds the maximum of " + std::to_string(kMaxThreads));
+    }
     thread_override.store(threads, std::memory_order_relaxed);
 }
 
@@ -415,8 +421,7 @@ ResilienceStats
 parallelForResilient(std::size_t n,
                      const std::function<void(std::size_t)> &fn,
                      const TaskPolicy &policy,
-                     std::vector<TaskOutcome> *outcomes,
-                     std::size_t grain)
+                     std::vector<TaskOutcome> *outcomes)
 {
     if (outcomes != nullptr) {
         outcomes->assign(n, TaskOutcome::Done);
@@ -487,17 +492,8 @@ parallelForResilient(std::size_t n,
         retry_queue.push_back({i, attempt + 1, due});
     };
 
-    // Wave 0: every index attempted once, scheduled in batches of
-    // `grain` consecutive indices so cheap cells amortise the steal.
-    const std::size_t batch = std::max<std::size_t>(1, grain);
-    const std::size_t batches = (n + batch - 1) / batch;
-    parallelFor(batches, [&](std::size_t b) {
-        const std::size_t lo = b * batch;
-        const std::size_t hi = std::min(n, lo + batch);
-        for (std::size_t i = lo; i < hi; ++i) {
-            attemptIndex(i, 0);
-        }
-    });
+    // Wave 0: every index attempted once.
+    parallelFor(n, [&](std::size_t i) { attemptIndex(i, 0); });
 
     // Retry waves: the caller sleeps out the earliest deadline, then
     // re-runs every due index across the pool. Pool lanes stay busy

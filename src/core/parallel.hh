@@ -112,23 +112,17 @@ struct ResilienceStats
  * FatalTaskError aborts the job immediately and propagates.
  *
  * Scheduling is wave-based: every index is attempted once across the
- * pool (in batches of @p grain consecutive indices, so cheap cells
- * amortise the steal overhead), then failed indices are re-attempted
- * in later waves once their backoff deadline passes. Backoff is slept
- * out on the *calling* thread between waves — a retrying cell never
- * parks a pool lane, so a retry storm cannot serialise the healthy
- * part of the campaign.
- *
- * @param grain Consecutive indices per scheduled task (min 1). The
- *        result is independent of grain; only scheduling granularity
- *        changes.
+ * pool (whose chunked cursor already batches cheap indices), then
+ * failed indices are re-attempted in later waves once their backoff
+ * deadline passes. Backoff is slept out on the *calling* thread
+ * between waves — a retrying cell never parks a pool lane, so a retry
+ * storm cannot serialise the healthy part of the campaign.
  */
 ResilienceStats
 parallelForResilient(std::size_t n,
                      const std::function<void(std::size_t)> &fn,
                      const TaskPolicy &policy,
-                     std::vector<TaskOutcome> *outcomes = nullptr,
-                     std::size_t grain = 1);
+                     std::vector<TaskOutcome> *outcomes = nullptr);
 
 /**
  * Activity counters for one pool lane. Lane 0 is the participating
@@ -248,9 +242,14 @@ class ThreadPool
 /** hardware_concurrency(), never 0. */
 unsigned hardwareThreads();
 
+/** Most lanes (threads) a pool may have, from any source. */
+inline constexpr unsigned kMaxThreads = 4096;
+
 /**
  * Overrides the lane count used by parallelFor()/parallelMap()
  * (0 restores the default: SWCC_THREADS, else hardware_concurrency()).
+ *
+ * @throws std::invalid_argument above kMaxThreads.
  */
 void setThreadCount(unsigned threads);
 

@@ -60,7 +60,7 @@ SolverCacheKey
 busPointKey(Scheme scheme, const WorkloadParams &params,
             unsigned processors, const BusCostModel &costs)
 {
-    return SolverKeyBuilder("bus")
+    return campaign::CellKey("bus")
         .add(schemeName(scheme))
         .add(params)
         .add(std::uint64_t{processors})
@@ -74,7 +74,7 @@ networkPointKey(Scheme scheme, const WorkloadParams &params,
 {
     // The cost table is NetworkCostModel(stages), fully determined by
     // the stage count already in the key.
-    return SolverKeyBuilder("network")
+    return campaign::CellKey("network")
         .add(schemeName(scheme))
         .add(params)
         .add(std::uint64_t{stages})
@@ -157,7 +157,7 @@ evaluateBusCurve(Scheme scheme, const WorkloadParams &params,
     std::vector<BusSolution> curve;
     SolverCacheKey key;
     if (memo) {
-        key = SolverKeyBuilder("bus-curve")
+        key = campaign::CellKey("bus-curve")
                   .add(schemeName(scheme))
                   .add(params)
                   .add(std::uint64_t{max_processors})
@@ -198,7 +198,7 @@ evaluateNetworkCurve(Scheme scheme, const WorkloadParams &params,
     std::vector<NetworkSolution> curve;
     SolverCacheKey key;
     if (memo) {
-        key = SolverKeyBuilder("network-curve")
+        key = campaign::CellKey("network-curve")
                   .add(schemeName(scheme))
                   .add(params)
                   .add(std::uint64_t{max_stages})

@@ -3,48 +3,19 @@
 #include <atomic>
 #include <cctype>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "core/campaign/cell_hash.hh"
 #include "core/campaign/faults.hh"
-#include "core/cost_model.hh"
 #include "core/obs/metrics.hh"
 #include "core/obs/obs.hh"
-#include "core/workload.hh"
 
 namespace swcc
 {
 
 namespace
 {
-
-/** Seeds of the two independent FNV states (offset basis, variant). */
-constexpr std::uint64_t kSeedLo = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kSeedHi = 0x84222325cbf29ce4ull;
-
-/** Field separator byte outside any hashed payload's alphabet. */
-constexpr unsigned char kSeparator = 0xff;
-
-/**
- * Canonical IEEE-754 bits of a double: -0.0 folds to 0.0 and every
- * NaN to one quiet pattern, matching cell_hash's convention.
- */
-std::uint64_t
-canonicalBits(double value)
-{
-    if (value == 0.0) {
-        value = 0.0; // -0.0 == 0.0 folds the sign away.
-    }
-    if (value != value) {
-        return 0x7ff8000000000000ull;
-    }
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof bits);
-    return bits;
-}
 
 /** -1 unknown, 0 off, 1 on; setSolverCacheEnabled writes 0/1. */
 std::atomic<int> cache_enabled{-1};
@@ -92,79 +63,6 @@ envDisablesCache()
 }
 
 } // namespace
-
-SolverKeyBuilder::SolverKeyBuilder(std::string_view domain)
-    : lo_(kSeedLo), hi_(kSeedHi)
-{
-    add(domain);
-}
-
-SolverKeyBuilder &
-SolverKeyBuilder::add(std::string_view field)
-{
-    const unsigned char tag = 's';
-    mixBytes(&tag, 1);
-    mixBytes(field.data(), field.size());
-    mixSeparator();
-    return *this;
-}
-
-SolverKeyBuilder &
-SolverKeyBuilder::add(double value)
-{
-    const unsigned char tag = 'd';
-    const std::uint64_t bits = canonicalBits(value);
-    mixBytes(&tag, 1);
-    mixBytes(&bits, sizeof bits);
-    mixSeparator();
-    return *this;
-}
-
-SolverKeyBuilder &
-SolverKeyBuilder::add(std::uint64_t value)
-{
-    const unsigned char tag = 'u';
-    mixBytes(&tag, 1);
-    mixBytes(&value, sizeof value);
-    mixSeparator();
-    return *this;
-}
-
-SolverKeyBuilder &
-SolverKeyBuilder::add(const WorkloadParams &params)
-{
-    for (ParamId id : kAllParams) {
-        add(getParam(params, id));
-    }
-    return *this;
-}
-
-SolverKeyBuilder &
-SolverKeyBuilder::add(const CostModel &costs)
-{
-    for (Operation op : kAllOperations) {
-        if (!costs.supports(op)) {
-            add(std::uint64_t{0});
-            continue;
-        }
-        const OpCost cost = costs.cost(op);
-        add(std::uint64_t{1}).add(cost.cpu).add(cost.channel);
-    }
-    return *this;
-}
-
-void
-SolverKeyBuilder::mixBytes(const void *data, std::size_t size)
-{
-    lo_ = campaign::fnv1a64(data, size, lo_);
-    hi_ = campaign::fnv1a64(data, size, hi_);
-}
-
-void
-SolverKeyBuilder::mixSeparator()
-{
-    mixBytes(&kSeparator, 1);
-}
 
 bool
 solverCacheEnabled()

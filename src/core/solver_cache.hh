@@ -12,11 +12,11 @@
  * hit. Cached values are the bitwise output of the original solve, so
  * caching never changes a result, only skips recomputing it.
  *
- * Keys are 128-bit: two FNV-1a 64 hashes of the same canonical byte
- * stream under different seeds. A collision would need both hashes to
- * collide simultaneously, pushing accidental aliasing past any
- * campaign size this library will see. Doubles are canonicalised
- * (-0.0 -> 0.0, any NaN -> one bit pattern) exactly like cell_hash.
+ * Keys are 128-bit (campaign::CellKey::key(), cell_hash.hh): two
+ * FNV-1a 64 hashes of the same canonical byte stream under different
+ * seeds, the low one being the journal hash of the same fields. A
+ * collision would need both hashes to collide simultaneously, pushing
+ * accidental aliasing past any campaign size this library will see.
  *
  * The cache is sharded (16 shards, one mutex each) so concurrent pool
  * lanes hit different locks; each shard is bounded and self-clears on
@@ -47,77 +47,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <string_view>
 #include <unordered_map>
+
+#include "core/campaign/cell_hash.hh"
 
 namespace swcc
 {
-
-class CostModel;
-struct WorkloadParams;
-
-/** 128-bit cache key: two independent FNV-1a 64 states. */
-struct SolverCacheKey
-{
-    std::uint64_t lo = 0;
-    std::uint64_t hi = 0;
-
-    bool operator==(const SolverCacheKey &) const = default;
-};
-
-struct SolverCacheKeyHash
-{
-    std::size_t
-    operator()(const SolverCacheKey &key) const
-    {
-        return static_cast<std::size_t>(
-            key.lo ^ (key.hi * 0x9e3779b97f4a7c15ull));
-    }
-};
-
-/**
- * Builder for a solver cache key (mirrors campaign::CellKey, but
- * accumulates two hash states). Fields are framed with separators so
- * adjacent fields cannot alias.
- */
-class SolverKeyBuilder
-{
-  public:
-    /** @param domain Namespace of the solver ("bus", "network", ...). */
-    explicit SolverKeyBuilder(std::string_view domain);
-
-    /** Appends a string field. */
-    SolverKeyBuilder &add(std::string_view field);
-
-    /** Appends a double by canonical IEEE bit pattern. */
-    SolverKeyBuilder &add(double value);
-
-    /** Appends an unsigned integer field. */
-    SolverKeyBuilder &add(std::uint64_t value);
-
-    /** Appends every workload parameter, in Table 2 order. */
-    SolverKeyBuilder &add(const WorkloadParams &params);
-
-    /**
-     * Appends the full cost table via its public interface: for every
-     * operation, whether it is supported and (if so) its cpu/channel
-     * cycles. Two semantically equal tables key identically.
-     */
-    SolverKeyBuilder &add(const CostModel &costs);
-
-    SolverCacheKey
-    key() const
-    {
-        return {lo_, hi_};
-    }
-
-  private:
-    void mixBytes(const void *data, std::size_t size);
-    void mixSeparator();
-
-    std::uint64_t lo_;
-    std::uint64_t hi_;
-};
 
 /** Hit/miss/eviction totals across every solver memo in the process. */
 struct SolverCacheStats

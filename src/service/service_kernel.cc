@@ -61,7 +61,7 @@ paramFieldValue(const WorkloadParams &params, std::size_t index)
 SolverCacheKey
 groupKey(const Query &query)
 {
-    return SolverKeyBuilder("service-group")
+    return campaign::CellKey("service-group")
         .add(std::uint64_t{static_cast<std::uint8_t>(query.domain)})
         .add(schemeName(query.scheme))
         .add(query.params)

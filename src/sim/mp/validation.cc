@@ -53,7 +53,7 @@ SolverCacheKey
 extractionKey(const ValidationConfig &config, CpuId cpus,
               bool software_trace)
 {
-    return SolverKeyBuilder("extract")
+    return campaign::CellKey("extract")
         .add(profileName(config.profile))
         .add(std::uint64_t{cpus})
         .add(static_cast<std::uint64_t>(config.instructionsPerCpu))

@@ -28,6 +28,7 @@
 #include "core/sensitivity.hh"
 #include "core/sweep.hh"
 #include "core/workload.hh"
+#include "sim/mp/validation.hh"
 #include "sim/trace/trace_io.hh"
 
 namespace swcc
@@ -111,6 +112,32 @@ TEST(CampaignCellKeyTest, WorkloadParamsChangeTheHash)
     b.shd += 0.01;
     EXPECT_NE(campaign::CellKey("k").add(a).hash(),
               campaign::CellKey("k").add(b).hash());
+}
+
+TEST(CampaignCellKeyTest, JournalKeysArePinned)
+{
+    // A journal must resume under any later build on any host: pin the
+    // keys one validate, one sweep and one Table 8 cell write today.
+    campaign::CampaignOptions options;
+    options.journalPath = freshPath("pinned_keys.journal");
+    options.resume = true; // Each campaign appends to the one journal.
+    ValidationConfig validation;
+    validation.profile = AppProfile::PopsLike;
+    validation.scheme = Scheme::Dragon;
+    validation.maxCpus = 1;
+    validation.instructionsPerCpu = 2'000;
+    validation.seed = 7;
+    validate(validation, options);
+    sweepPowerGrid(ParamId::Shd, false, {0.25}, middleParams(), 16,
+                   {Scheme::Dragon}, options);
+    sensitivityTable(SensitivityConfig{}, options);
+
+    const auto keys = campaign::Journal::load(options.journalPath);
+    EXPECT_EQ(keys.size(), 2 + kNumParams * kNumPaperSchemes);
+    EXPECT_EQ(keys.count(0xe8b4b66be662332aull), 1u); // validate
+    EXPECT_EQ(keys.count(0x077124e1ce29d9e7ull), 1u); // sweep
+    // Table 8's first cell: (ls, Software-Flush) at 16 processors.
+    EXPECT_EQ(keys.count(0xc08d6c811f61dfe7ull), 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -367,6 +394,17 @@ class CampaignRunCellsTest : public CampaignFaultsTest
     {
         const double x = static_cast<double>(i);
         return {x * 1.5 + 0.25, std::sqrt(x + 1.0)};
+    }
+
+    /**
+     * payload() after a short sleep, so runCells() outlasts the pool's
+     * ~1 ms inline prefix and 4 lanes claim chunks of about n / 32.
+     */
+    static std::vector<double>
+    slowPayload(std::size_t i)
+    {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        return payload(i);
     }
 
     static std::uint64_t
@@ -640,18 +678,19 @@ TEST(CampaignJournalTest, ConcurrentAppendersAllCommit)
 
 TEST_F(CampaignRunCellsTest, BatchedCellsKillThenResumeIsByteIdentical)
 {
+    // 640 cells on 4 lanes: chunks of about 20 cells, so the kill
+    // lands inside a chunk with batch-mates queued behind it.
+    constexpr std::size_t kCells = 640;
     const auto baseline = campaign::runCells(
-        32, 2, keyOf, [](std::size_t i) { return payload(i); },
-        campaign::CampaignOptions{});
+        kCells, 2, keyOf, payload, campaign::CampaignOptions{});
 
     campaign::CampaignOptions options;
     options.journalPath = freshPath("runcells_batched_kill.journal");
-    options.cellsPerTask = 5; // Several cells share each task.
-    options.faultSpec = "task-kill:1@11";
-    EXPECT_THROW(campaign::runCells(
-                     32, 2, keyOf,
-                     [](std::size_t i) { return payload(i); }, options),
-                 FatalTaskError);
+    options.faultSpec = "task-kill:1@211";
+    setThreadCount(4);
+    EXPECT_THROW(
+        campaign::runCells(kCells, 2, keyOf, slowPayload, options),
+        FatalTaskError);
 
     // Cells that completed before the kill — including ones queued in
     // the committer at unwind time — must be durable in the journal.
@@ -660,10 +699,10 @@ TEST_F(CampaignRunCellsTest, BatchedCellsKillThenResumeIsByteIdentical)
     options.resume = true;
     campaign::CampaignReport report;
     const auto resumed = campaign::runCells(
-        32, 2, keyOf, [](std::size_t i) { return payload(i); },
-        options, &report);
-    EXPECT_GT(report.fromJournal, 0u);
-    EXPECT_EQ(report.fromJournal + report.executed, 32u);
+        kCells, 2, keyOf, slowPayload, options, &report);
+    setThreadCount(0);
+    EXPECT_GE(report.fromJournal, 211u);
+    EXPECT_EQ(report.fromJournal + report.executed, kCells);
     ASSERT_EQ(resumed.size(), baseline.size());
     for (std::size_t i = 0; i < baseline.size(); ++i) {
         for (std::size_t j = 0; j < baseline[i].size(); ++j) {
@@ -679,18 +718,19 @@ TEST_F(CampaignRunCellsTest, BatchedCellsKeepPerCellRetryAccounting)
     const std::uint64_t before =
         campaign::injectedCount(campaign::FaultSite::SolverBus);
     campaign::CampaignOptions options;
-    options.cellsPerTask = 4;
     options.faultSpec = "solver-bus:2";
     campaign::CampaignReport report;
+    setThreadCount(4);
     const auto results = campaign::runCells(
-        10, 2, keyOf,
+        320, 2, keyOf,
         [](std::size_t i) {
             campaign::checkFault(campaign::FaultSite::SolverBus);
-            return payload(i);
+            return slowPayload(i);
         },
         options, &report);
-    // A failing cell inside a batch retries alone; its batch-mates
-    // complete normally and exactly once.
+    setThreadCount(0);
+    // A failing cell retries alone; the rest of its chunk completes
+    // normally and exactly once.
     EXPECT_EQ(campaign::injectedCount(campaign::FaultSite::SolverBus),
               before + 2);
     EXPECT_EQ(report.retries, 2u);
@@ -698,14 +738,6 @@ TEST_F(CampaignRunCellsTest, BatchedCellsKeepPerCellRetryAccounting)
     for (std::size_t i = 0; i < results.size(); ++i) {
         EXPECT_EQ(results[i], payload(i));
     }
-}
-
-TEST_F(CampaignRunCellsTest, CellsPerTaskEnvKnobIsParsed)
-{
-    ::setenv("SWCC_CELLS_PER_TASK", "7", 1);
-    const auto options = campaign::envCampaignOptions("env_knob");
-    ::unsetenv("SWCC_CELLS_PER_TASK");
-    EXPECT_EQ(options.cellsPerTask, 7u);
 }
 
 TEST_F(CampaignRunCellsTest, SweepGridKillThenResumeIsByteIdentical)

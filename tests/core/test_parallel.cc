@@ -207,6 +207,9 @@ TEST(ParallelConfigTest, OverrideBeatsDefaults)
     EXPECT_GE(hardwareThreads(), 1u);
     setThreadCount(3);
     EXPECT_EQ(configuredThreads(), 3u);
+    // Above the bound: rejected, and no pool of that size is built.
+    EXPECT_THROW(setThreadCount(kMaxThreads + 1), std::invalid_argument);
+    EXPECT_EQ(configuredThreads(), 3u);
     setThreadCount(0);
     EXPECT_GE(configuredThreads(), 1u);
 }

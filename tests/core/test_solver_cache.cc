@@ -292,7 +292,7 @@ TEST_F(ParallelSolverCacheTest, ShardOverflowCountsEvictions)
     // Keys land on shards by hi % 16; pushing 16 * (4096 + 1)
     // distinct keys guarantees at least one shard overflows.
     for (std::uint64_t i = 0; i < 16 * 4097; ++i) {
-        memo.insert(SolverKeyBuilder("evict-test").add(i).key(),
+        memo.insert(campaign::CellKey("evict-test").add(i).key(),
                     static_cast<int>(i));
     }
     const SolverCacheStats after = solverCacheStats();

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -21,6 +23,7 @@
 #include "core/workload.hh"
 #include "service/protocol.hh"
 #include "service/service_kernel.hh"
+#include "sim/synth/rng.hh"
 
 namespace swcc::service
 {
@@ -644,6 +647,163 @@ TEST_F(ServiceProtocolTest, PipelinedFramesDecodeOneAtATime)
     EXPECT_EQ(frames[1].query.scheme, Scheme::Dragon);
     EXPECT_TRUE(frames[1].json);
     EXPECT_EQ(frames[2].kind, RequestKind::Ping);
+}
+
+// ---------------------------------------------------------------------
+// Fuzzing: seeded mutants of valid frames through both decoders.
+
+using Bytes = std::vector<std::uint8_t>;
+
+/**
+ * One seeded edit: a bit flip, an inserted or deleted run, a cut, or a
+ * binary length prefix of 0, the limit, one past it, or 0xffffffff.
+ */
+void
+mutateFrame(Bytes &bytes, Rng &rng)
+{
+    const auto at = [&](std::size_t slack) {
+        return bytes.begin() + static_cast<std::ptrdiff_t>(
+                                   rng.below(bytes.size() + slack));
+    };
+    const auto run = static_cast<std::ptrdiff_t>(1 + rng.below(4));
+    switch (rng.below(5)) {
+      case 0:
+        if (!bytes.empty()) {
+            *at(0) ^= static_cast<std::uint8_t>(1u << rng.below(8));
+        }
+        break;
+      case 1:
+        bytes.insert(at(1), static_cast<std::size_t>(run),
+                     static_cast<std::uint8_t>(rng.below(256)));
+        break;
+      case 2: {
+        const auto pos = at(1);
+        bytes.erase(pos, pos + std::min(run, bytes.end() - pos));
+        break;
+      }
+      case 3:
+        bytes.erase(at(1), bytes.end());
+        break;
+      default:
+        if (bytes.size() >= kFrameHeader && bytes[0] != '{') {
+            const std::uint32_t length = std::array<std::uint32_t, 4>{
+                0, kMaxRequestPayload, kMaxRequestPayload + 1,
+                0xffffffffu}[rng.below(4)];
+            for (std::size_t i = 0; i < 4; ++i) {
+                bytes[4 + i] = static_cast<std::uint8_t>(length >> 8 * i);
+            }
+        }
+        break;
+    }
+}
+
+/**
+ * Decodes 4,000 seeded mutants of @p seeds: each asks for more bytes,
+ * is a framing error, or is a frame no longer than itself that
+ * @p onFrame checks further. Frames and non-frames must both be common.
+ */
+template <typename Frame, typename OnFrame>
+void
+fuzzFrames(DecodeStatus (*decode)(const std::uint8_t *, std::size_t,
+                                  std::size_t &, Frame &, std::string &),
+           const std::vector<Bytes> &seeds, std::uint64_t seed,
+           OnFrame &&onFrame)
+{
+    constexpr int kMutants = 4'000;
+    const Rng root(seed);
+    int frames = 0;
+    for (int m = 0; m < kMutants && !::testing::Test::HasFailure(); ++m) {
+        SCOPED_TRACE("mutant " + std::to_string(m));
+        Rng rng = root.split(static_cast<std::uint64_t>(m));
+        Bytes bytes = seeds[rng.below(seeds.size())];
+        for (std::uint64_t edits = 1 + rng.below(4); edits > 0; --edits) {
+            mutateFrame(bytes, rng);
+        }
+        Frame frame;
+        std::size_t consumed = 0;
+        std::string error;
+        if (decode(bytes.data(), bytes.size(), consumed, frame, error) ==
+            DecodeStatus::Frame) {
+            ++frames;
+            EXPECT_GT(consumed, 0u);
+            EXPECT_LE(consumed, bytes.size());
+            onFrame(frame);
+        }
+    }
+    EXPECT_GT(frames, kMutants / 10);
+    EXPECT_LT(frames, kMutants - kMutants / 10);
+}
+
+/** Binary bytes of a request frame without a field error. */
+Bytes
+encodeRequest(const RequestFrame &frame)
+{
+    Bytes bytes;
+    if (frame.kind == RequestKind::Query) {
+        appendQueryRequest(bytes, frame.query);
+    } else {
+        appendControlRequest(bytes, frame.kind);
+    }
+    return bytes;
+}
+
+/**
+ * A request without a field error re-encodes and decodes to the same
+ * bits: binary frames carry every field bit for bit.
+ */
+void
+expectRoundTrip(const RequestFrame &frame)
+{
+    if (!frame.fieldError.empty()) {
+        return;
+    }
+    const Bytes bytes = encodeRequest(frame);
+    RequestFrame again;
+    std::size_t consumed = 0;
+    std::string error;
+    ASSERT_EQ(decodeRequest(bytes.data(), bytes.size(), consumed, again,
+                            error),
+              DecodeStatus::Frame);
+    EXPECT_EQ(consumed, bytes.size());
+    EXPECT_EQ(again.fieldError, "");
+    EXPECT_EQ(encodeRequest(again), bytes);
+}
+
+TEST(ServiceFuzzTest, BinaryRequestMutantsAreRejectedOrRoundTrip)
+{
+    std::vector<Bytes> seeds(3);
+    appendQueryRequest(seeds[0], busQuery(Scheme::Dragon, 16));
+    appendQueryRequest(seeds[1], networkQuery(Scheme::SoftwareFlush, 6));
+    appendControlRequest(seeds[2], RequestKind::Scrape);
+    fuzzFrames(decodeRequest, seeds, 0x5e, expectRoundTrip);
+}
+
+TEST(ServiceFuzzTest, JsonRequestMutantsAreRejectedOrRoundTrip)
+{
+    std::vector<Bytes> seeds;
+    for (const std::string &line :
+         {queryToJson(busQuery(Scheme::Mesi, 8)),
+          queryToJson(networkQuery(Scheme::SoftwareFlush, 6)),
+          std::string("{\"cmd\":\"ping\"}")}) {
+        seeds.emplace_back(line.begin(), line.end()).push_back('\n');
+    }
+    fuzzFrames(decodeRequest, seeds, 0x15, expectRoundTrip);
+}
+
+TEST(ServiceFuzzTest, ResponseMutantsAreRejectedOrBounded)
+{
+    const ServiceKernel kernel;
+    const QueryResult failed{false, "unknown scheme", {}, {}, {}};
+    std::vector<Bytes> seeds;
+    for (const bool json : {false, true}) {
+        for (const QueryResult &result :
+             {kernel.evaluate(busQuery(Scheme::Dragon, 16)),
+              kernel.evaluate(networkQuery(Scheme::SoftwareFlush, 6)),
+              failed}) {
+            appendQueryResponse(seeds.emplace_back(), result, json);
+        }
+    }
+    fuzzFrames(decodeResponse, seeds, 0x5f, [](const ResponseFrame &) {});
 }
 
 } // namespace

@@ -63,41 +63,47 @@ runOn(MultiprocessorSystem &system, const TraceBuffer &trace,
 
 TEST(GoldenStatsTest, PaperSchemesMatchReferenceScanOnEveryProfile)
 {
-    for (AppProfile profile : kAllProfiles) {
-        for (Scheme scheme : kAllSchemes) {
-            const bool software = scheme == Scheme::SoftwareFlush;
-            const SyntheticWorkloadConfig workload =
-                profileConfig(profile, 4, 8'000, 11, software);
-            const TraceBuffer trace = generateTrace(workload);
-            const SharedClassifier shared =
-                workload.sharedClassifier();
+    for (const CpuId cpus : {CpuId{4}, CpuId{8}}) {
+        for (AppProfile profile : kAllProfiles) {
+            for (Scheme scheme : kAllSchemes) {
+                const bool software = scheme == Scheme::SoftwareFlush;
+                const SyntheticWorkloadConfig workload =
+                    profileConfig(profile, cpus, 8'000, 11, software);
+                const TraceBuffer trace = generateTrace(workload);
+                const SharedClassifier shared =
+                    workload.sharedClassifier();
 
-            MultiprocessorSystem reference(scheme, cache64k(), 4,
-                                           shared);
-            MultiprocessorSystem directory(scheme, cache64k(), 4,
-                                           shared);
-            EXPECT_EQ(
-                runOn(reference, trace, SnoopPath::ReferenceScan),
-                runOn(directory, trace, SnoopPath::Directory))
-                << "scheme " << schemeName(scheme) << " profile "
-                << profileName(profile);
+                MultiprocessorSystem reference(scheme, cache64k(), cpus,
+                                               shared);
+                MultiprocessorSystem directory(scheme, cache64k(), cpus,
+                                               shared);
+                EXPECT_EQ(
+                    runOn(reference, trace, SnoopPath::ReferenceScan),
+                    runOn(directory, trace, SnoopPath::Directory))
+                    << "scheme " << schemeName(scheme) << " profile "
+                    << profileName(profile) << ", " << unsigned{cpus}
+                    << " cpus";
+            }
         }
     }
 }
 
 TEST(GoldenStatsTest, InvalidateProtocolMatchesReferenceScan)
 {
-    for (AppProfile profile : kAllProfiles) {
-        const TraceBuffer trace = generateTrace(
-            profileConfig(profile, 4, 8'000, 13, false));
+    for (const CpuId cpus : {CpuId{4}, CpuId{8}}) {
+        for (AppProfile profile : kAllProfiles) {
+            const TraceBuffer trace = generateTrace(
+                profileConfig(profile, cpus, 8'000, 13, false));
 
-        MultiprocessorSystem reference(
-            std::make_unique<InvalidateProtocol>(cache64k(), 4));
-        MultiprocessorSystem directory(
-            std::make_unique<InvalidateProtocol>(cache64k(), 4));
-        EXPECT_EQ(runOn(reference, trace, SnoopPath::ReferenceScan),
-                  runOn(directory, trace, SnoopPath::Directory))
-            << "profile " << profileName(profile);
+            MultiprocessorSystem reference(
+                std::make_unique<InvalidateProtocol>(cache64k(), cpus));
+            MultiprocessorSystem directory(
+                std::make_unique<InvalidateProtocol>(cache64k(), cpus));
+            EXPECT_EQ(runOn(reference, trace, SnoopPath::ReferenceScan),
+                      runOn(directory, trace, SnoopPath::Directory))
+                << "profile " << profileName(profile) << ", "
+                << unsigned{cpus} << " cpus";
+        }
     }
 }
 
@@ -108,7 +114,7 @@ TEST(GoldenStatsTest, UpdateSchemesMatchReferenceScanAtLargeCpuCounts)
     // 32-48 CPUs on a sharing-heavy profile that path carries real
     // traffic (many holders, mixed clean/dirty copies), so byte-equal
     // statistics here pin the whole off-Base directory fast path.
-    for (const CpuId cpus : {CpuId{32}, CpuId{48}}) {
+    for (const CpuId cpus : {CpuId{8}, CpuId{32}, CpuId{48}}) {
         const SyntheticWorkloadConfig workload =
             profileConfig(AppProfile::PeroLike, cpus, 3'000, 17, false);
         const TraceBuffer trace = generateTrace(workload);
@@ -138,7 +144,7 @@ TEST(GoldenStatsTest, NewProtocolsMatchReferenceScanAtLargeCpuCounts)
     // sharer-index fast path (including the dirty-holder bitset the
     // MOESI Owned state and the hybrid's Dragon fills lean on) must
     // not change a single statistic versus the reference scan.
-    for (const CpuId cpus : {CpuId{32}, CpuId{48}}) {
+    for (const CpuId cpus : {CpuId{8}, CpuId{32}, CpuId{48}}) {
         const SyntheticWorkloadConfig workload =
             profileConfig(AppProfile::PeroLike, cpus, 3'000, 17, false);
         const TraceBuffer trace = generateTrace(workload);

@@ -125,6 +125,11 @@ TEST(CliTest, ThreadsOptionIsAcceptedEverywhereAndDeterministic)
 
     EXPECT_EQ(runCli({"eval", "--threads", "0"}, &output), 2);
     EXPECT_NE(output.find("positive"), std::string::npos);
+    // Above the bound: rejected before the lane count changes, so no
+    // pool of that size exists; the --threads 2 above still holds.
+    EXPECT_EQ(runCli({"eval", "--threads", "4097"}, &output), 2);
+    EXPECT_NE(output.find("at most 4096"), std::string::npos);
+    EXPECT_EQ(configuredThreads(), 2u);
 
     setThreadCount(0); // Back to the default for the other tests.
 }

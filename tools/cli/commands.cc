@@ -231,8 +231,8 @@ printUsage(std::ostream &out)
         "            [--cpus N (16)] [--grid]\n"
         "\n"
         "global options:\n"
-        "  --threads N  worker threads for experiment grids (default:\n"
-        "            SWCC_THREADS env var, else hardware concurrency;\n"
+        "  --threads N  worker threads for experiment grids, 1..4096\n"
+        "            (default: SWCC_THREADS, else hardware concurrency;\n"
         "            results are bit-identical for any thread count)\n"
         "  --metrics-out FILE  dump the metrics registry on exit\n"
         "            (JSON, or CSV when FILE ends in .csv)\n"
@@ -605,9 +605,10 @@ run(const std::vector<std::string> &args, std::ostream &out)
         const Options options = Options::parse(rest);
         if (options.has("threads")) {
             const unsigned threads = options.unsignedOr("threads", 0);
-            if (threads == 0) {
+            if (threads == 0 || threads > kMaxThreads) {
                 throw std::invalid_argument(
-                    "option --threads expects a positive integer");
+                    "option --threads expects a positive integer of at "
+                    "most " + std::to_string(kMaxThreads));
             }
             setThreadCount(threads);
         }
