@@ -1,6 +1,5 @@
 #include "core/frequency_model.hh"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "core/per_instruction.hh"
@@ -31,6 +30,13 @@ double
 flushFrequency(const WorkloadParams &params)
 {
     return params.ls * params.shd / params.apl;
+}
+
+double
+firstWriteFraction(const WorkloadParams &params)
+{
+    const double writes_per_run = params.wr * params.apl;
+    return writes_per_run <= 1.0 ? 1.0 : 1.0 / writes_per_run;
 }
 
 namespace
@@ -108,24 +114,9 @@ dragonFrequencies(const WorkloadParams &p)
 }
 
 /**
- * Fraction of shared writes that open a write run. A run of apl shared
- * references contains about wr*apl writes; only the first one finds
- * remote copies to kill (the rest hit a line the invalidation made
- * exclusive), so invalidations fire at 1/(wr*apl) per shared write,
- * capped at one.
- */
-double
-firstWriteFraction(const WorkloadParams &p)
-{
-    const double writes_per_run = p.wr * p.apl;
-    return writes_per_run <= 1.0 ? 1.0 : 1.0 / writes_per_run;
-}
-
-/**
  * Invalidate-family frequency table (MESI and variants).
  *
- * Derivation, in the formalism of Table 6, from the eleven Table 2
- * parameters alone:
+ * Derivation, in the formalism of Table 6:
  *
  *  - Invalidations: the first write of each run that finds remote
  *    copies present broadcasts an invalidation (priced as the
@@ -133,12 +124,14 @@ firstWriteFraction(const WorkloadParams &p)
  *    ls*shd*wr*opres*firstWrite. Each destroys nshd remote copies,
  *    stealing one snoop cycle per copy, exactly like a Dragon update.
  *
- *  - Coherence misses: a destroyed copy whose owner would have been
- *    present at the writer's next write (probability opres, the same
- *    steady-state presence that made the invalidation fire) is
- *    re-referenced and misses again. The writer holds the block dirty,
- *    so coherence misses are cache-supplied:
- *    coherence = invalidations * nshd * opres.
+ *  - Coherence misses: a fraction reref of the destroyed copies is read
+ *    again and misses. The writer holds the block dirty, so coherence
+ *    misses are cache-supplied: coherence = invalidations*nshd*reref.
+ *    The eleven Table 2 parameters carry no re-reference fraction, so
+ *    the scheme tables pass opres: a destroyed copy whose owner would
+ *    have been present at the writer's next write (the same
+ *    steady-state presence that made the invalidation fire) is read
+ *    again.
  *
  *  - Ordinary misses split exactly as Dragon's Table 6: a fraction
  *    from_cache of shared-data misses finds the block dirty in another
@@ -147,19 +140,23 @@ firstWriteFraction(const WorkloadParams &p)
  *
  * @param from_cache Fraction of shared-data misses that are
  *        cache-supplied (the MESIF forwarder raises this over MESI).
- * @param md Dirty-victim fraction to use for the miss split (MOESI's
- *        deferred Owned write-backs raise it over the measured md).
+ * @param owned MOESI: an owner supplying a miss defers its write-back
+ *        to its eviction, raising the dirty-victim fraction.
  */
 FrequencyVector
-invalidateFamilyFrequencies(const WorkloadParams &p, double from_cache,
-                            double md)
+invalidateFamilyFrequencies(const WorkloadParams &p, double reref,
+                            double from_cache, bool owned)
 {
     FrequencyVector freqs;
     const double inval =
         p.ls * p.shd * p.wr * p.opres * firstWriteFraction(p);
-    const double coherence = inval * p.nshd * p.opres;
+    const double coherence = inval * p.nshd * reref;
     const double mem_miss = p.ls * p.msdat * (1.0 - from_cache) + p.mains;
     const double cache_miss = p.ls * p.msdat * from_cache + coherence;
+    const double total_miss = mem_miss + cache_miss;
+    const double md = owned && total_miss > 0.0
+        ? p.md + (1.0 - p.md) * cache_miss / total_miss
+        : p.md;
     freqs.set(Operation::InstrExec, 1.0);
     freqs.set(Operation::CleanMissMem, mem_miss * (1.0 - md));
     freqs.set(Operation::DirtyMissMem, mem_miss * md);
@@ -168,14 +165,6 @@ invalidateFamilyFrequencies(const WorkloadParams &p, double from_cache,
     freqs.set(Operation::WriteBroadcast, inval);
     freqs.set(Operation::CycleSteal, inval * p.nshd);
     return freqs;
-}
-
-/** MESI: the plain invalidate table (dirty-owner cache supply only). */
-FrequencyVector
-mesiFrequencies(const WorkloadParams &p)
-{
-    return invalidateFamilyFrequencies(p, p.shd * (1.0 - p.oclean),
-                                       p.md);
 }
 
 /**
@@ -189,7 +178,7 @@ mesifFrequencies(const WorkloadParams &p)
 {
     const double from_cache =
         p.shd * ((1.0 - p.oclean) + p.oclean * p.opres);
-    return invalidateFamilyFrequencies(p, from_cache, p.md);
+    return invalidateFamilyFrequencies(p, p.opres, from_cache, false);
 }
 
 /**
@@ -205,18 +194,8 @@ mesifFrequencies(const WorkloadParams &p)
 FrequencyVector
 moesiFrequencies(const WorkloadParams &p)
 {
-    const double from_cache = p.shd * (1.0 - p.oclean);
-    const double inval =
-        p.ls * p.shd * p.wr * p.opres * firstWriteFraction(p);
-    const double coherence = inval * p.nshd * p.opres;
-    const double mem_miss =
-        p.ls * p.msdat * (1.0 - from_cache) + p.mains;
-    const double cache_miss = p.ls * p.msdat * from_cache + coherence;
-    const double total_miss = mem_miss + cache_miss;
-    const double md = total_miss > 0.0
-        ? p.md + (1.0 - p.md) * cache_miss / total_miss
-        : p.md;
-    return invalidateFamilyFrequencies(p, from_cache, md);
+    return invalidateFamilyFrequencies(p, p.opres,
+                                       p.shd * (1.0 - p.oclean), true);
 }
 
 /**
@@ -231,7 +210,7 @@ FrequencyVector
 hybridFrequencies(const WorkloadParams &p)
 {
     const FrequencyVector update = dragonFrequencies(p);
-    const FrequencyVector invalidate = mesiFrequencies(p);
+    const FrequencyVector invalidate = invalidateFrequencies(p, p.opres);
     const BusCostModel costs;
     const double update_cycles = perInstructionCost(update, costs).cpu;
     const double invalidate_cycles =
@@ -250,12 +229,25 @@ operationFrequencies(Scheme scheme, const WorkloadParams &params)
       case Scheme::NoCache:       return noCacheFrequencies(params);
       case Scheme::SoftwareFlush: return softwareFlushFrequencies(params);
       case Scheme::Dragon:        return dragonFrequencies(params);
-      case Scheme::Mesi:          return mesiFrequencies(params);
+      case Scheme::Mesi:
+        return invalidateFrequencies(params, params.opres);
       case Scheme::Mesif:         return mesifFrequencies(params);
       case Scheme::Moesi:         return moesiFrequencies(params);
       case Scheme::Hybrid:        return hybridFrequencies(params);
     }
     throw std::invalid_argument("unknown Scheme");
+}
+
+/** MESI: the plain invalidate table (dirty-owner cache supply only). */
+FrequencyVector
+invalidateFrequencies(const WorkloadParams &params, double reref)
+{
+    params.validate();
+    if (!(reref >= 0.0 && reref <= 1.0)) {
+        throw std::invalid_argument("reref must lie in [0, 1]");
+    }
+    return invalidateFamilyFrequencies(
+        params, reref, params.shd * (1.0 - params.oclean), false);
 }
 
 } // namespace swcc

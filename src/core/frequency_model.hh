@@ -81,6 +81,22 @@ FrequencyVector operationFrequencies(Scheme scheme,
  */
 double flushFrequency(const WorkloadParams &params);
 
+/**
+ * Fraction of shared writes that invalidate: only the first of a run's
+ * wr*apl writes finds remote copies, so min(1, 1/(wr*apl)).
+ */
+double firstWriteFraction(const WorkloadParams &params);
+
+/**
+ * MESI's table with @p reref, the fraction of destroyed copies read
+ * again, as an argument; operationFrequencies(Scheme::Mesi, p) is
+ * invalidateFrequencies(p, p.opres).
+ * @throws std::invalid_argument on invalid @p params or @p reref
+ *         outside [0, 1].
+ */
+FrequencyVector invalidateFrequencies(const WorkloadParams &params,
+                                      double reref);
+
 } // namespace swcc
 
 #endif // SWCC_CORE_FREQUENCY_MODEL_HH

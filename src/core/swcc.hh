@@ -22,7 +22,6 @@
 #include "core/cost_model.hh"
 #include "core/frequency_model.hh"
 #include "core/directory_model.hh"
-#include "core/invalidate_model.hh"
 #include "core/network_model.hh"
 #include "core/packet_network_model.hh"
 #include "core/operation.hh"

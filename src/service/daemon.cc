@@ -27,6 +27,7 @@
 #include "core/obs/metrics.hh"
 #include "core/obs/prometheus.hh"
 #include "core/obs/trace.hh"
+#include "core/parallel.hh"
 #include "core/solver_cache.hh"
 #include "core/types.hh"
 #include "service/flight_recorder.hh"
@@ -104,6 +105,19 @@ struct WorkerTelemetry
     /** Queries per batch. */
     obs::Histogram batchSize;
 };
+
+/** @p config, if its workers and connections (a thread each) fit. */
+DaemonConfig
+checkedConfig(DaemonConfig config)
+{
+    if (config.workers > kMaxThreads ||
+        config.maxConnections > kMaxThreads) {
+        throw std::invalid_argument(
+            "workers and max connections are each at most " +
+            std::to_string(kMaxThreads));
+    }
+    return config;
+}
 
 } // namespace
 
@@ -954,7 +968,7 @@ ServiceDaemon::Impl::dumpFlight() const
 }
 
 ServiceDaemon::ServiceDaemon(DaemonConfig config)
-    : impl_(std::make_unique<Impl>(std::move(config)))
+    : impl_(std::make_unique<Impl>(checkedConfig(std::move(config))))
 {
 }
 

@@ -54,13 +54,14 @@ struct DaemonConfig
 {
     /** Filesystem path of the unix-domain listening socket. */
     std::string socketPath;
-    /** Batching worker threads. */
+    /** Batching worker threads (at most kMaxThreads). */
     unsigned workers = 4;
     /** Max submissions coalesced into one kernel batch (>= 1). */
     unsigned batchMax = 64;
     /** Admission limits forwarded to the ServiceKernel. */
     ServiceKernel::Limits limits;
-    /** Concurrent connections admitted; extras are refused. */
+    /** Concurrent connections admitted, one thread each (at most
+     *  kMaxThreads); extras are refused. */
     unsigned maxConnections = 1024;
     /**
      * Queries whose decode-to-completion latency reaches this many
@@ -94,6 +95,8 @@ struct DaemonStats
 class ServiceDaemon
 {
   public:
+    /** @throws std::invalid_argument if config.workers or
+     *  config.maxConnections exceeds kMaxThreads. */
     explicit ServiceDaemon(DaemonConfig config);
 
     /** Joins all threads; equivalent to stop() if still running. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
@@ -186,6 +187,19 @@ setParamByName(WorkloadParams &params, std::string_view key,
     return true;
 }
 
+/** Reads a machine size, an integer in [0, 2^32 - 1]; false if none. */
+bool
+jsonSize(const obs::JsonValue *value, unsigned &out)
+{
+    if (value == nullptr || !value->isNumber() ||
+        !(value->number >= 0.0 && value->number <= 4294967295.0) ||
+        value->number != std::floor(value->number)) {
+        return false;
+    }
+    out = static_cast<unsigned>(value->number);
+    return true;
+}
+
 /** Parses one JSON request document into @p frame (fieldError on bad). */
 void
 parseJsonRequest(std::string_view line, RequestFrame &frame)
@@ -245,15 +259,11 @@ parseJsonRequest(std::string_view line, RequestFrame &frame)
             }
         } else if (key == "size" || key == "n" || key == "cpus" ||
                    key == "stages") {
-            if (!value.isNumber() || value.number < 0.0 ||
-                value.number > 4294967295.0 ||
-                value.number != static_cast<double>(
-                    static_cast<std::uint32_t>(value.number))) {
+            if (!jsonSize(&value, frame.query.size)) {
                 frame.fieldError =
                     "machine size must be an unsigned integer";
                 return;
             }
-            frame.query.size = static_cast<unsigned>(value.number);
             saw_size = true;
         } else if (key == "params") {
             if (!value.isObject()) {
@@ -407,15 +417,20 @@ parseJsonResponse(std::string_view line, ResponseFrame &frame,
     }
     frame.status = ResponseStatus::Ok;
     frame.isQueryResult = true;
-    double number = 0.0;
+    const auto size = [&](std::string_view key, unsigned &out) {
+        if (!jsonSize(doc.find(key), out)) {
+            error = "response " + std::string(key) +
+                " must be an unsigned 32-bit integer";
+            return false;
+        }
+        return true;
+    };
     if (domain->string == "bus") {
         frame.domain = QueryDomain::Bus;
         BusSolution &s = frame.bus;
-        if (!jsonNumber(doc, "processors", number)) {
-            error = "bus response missing processors";
+        if (!size("processors", s.processors)) {
             return false;
         }
-        s.processors = static_cast<unsigned>(number);
         jsonNumber(doc, "cpu", s.cpu);
         jsonNumber(doc, "bus", s.bus);
         jsonNumber(doc, "waiting", s.waiting);
@@ -426,13 +441,10 @@ parseJsonResponse(std::string_view line, ResponseFrame &frame,
     } else {
         frame.domain = QueryDomain::Network;
         NetworkSolution &s = frame.network;
-        if (!jsonNumber(doc, "stages", number)) {
-            error = "network response missing stages";
+        if (!size("stages", s.stages) ||
+            (doc.find("processors") != nullptr &&
+             !size("processors", s.processors))) {
             return false;
-        }
-        s.stages = static_cast<unsigned>(number);
-        if (jsonNumber(doc, "processors", number)) {
-            s.processors = static_cast<unsigned>(number);
         }
         jsonNumber(doc, "cpu", s.cpu);
         jsonNumber(doc, "network", s.network);

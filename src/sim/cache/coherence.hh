@@ -130,9 +130,8 @@ class CoherenceProtocol
                         AccessResult &out) = 0;
 
     /**
-     * Human-readable protocol name ("Dragon", "Write-Invalidate",
-     * ...). Extension protocols are not restricted to the paper's
-     * four schemes.
+     * Human-readable protocol name ("Dragon", "MESI", ...): the
+     * schemeName() of the scheme the protocol implements.
      */
     virtual std::string_view name() const = 0;
 

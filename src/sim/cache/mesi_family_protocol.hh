@@ -15,9 +15,9 @@
  *    a dirty owner supplying a miss keeps ownership and memory stays
  *    stale, deferring the write-back to the owner's eviction.
  *
- * MESI itself is behaviorally identical to the standalone
- * InvalidateProtocol extension, which the tests exploit as a
- * cross-implementation oracle.
+ * MESI is also the write-invalidate side of the update-versus-
+ * invalidate comparison (X5): its measurements() give the copies each
+ * invalidation destroys and the fraction of them read again.
  */
 
 #ifndef SWCC_SIM_CACHE_MESI_FAMILY_PROTOCOL_HH
@@ -67,6 +67,24 @@ struct MesiFamilyMeasurements
     std::uint64_t ownerSupplies = 0;
     /** Misses supplied by the MESIF clean forwarder. */
     std::uint64_t forwardSupplies = 0;
+
+    /** Mean copies destroyed per invalidation. */
+    double
+    copiesPerInvalidation(double fallback = 0.0) const
+    {
+        return invalidations == 0 ? fallback
+            : static_cast<double>(copiesInvalidated) /
+                static_cast<double>(invalidations);
+    }
+
+    /** Coherence misses per destroyed copy (the model's reref). */
+    double
+    rerefFraction(double fallback = 0.0) const
+    {
+        return copiesInvalidated == 0 ? fallback
+            : static_cast<double>(coherenceMisses) /
+                static_cast<double>(copiesInvalidated);
+    }
 };
 
 /**
@@ -91,8 +109,6 @@ class MesiFamilyProtocol : public CoherenceProtocol
     {
         return schemeName(mesiVariantScheme(variant_));
     }
-
-    MesiVariant variant() const { return variant_; }
 
     const MesiFamilyMeasurements &measurements() const
     {

@@ -70,15 +70,11 @@ MultiprocessorSystem::MultiprocessorSystem(Scheme scheme,
                                            CpuId num_cpus,
                                            SharedClassifier shared,
                                            const BusCostModel &costs)
-    : scheme_(scheme), costs_(costs),
-      protocol_(makeProtocol(scheme, cache_config, num_cpus,
-                             std::move(shared)))
+    : MultiprocessorSystem(makeProtocol(scheme, cache_config, num_cpus,
+                                        std::move(shared)),
+                           costs)
 {
-    processors_.reserve(num_cpus);
-    for (CpuId i = 0; i < num_cpus; ++i) {
-        processors_.emplace_back(i);
-    }
-    result_.steals.reserve(num_cpus);
+    scheme_ = scheme;
 }
 
 MultiprocessorSystem::MultiprocessorSystem(

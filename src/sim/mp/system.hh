@@ -54,11 +54,10 @@ class MultiprocessorSystem
                          const BusCostModel &costs = BusCostModel());
 
     /**
-     * Builds a system around a caller-supplied protocol (extension
-     * protocols beyond the paper's four schemes, e.g. write-
-     * invalidate). Statistics carry the protocol's name(); the
-     * SimStats::scheme field is meaningful only for the paper
-     * protocols and defaults to Base here.
+     * Builds a system around a caller-supplied protocol, e.g. one
+     * whose measurements() the caller reads after run(). Statistics
+     * carry the protocol's name(); the SimStats::scheme field defaults
+     * to Base here.
      */
     MultiprocessorSystem(std::unique_ptr<CoherenceProtocol> protocol,
                          const BusCostModel &costs = BusCostModel());

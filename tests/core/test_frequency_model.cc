@@ -1,13 +1,17 @@
 /**
  * @file
- * Unit tests for the workload model (paper Tables 3-6).
+ * Unit tests for the workload model (paper Tables 3-6) and the
+ * invalidate-family table's explicit coherence factor.
  */
 
 #include <gtest/gtest.h>
 
 #include <tuple>
 
+#include "core/bus_model.hh"
 #include "core/frequency_model.hh"
+#include "core/per_instruction.hh"
+#include "core/scheme_evaluator.hh"
 
 namespace swcc
 {
@@ -164,6 +168,80 @@ TEST(FrequencyModelTest, RejectsInvalidParams)
     p.shd = 1.5;
     EXPECT_THROW(operationFrequencies(Scheme::Base, p),
                  std::invalid_argument);
+}
+
+TEST(InvalidateFrequenciesTest, RejectsRerefOutsideTheUnitInterval)
+{
+    const WorkloadParams p = referenceParams();
+    EXPECT_THROW(invalidateFrequencies(p, -0.1), std::invalid_argument);
+    EXPECT_THROW(invalidateFrequencies(p, 1.1), std::invalid_argument);
+    EXPECT_NO_THROW(invalidateFrequencies(p, 0.0));
+    EXPECT_NO_THROW(invalidateFrequencies(p, 1.0));
+
+    WorkloadParams bad = p;
+    bad.shd = 1.5;
+    EXPECT_THROW(invalidateFrequencies(bad, 0.5), std::invalid_argument);
+}
+
+TEST(InvalidateFrequenciesTest, FirstWriteFractionIsOnePerWriteRun)
+{
+    WorkloadParams p = referenceParams();
+    p.wr = 0.25;
+    p.apl = 8.0;
+    EXPECT_NEAR(firstWriteFraction(p), 1.0 / 2.0, 1e-12);
+    // A run holding at most one write always invalidates.
+    p.apl = 2.0;
+    EXPECT_DOUBLE_EQ(firstWriteFraction(p), 1.0);
+}
+
+TEST(InvalidateFrequenciesTest, FrequenciesDecompose)
+{
+    WorkloadParams p = referenceParams();
+    p.wr = 0.25;
+    p.apl = 8.0; // Two writes per run: half the writes invalidate.
+    const FrequencyVector f = invalidateFrequencies(p, 0.4);
+
+    const double inval = p.ls * p.shd * p.wr * p.opres * 0.5;
+    EXPECT_DOUBLE_EQ(f.of(Operation::WriteBroadcast), inval);
+    EXPECT_DOUBLE_EQ(f.of(Operation::CycleSteal), inval * p.nshd);
+    const double coherence = inval * p.nshd * 0.4;
+    EXPECT_NEAR(f.totalMisses(),
+                p.ls * p.msdat + p.mains + coherence, 1e-12);
+}
+
+TEST(InvalidateFrequenciesTest, OpresRerefIsTheMesiTable)
+{
+    for (Level level : kAllLevels) {
+        const WorkloadParams p = paramsAtLevel(level);
+        const FrequencyVector mesi = operationFrequencies(Scheme::Mesi, p);
+        const FrequencyVector table = invalidateFrequencies(p, p.opres);
+        for (Operation op : kAllOperations) {
+            EXPECT_EQ(table.of(op), mesi.of(op)) << operationName(op);
+        }
+    }
+}
+
+TEST(InvalidateFrequenciesTest, TradeoffFollowsRunLength)
+{
+    const auto inval_power = [](const WorkloadParams &p, double reref) {
+        return solveBus(perInstructionCost(invalidateFrequencies(p, reref),
+                                           BusCostModel()),
+                        16)
+            .processingPower;
+    };
+    // Short write runs (ping-pong) whose victims always come back:
+    // Dragon's cheap updates win.
+    WorkloadParams ping = middleParams();
+    ping.apl = 2.0;
+    EXPECT_GT(evaluateBus(Scheme::Dragon, ping, 16).processingPower,
+              inval_power(ping, 1.0));
+
+    // Long runs with rare re-reads: invalidation wins.
+    WorkloadParams runs = middleParams();
+    runs.apl = 64.0;
+    runs.wr = 0.4;
+    EXPECT_LT(evaluateBus(Scheme::Dragon, runs, 16).processingPower,
+              inval_power(runs, 0.2));
 }
 
 /** Property sweep: frequencies stay sane over the Table 7 grid. */

@@ -190,7 +190,9 @@ TEST(HybridPolicyTest, CrossoverFollowsRunLength)
 TEST(InvalidateFamilyModelTest, SchemesCollapseToBaseWithoutSharing)
 {
     // With shd = 0 no invalidations, coherence misses, or forwarder
-    // supplies exist; every family member prices exactly like Base.
+    // supplies exist; every family member prices exactly like Base,
+    // whatever fraction of destroyed copies the MESI table is told
+    // comes back.
     WorkloadParams params = middleParams();
     params.shd = 0.0;
     const double base = power(Scheme::Base, params);
@@ -198,6 +200,14 @@ TEST(InvalidateFamilyModelTest, SchemesCollapseToBaseWithoutSharing)
                           Scheme::Hybrid}) {
         EXPECT_NEAR(power(scheme, params), base, 1e-9)
             << schemeName(scheme);
+    }
+    for (double reref : {0.0, 0.5, 1.0}) {
+        const BusSolution invalidate = solveBus(
+            perInstructionCost(invalidateFrequencies(params, reref),
+                               BusCostModel()),
+            16);
+        EXPECT_NEAR(invalidate.processingPower, base, 1e-9)
+            << "reref " << reref;
     }
 }
 

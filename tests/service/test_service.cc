@@ -428,6 +428,81 @@ TEST_F(ServiceProtocolTest, NetworkResponseRoundTripsBitwise)
     }
 }
 
+TEST_F(ServiceProtocolTest, OutOfRangeSizesInJsonResponsesAreBadFrames)
+{
+    QueryResult bus;
+    bus.ok = true;
+    bus.domain = QueryDomain::Bus;
+    bus.bus = evaluateBus(Scheme::Base, middleParams(), 13);
+    QueryResult network;
+    network.ok = true;
+    network.domain = QueryDomain::Network;
+    network.network =
+        evaluateNetwork(Scheme::SoftwareFlush, middleParams(), 7);
+
+    const auto json_of = [](const QueryResult &result) {
+        std::vector<std::uint8_t> bytes;
+        appendQueryResponse(bytes, result, true);
+        return std::string(bytes.begin(), bytes.end());
+    };
+    const auto decode = [](const std::string &line, ResponseFrame &frame,
+                           std::string &error) {
+        std::size_t consumed = 0;
+        return decodeResponse(
+            reinterpret_cast<const std::uint8_t *>(line.data()),
+            line.size(), consumed, frame, error);
+    };
+    // Replaces the number after "key": in @p line with @p value.
+    const auto with_field = [](std::string line, const std::string &key,
+                               const std::string &value) {
+        const std::string tag = "\"" + key + "\":";
+        const std::size_t at = line.find(tag);
+        if (at == std::string::npos) {
+            ADD_FAILURE() << "no " << key << " in " << line;
+            return line;
+        }
+        const std::size_t begin = at + tag.size();
+        const std::size_t end = line.find_first_of(",}", begin);
+        return line.replace(begin, end - begin, value);
+    };
+
+    struct Field
+    {
+        const QueryResult *result;
+        const char *key;
+    };
+    for (const Field field : {Field{&bus, "processors"},
+                              Field{&network, "stages"},
+                              Field{&network, "processors"}}) {
+        const std::string valid = json_of(*field.result);
+        for (const char *value : {"-1", "2.5", "1e10", "4294967296"}) {
+            SCOPED_TRACE(std::string(field.key) + " = " + value);
+            ResponseFrame frame;
+            std::string error;
+            EXPECT_EQ(decode(with_field(valid, field.key, value), frame,
+                             error),
+                      DecodeStatus::BadFrame);
+            EXPECT_NE(error.find(field.key), std::string::npos) << error;
+        }
+    }
+
+    // The largest size still decodes, and untouched responses still
+    // round-trip bitwise.
+    ResponseFrame frame;
+    std::string error;
+    ASSERT_EQ(decode(with_field(json_of(bus), "processors", "4294967295"),
+                     frame, error),
+              DecodeStatus::Frame)
+        << error;
+    EXPECT_EQ(frame.bus.processors, 4294967295u);
+    ASSERT_EQ(decode(json_of(bus), frame, error), DecodeStatus::Frame)
+        << error;
+    expectIdentical(frame.bus, bus.bus);
+    ASSERT_EQ(decode(json_of(network), frame, error), DecodeStatus::Frame)
+        << error;
+    expectIdentical(frame.network, network.network);
+}
+
 TEST_F(ServiceProtocolTest, ErrorResponseRoundTrips)
 {
     QueryResult result;

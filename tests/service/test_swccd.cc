@@ -28,6 +28,7 @@
 #include <unistd.h>
 
 #include "core/obs/obs.hh"
+#include "core/parallel.hh"
 #include "core/solver_cache.hh"
 #include "core/types.hh"
 #include "core/workload.hh"
@@ -158,6 +159,32 @@ TEST_F(ServiceDaemonTest, StartsServesAndStopsCleanly)
     EXPECT_FALSE(daemon_->running());
     // The socket file is unlinked on shutdown.
     EXPECT_NE(::access(socket_.c_str(), F_OK), 0);
+}
+
+TEST_F(ServiceDaemonTest, RejectsThreadCountsPastTheBound)
+{
+    // Each worker and each admitted connection is a thread: both are
+    // refused past kMaxThreads before anything is allocated or started.
+    const auto expect_rejected = [](const DaemonConfig &config) {
+        try {
+            ServiceDaemon daemon(config);
+            ADD_FAILURE() << "constructed past the bound";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          std::to_string(kMaxThreads)),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    DaemonConfig workers;
+    workers.socketPath = socket_;
+    workers.workers = kMaxThreads + 1;
+    expect_rejected(workers);
+
+    DaemonConfig connections;
+    connections.socketPath = socket_;
+    connections.maxConnections = kMaxThreads + 1;
+    expect_rejected(connections);
 }
 
 TEST_F(ServiceDaemonTest, AnswersQueriesBitwiseIdenticalToTheKernel)

@@ -13,14 +13,12 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/obs/metrics.hh"
 #include "core/parallel.hh"
 #include "core/solver_cache.hh"
-#include "sim/cache/invalidate_protocol.hh"
 #include "sim/mp/system.hh"
 #include "sim/mp/validation.hh"
 #include "sim/synth/app_profiles.hh"
@@ -88,25 +86,6 @@ TEST(GoldenStatsTest, PaperSchemesMatchReferenceScanOnEveryProfile)
     }
 }
 
-TEST(GoldenStatsTest, InvalidateProtocolMatchesReferenceScan)
-{
-    for (const CpuId cpus : {CpuId{4}, CpuId{8}}) {
-        for (AppProfile profile : kAllProfiles) {
-            const TraceBuffer trace = generateTrace(
-                profileConfig(profile, cpus, 8'000, 13, false));
-
-            MultiprocessorSystem reference(
-                std::make_unique<InvalidateProtocol>(cache64k(), cpus));
-            MultiprocessorSystem directory(
-                std::make_unique<InvalidateProtocol>(cache64k(), cpus));
-            EXPECT_EQ(runOn(reference, trace, SnoopPath::ReferenceScan),
-                      runOn(directory, trace, SnoopPath::Directory))
-                << "profile " << profileName(profile) << ", "
-                << unsigned{cpus} << " cpus";
-        }
-    }
-}
-
 TEST(GoldenStatsTest, UpdateSchemesMatchReferenceScanAtLargeCpuCounts)
 {
     // The dirty-holder bitset lets update-based schemes service bus
@@ -127,14 +106,6 @@ TEST(GoldenStatsTest, UpdateSchemesMatchReferenceScanAtLargeCpuCounts)
         EXPECT_EQ(runOn(dragon_ref, trace, SnoopPath::ReferenceScan),
                   runOn(dragon_dir, trace, SnoopPath::Directory))
             << "dragon, " << unsigned{cpus} << " cpus";
-
-        MultiprocessorSystem inv_ref(
-            std::make_unique<InvalidateProtocol>(cache64k(), cpus));
-        MultiprocessorSystem inv_dir(
-            std::make_unique<InvalidateProtocol>(cache64k(), cpus));
-        EXPECT_EQ(runOn(inv_ref, trace, SnoopPath::ReferenceScan),
-                  runOn(inv_dir, trace, SnoopPath::Directory))
-            << "invalidate, " << unsigned{cpus} << " cpus";
     }
 }
 

@@ -2,20 +2,18 @@
  * @file
  * Unit tests for the MESI / MESIF / MOESI protocol family driver.
  *
- * The family shares one Illinois skeleton, so the MESI variant is
- * cross-checked against the standalone InvalidateProtocol as an
- * independent oracle; MESIF's forwarder slot and MOESI's Owned state
- * are pinned with targeted transition tests.
+ * The family shares one Illinois skeleton, so the common transitions
+ * run on every variant; MESIF's forwarder slot and MOESI's Owned state
+ * are pinned with targeted transition tests. MESI's whole-run
+ * statistics are pinned by SimGoldenTest.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "sim/cache/invalidate_protocol.hh"
 #include "sim/cache/mesi_family_protocol.hh"
 #include "sim/mp/system.hh"
 #include "sim/synth/app_profiles.hh"
@@ -112,6 +110,59 @@ TEST_P(MesiFamilyTest, ReReferenceAfterInvalidationIsACoherenceMiss)
               std::vector<Operation>{Operation::CleanMissCache});
     EXPECT_EQ(protocol.measurements().coherenceMisses, 1u);
     EXPECT_EQ(protocol.measurements().ownerSupplies, 1u);
+    EXPECT_DOUBLE_EQ(protocol.measurements().copiesPerInvalidation(),
+                     1.0);
+    EXPECT_DOUBLE_EQ(protocol.measurements().rerefFraction(), 1.0);
+}
+
+TEST_P(MesiFamilyTest, WriteMissIsReadForOwnership)
+{
+    MesiFamilyProtocol protocol(GetParam(), config(), 2);
+    AccessResult result;
+    protocol.access(0, RefType::Load, kBlockA, result);
+    protocol.access(1, RefType::Store, kBlockA, result);
+    EXPECT_EQ(opsOf(result),
+              (std::vector<Operation>{Operation::CleanMissMem,
+                                      Operation::WriteBroadcast}));
+    EXPECT_EQ(stateOf(protocol, 1, kBlockA), LineState::Dirty);
+    EXPECT_EQ(stateOf(protocol, 0, kBlockA), LineState::Invalid);
+    EXPECT_EQ(protocol.measurements().invalidations, 1u);
+}
+
+TEST_P(MesiFamilyTest, ColdWriteMissNeedsNoInvalidation)
+{
+    MesiFamilyProtocol protocol(GetParam(), config(), 2);
+    AccessResult result;
+    protocol.access(0, RefType::Store, kBlockA, result);
+    EXPECT_EQ(opsOf(result),
+              std::vector<Operation>{Operation::CleanMissMem});
+    EXPECT_EQ(stateOf(protocol, 0, kBlockA), LineState::Dirty);
+    EXPECT_EQ(protocol.measurements().invalidations, 0u);
+    // Nothing destroyed yet: the ratios report their fallbacks.
+    EXPECT_DOUBLE_EQ(protocol.measurements().copiesPerInvalidation(2.0),
+                     2.0);
+    EXPECT_DOUBLE_EQ(protocol.measurements().rerefFraction(0.5), 0.5);
+}
+
+TEST_P(MesiFamilyTest, WriteRunCostsOneInvalidationAgainstDragonsTen)
+{
+    // A run of ten stores to a shared block: invalidation pays once
+    // per run, Dragon once per write.
+    TraceBuffer trace;
+    trace.append(0, RefType::Load, kBlockA);
+    trace.append(1, RefType::Load, kBlockA);
+    for (int i = 0; i < 10; ++i) {
+        trace.append(0, RefType::Store, kBlockA + 4);
+    }
+
+    MultiprocessorSystem inval_system(mesiVariantScheme(GetParam()),
+                                      config(), 2);
+    MultiprocessorSystem dragon_system(Scheme::Dragon, config(), 2);
+    EXPECT_EQ(inval_system.run(trace).opCount(Operation::WriteBroadcast),
+              1u);
+    EXPECT_EQ(
+        dragon_system.run(trace).opCount(Operation::WriteBroadcast),
+        10u);
 }
 
 TEST_P(MesiFamilyTest, FlushesAreNoOps)
@@ -283,40 +334,6 @@ TEST(MoesiTest, EvictingAnOwnedLineWritesBack)
     protocol.access(0, RefType::Load, kBlockA + 1024, result);
     ASSERT_EQ(stateOf(protocol, 0, kBlockA), LineState::Invalid);
     EXPECT_TRUE(result.hasDirtyMiss());
-}
-
-TEST(MesiOracleTest, MesiMatchesTheStandaloneInvalidateProtocol)
-{
-    // MESI and the standalone InvalidateProtocol implement the same
-    // Illinois protocol independently; on any trace the two must
-    // produce identical operation streams and timing. (SimStats
-    // serializations differ only in the protocol name.)
-    CacheConfig cache;
-    cache.sizeBytes = 64 * 1024;
-    cache.blockBytes = 16;
-    for (AppProfile profile : kAllProfiles) {
-        const TraceBuffer trace = generateTrace(
-            profileConfig(profile, 4, 10'000, 23, false));
-
-        MultiprocessorSystem mesi(
-            std::make_unique<MesiFamilyProtocol>(MesiVariant::Mesi,
-                                                 cache, 4));
-        MultiprocessorSystem oracle(
-            std::make_unique<InvalidateProtocol>(cache, 4));
-        const SimStats a = mesi.run(trace);
-        const SimStats b = oracle.run(trace);
-
-        EXPECT_EQ(a.opCounts, b.opCounts)
-            << "profile " << profileName(profile);
-        EXPECT_EQ(a.makespan, b.makespan)
-            << "profile " << profileName(profile);
-        EXPECT_EQ(a.busBusyCycles, b.busBusyCycles)
-            << "profile " << profileName(profile);
-        EXPECT_EQ(a.busTransactions, b.busTransactions)
-            << "profile " << profileName(profile);
-        EXPECT_EQ(a.dirtyMisses, b.dirtyMisses)
-            << "profile " << profileName(profile);
-    }
 }
 
 TEST(MesiFamilySystemTest, EverySchemeRunsUnderTheTimingSimulator)

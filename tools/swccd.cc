@@ -21,6 +21,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -155,12 +156,19 @@ main(int argc, char **argv)
         return usage(std::cerr, 2);
     }
 
+    std::optional<ServiceDaemon> built;
+    try {
+        built.emplace(std::move(config));
+    } catch (const std::invalid_argument &e) {
+        std::cerr << "swccd: " << e.what() << "\n";
+        return 2;
+    }
+    ServiceDaemon &daemon = *built;
+
     if (::pipe(g_signal_pipe) != 0) {
         std::cerr << "swccd: cannot create signal pipe\n";
         return 1;
     }
-
-    ServiceDaemon daemon(std::move(config));
     try {
         daemon.start();
     } catch (const std::exception &e) {
