@@ -79,6 +79,36 @@ operationIndex(Operation op)
     return static_cast<std::size_t>(op);
 }
 
+/**
+ * The miss that fetched a block from another cache (@p from_cache) or
+ * from memory, replacing a dirty block (@p dirty_victim) or a clean
+ * one.
+ */
+constexpr Operation
+missOp(bool from_cache, bool dirty_victim)
+{
+    if (from_cache) {
+        return dirty_victim ? Operation::DirtyMissCache
+                            : Operation::CleanMissCache;
+    }
+    return dirty_victim ? Operation::DirtyMissMem : Operation::CleanMissMem;
+}
+
+/** True for the four misses missOp() names. */
+constexpr bool
+isMiss(Operation op)
+{
+    return op == Operation::CleanMissMem || op == Operation::DirtyMissMem ||
+        op == Operation::CleanMissCache || op == Operation::DirtyMissCache;
+}
+
+/** True for the two misses that replaced a dirty block. */
+constexpr bool
+isDirtyMiss(Operation op)
+{
+    return op == Operation::DirtyMissMem || op == Operation::DirtyMissCache;
+}
+
 } // namespace swcc
 
 #endif // SWCC_CORE_OPERATION_HH

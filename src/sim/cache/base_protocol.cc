@@ -23,8 +23,7 @@ BaseProtocol::access(CpuId cpu, RefType type, Addr addr, AccessResult &out)
 
     CacheLine &victim = cache.victimFor(addr);
     const bool dirty_victim = evict(cpu, victim);
-    out.addOp(dirty_victim ? Operation::DirtyMissMem
-                           : Operation::CleanMissMem);
+    out.addOp(missOp(false, dirty_victim));
     fillLine(cpu, victim, addr,
              type == RefType::Store ? LineState::Dirty
                                     : LineState::Exclusive);

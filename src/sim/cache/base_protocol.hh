@@ -16,6 +16,10 @@ namespace swcc
  * coherence traffic is ever generated. Shared blocks may therefore be
  * stale across caches — Base is a performance upper bound, not a
  * correct machine. Flush events are ignored.
+ *
+ * access() is the one private-caching path: No-Cache and
+ * Software-Flush derive from Base and pass it every reference they do
+ * not handle themselves.
  */
 class BaseProtocol : public CoherenceProtocol
 {
@@ -25,7 +29,7 @@ class BaseProtocol : public CoherenceProtocol
     void access(CpuId cpu, RefType type, Addr addr,
                 AccessResult &out) override;
 
-    std::string_view name() const override { return "Base"; }
+    Scheme scheme() const override { return Scheme::Base; }
 };
 
 } // namespace swcc

@@ -22,26 +22,13 @@ noteSnoopPath(bool directory)
     path.set(directory ? 1.0 : 0.0);
 }
 
-bool
-isMissOp(Operation op)
-{
-    return op == Operation::CleanMissMem || op == Operation::DirtyMissMem ||
-        op == Operation::CleanMissCache || op == Operation::DirtyMissCache;
-}
-
-bool
-isDirtyMissOp(Operation op)
-{
-    return op == Operation::DirtyMissMem || op == Operation::DirtyMissCache;
-}
-
 } // namespace
 
 bool
 AccessResult::hasMiss() const
 {
     for (std::uint8_t i = 0; i < numOps; ++i) {
-        if (isMissOp(ops[i])) {
+        if (isMiss(ops[i])) {
             return true;
         }
     }
@@ -52,7 +39,7 @@ bool
 AccessResult::hasDirtyMiss() const
 {
     for (std::uint8_t i = 0; i < numOps; ++i) {
-        if (isDirtyMissOp(ops[i])) {
+        if (isDirtyMiss(ops[i])) {
             return true;
         }
     }
@@ -61,6 +48,7 @@ AccessResult::hasDirtyMiss() const
 
 CoherenceProtocol::CoherenceProtocol(const CacheConfig &cache_config,
                                      CpuId num_cpus)
+    : lostBlocks_(num_cpus)
 {
     if (num_cpus == 0) {
         throw std::invalid_argument("need at least one processor");
@@ -193,6 +181,73 @@ CoherenceProtocol::countOtherHolders(CpuId cpu, Addr block) const
         }
     }
     return holders;
+}
+
+CacheLine &
+CoherenceProtocol::updateFill(CpuId cpu, Addr addr, AccessResult &out)
+{
+    Cache &cache = caches_[cpu];
+    CacheLine &victim = cache.victimFor(addr);
+    const bool dirty_victim = evict(cpu, victim);
+
+    bool from_cache = false;
+    unsigned holders = 0;
+    // Safe: victim was invalidated above, so the holder walk can't
+    // alias it.
+    forEachOtherHolder(
+        cpu, cache.blockAddr(addr), [&](CpuId other, CacheLine &line) {
+            ++holders;
+            // Everyone sees the fill on the bus and knows the block is
+            // now shared. A dirty owner supplies the data and keeps
+            // ownership.
+            from_cache = from_cache || isDirtyState(line.state);
+            if (line.state == LineState::Exclusive) {
+                setLineState(other, line, LineState::SharedClean);
+            } else if (line.state == LineState::Dirty) {
+                setLineState(other, line, LineState::SharedDirty);
+            }
+        });
+
+    out.addOp(missOp(from_cache, dirty_victim));
+    fillLine(cpu, victim, addr,
+             holders > 0 ? LineState::SharedClean : LineState::Exclusive);
+    return victim;
+}
+
+unsigned
+CoherenceProtocol::updateCopies(CpuId cpu, CacheLine &line,
+                                AccessResult &out)
+{
+    out.addOp(Operation::WriteBroadcast);
+    unsigned copies = 0;
+    forEachOtherHolder(cpu, line.blockAddr,
+                       [&](CpuId other, CacheLine &copy) {
+        ++copies;
+        // The holder's controller updates the word in place, stealing
+        // a cycle from its processor; a previous owner loses ownership.
+        out.steals.push_back(other);
+        setLineState(other, copy, LineState::SharedClean);
+    });
+    setLineState(cpu, line,
+                 copies > 0 ? LineState::SharedDirty : LineState::Dirty);
+    return copies;
+}
+
+void
+CoherenceProtocol::invalidateCopies(CpuId cpu, Addr block,
+                                    AccessResult &out,
+                                    InvalidationMeasurements &measured)
+{
+    out.addOp(Operation::WriteBroadcast);
+    ++measured.invalidations;
+    forEachOtherHolder(cpu, block, [&](CpuId other, CacheLine &line) {
+        ++measured.copiesInvalidated;
+        invalidateLine(other, line);
+        lostBlocks_[other].insert(block);
+        // The victim's controller spends a snoop cycle killing the
+        // line, exactly like an update.
+        out.steals.push_back(other);
+    });
 }
 
 void

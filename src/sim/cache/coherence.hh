@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "core/operation.hh"
@@ -68,6 +69,40 @@ struct AccessResult
 };
 
 /**
+ * Counters of a write-invalidate run (the MESI family, and the hybrid
+ * in invalidate mode), kept by CoherenceProtocol::invalidateCopies()
+ * and CoherenceProtocol::refetchesLostCopy().
+ */
+struct InvalidationMeasurements
+{
+    /** Invalidation bus operations issued. */
+    std::uint64_t invalidations = 0;
+    /** Remote copies destroyed across all invalidations. */
+    std::uint64_t copiesInvalidated = 0;
+    /** Misses to blocks this cache once held but lost to a remote
+     *  write (coherence misses). */
+    std::uint64_t coherenceMisses = 0;
+
+    /** Mean copies destroyed per invalidation. */
+    double
+    copiesPerInvalidation(double fallback = 0.0) const
+    {
+        return invalidations == 0 ? fallback
+            : static_cast<double>(copiesInvalidated) /
+                static_cast<double>(invalidations);
+    }
+
+    /** Coherence misses per destroyed copy (the model's reref). */
+    double
+    rerefFraction(double fallback = 0.0) const
+    {
+        return copiesInvalidated == 0 ? fallback
+            : static_cast<double>(coherenceMisses) /
+                static_cast<double>(copiesInvalidated);
+    }
+};
+
+/**
  * How a protocol locates the other caches holding a block.
  *
  * Directory is the optimized default: a block→holder-bitset
@@ -96,6 +131,14 @@ enum class SnoopPath : std::uint8_t
  * protocols keep it consistent by routing every line installation and
  * invalidation through fillLine()/invalidateLine()/evict(), and in
  * exchange get O(sharers) holder iteration instead of O(P) snooping.
+ *
+ * Each snoopy action has one implementation here, and the protocols
+ * compose them: updateFill() and updateCopies() are write-update
+ * (Dragon, and the hybrid in update mode); invalidateCopies() and
+ * refetchesLostCopy() are write-invalidate (the MESI family, and the
+ * hybrid in invalidate mode), with the one per-CPU record of copies
+ * lost to an invalidation. Private caching is BaseProtocol::access(),
+ * which No-Cache and Software-Flush reuse.
  */
 class CoherenceProtocol
 {
@@ -129,11 +172,11 @@ class CoherenceProtocol
     virtual void access(CpuId cpu, RefType type, Addr addr,
                         AccessResult &out) = 0;
 
-    /**
-     * Human-readable protocol name ("Dragon", "MESI", ...): the
-     * schemeName() of the scheme the protocol implements.
-     */
-    virtual std::string_view name() const = 0;
+    /** The scheme this protocol implements. */
+    virtual Scheme scheme() const = 0;
+
+    /** Human-readable protocol name ("Dragon", "MESI", ...). */
+    std::string_view name() const { return schemeName(scheme()); }
 
     /** Number of processors. */
     CpuId numCpus() const { return static_cast<CpuId>(caches_.size()); }
@@ -224,6 +267,52 @@ class CoherenceProtocol
     unsigned countOtherHolders(CpuId cpu, Addr block) const;
 
     /**
+     * Write-update miss: evicts the victim, snoops the other holders
+     * (an Exclusive copy becomes SharedClean; a dirty owner supplies
+     * the block and stays SharedDirty), costs the miss, and installs
+     * the block SharedClean when another cache holds it, else
+     * Exclusive.
+     *
+     * @return The installed line.
+     */
+    CacheLine &updateFill(CpuId cpu, Addr addr, AccessResult &out);
+
+    /**
+     * Write-update store to the shared @p line: issues a word
+     * broadcast; every other holder updates in place, loses a snoop
+     * cycle and becomes SharedClean (a previous owner loses
+     * ownership); the writer becomes SharedDirty, or Dirty when no
+     * other copy remains.
+     *
+     * @return The number of copies updated.
+     */
+    unsigned updateCopies(CpuId cpu, CacheLine &line, AccessResult &out);
+
+    /**
+     * Write-invalidate store to @p block: issues the invalidation
+     * broadcast and destroys every other copy, each victim losing a
+     * snoop cycle and remembering the loss for refetchesLostCopy().
+     * The writer's own line is left to the caller.
+     */
+    void invalidateCopies(CpuId cpu, Addr block, AccessResult &out,
+                          InvalidationMeasurements &measured);
+
+    /**
+     * True, counting a coherence miss, when @p cpu's miss on @p block
+     * refetches a copy it lost to invalidateCopies().
+     */
+    bool
+    refetchesLostCopy(CpuId cpu, Addr block,
+                      InvalidationMeasurements &measured)
+    {
+        if (lostBlocks_[cpu].erase(block) == 0) {
+            return false;
+        }
+        ++measured.coherenceMisses;
+        return true;
+    }
+
+    /**
      * Invokes fn(other, line) for every other cache holding @p block,
      * in ascending processor order (the same order as the reference
      * scan, so the two paths yield identical statistics). @p fn may
@@ -265,6 +354,8 @@ class CoherenceProtocol
     /** Block → bitset of holding caches; empty entries are erased. */
     HolderMap directory_;
     bool useDirectory_ = true;
+    /** Blocks each cache lost to invalidateCopies(). */
+    std::vector<std::unordered_set<Addr>> lostBlocks_;
 };
 
 /**

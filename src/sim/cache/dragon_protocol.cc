@@ -41,66 +41,6 @@ DragonProtocol::DragonProtocol(const CacheConfig &cache_config,
 {
 }
 
-CacheLine &
-DragonProtocol::handleMiss(CpuId cpu, Addr addr, AccessResult &out)
-{
-    Cache &cache = caches_[cpu];
-    const Addr block = cache.blockAddr(addr);
-
-    CacheLine &victim = cache.victimFor(addr);
-    const bool dirty_victim = evict(cpu, victim);
-
-    const bool supplied_by_cache = dirtyElsewhere(cpu, block);
-    unsigned holders = 0;
-    // Safe: victim was invalidated above, so the holder walk can't
-    // alias it.
-    forEachOtherHolder(cpu, block, [&](CpuId other, CacheLine &line) {
-        ++holders;
-        // Everyone sees the fill on the bus and knows the block is now
-        // shared. Dirty owners keep ownership (they supplied the data).
-        if (line.state == LineState::Exclusive) {
-            setLineState(other, line, LineState::SharedClean);
-        } else if (line.state == LineState::Dirty) {
-            setLineState(other, line, LineState::SharedDirty);
-        }
-    });
-
-    if (supplied_by_cache) {
-        out.addOp(dirty_victim ? Operation::DirtyMissCache
-                               : Operation::CleanMissCache);
-    } else {
-        out.addOp(dirty_victim ? Operation::DirtyMissMem
-                               : Operation::CleanMissMem);
-    }
-
-    fillLine(cpu, victim, addr,
-             holders > 0 ? LineState::SharedClean
-                         : LineState::Exclusive);
-    return victim;
-}
-
-void
-DragonProtocol::broadcast(CpuId cpu, CacheLine &line, AccessResult &out)
-{
-    const Addr block = line.blockAddr;
-    out.addOp(Operation::WriteBroadcast);
-    ++measured_.broadcasts;
-
-    unsigned holders = 0;
-    forEachOtherHolder(cpu, block, [&](CpuId other, CacheLine &copy) {
-        ++holders;
-        // The holder's controller updates the word in place, stealing a
-        // cycle from its processor; a previous owner loses ownership.
-        out.steals.push_back(other);
-        setLineState(other, copy, LineState::SharedClean);
-    });
-    measured_.broadcastCopies += holders;
-
-    setLineState(cpu, line,
-                 holders > 0 ? LineState::SharedDirty
-                             : LineState::Dirty);
-}
-
 void
 DragonProtocol::access(CpuId cpu, RefType type, Addr addr,
                        AccessResult &out)
@@ -126,7 +66,7 @@ DragonProtocol::access(CpuId cpu, RefType type, Addr addr,
                 ++measured_.sharedMissesClean;
             }
         }
-        line = &handleMiss(cpu, addr, out);
+        line = &updateFill(cpu, addr, out);
     }
 
     if (type != RefType::Store) {
@@ -148,7 +88,8 @@ DragonProtocol::access(CpuId cpu, RefType type, Addr addr,
         return;
       case LineState::SharedClean:
       case LineState::SharedDirty:
-        broadcast(cpu, *line, out);
+        ++measured_.broadcasts;
+        measured_.broadcastCopies += updateCopies(cpu, *line, out);
         return;
       case LineState::Invalid:
         throw std::logic_error("store resolved to an invalid line");

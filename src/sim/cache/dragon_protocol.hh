@@ -52,7 +52,9 @@ struct DragonMeasurements
  * States: Exclusive (clean, sole copy), Dirty (modified, sole copy),
  * SharedClean, SharedDirty (modified and owned; memory stale).
  * The simulator resolves each access atomically with exact knowledge
- * of other caches, standing in for the bus "shared" line.
+ * of other caches, standing in for the bus "shared" line. The fill and
+ * the broadcast are CoherenceProtocol::updateFill() and
+ * updateCopies(), which the hybrid shares.
  */
 class DragonProtocol : public CoherenceProtocol
 {
@@ -69,17 +71,11 @@ class DragonProtocol : public CoherenceProtocol
     void access(CpuId cpu, RefType type, Addr addr,
                 AccessResult &out) override;
 
-    std::string_view name() const override { return "Dragon"; }
+    Scheme scheme() const override { return Scheme::Dragon; }
 
     const DragonMeasurements &measurements() const { return measured_; }
 
   private:
-    /** Handles a load/ifetch/store miss; returns the installed line. */
-    CacheLine &handleMiss(CpuId cpu, Addr addr, AccessResult &out);
-
-    /** Performs the write-broadcast part of a store. */
-    void broadcast(CpuId cpu, CacheLine &line, AccessResult &out);
-
     SharedClassifier measureShared_;
     DragonMeasurements measured_;
 };

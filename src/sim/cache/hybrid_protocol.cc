@@ -7,7 +7,7 @@ namespace swcc
 
 HybridProtocol::HybridProtocol(const CacheConfig &cache_config,
                                CpuId num_cpus)
-    : CoherenceProtocol(cache_config, num_cpus), lostBlocks_(num_cpus)
+    : CoherenceProtocol(cache_config, num_cpus)
 {
 }
 
@@ -18,78 +18,10 @@ HybridProtocol::inInvalidateMode(Addr block) const
     return it != policy_.end() && it->second.invalidateMode;
 }
 
-CacheLine &
-HybridProtocol::handleMiss(CpuId cpu, RefType type, Addr addr,
-                           AccessResult &out)
-{
-    Cache &cache = caches_[cpu];
-    const Addr block = cache.blockAddr(addr);
-
-    if (lostBlocks_[cpu].erase(block) > 0) {
-        ++measured_.coherenceMisses;
-        // Someone wants the block back: invalidations are costing
-        // coherence misses, so decay the wasted-update evidence and
-        // flip back to update mode below the threshold.
-        const auto it = policy_.find(block);
-        if (it != policy_.end()) {
-            BlockPolicy &policy = it->second;
-            policy.wasted = policy.wasted > 0
-                ? static_cast<std::uint8_t>(policy.wasted - 1)
-                : std::uint8_t{0};
-            if (policy.invalidateMode &&
-                policy.wasted < kSwitchThreshold) {
-                policy.invalidateMode = false;
-                ++measured_.switchesToUpdate;
-            }
-        }
-    }
-
-    CacheLine &victim = cache.victimFor(addr);
-    const bool dirty_victim = evict(cpu, victim);
-
-    const bool supplied_by_cache = dirtyElsewhere(cpu, block);
-    unsigned holders = 0;
-    forEachOtherHolder(cpu, block, [&](CpuId other, CacheLine &line) {
-        ++holders;
-        // Dragon-style fill snoop: dirty owners keep ownership (they
-        // supplied the data), clean exclusives demote to shared.
-        if (line.state == LineState::Exclusive) {
-            setLineState(other, line, LineState::SharedClean);
-        } else if (line.state == LineState::Dirty) {
-            setLineState(other, line, LineState::SharedDirty);
-        }
-    });
-
-    if (supplied_by_cache) {
-        out.addOp(dirty_victim ? Operation::DirtyMissCache
-                               : Operation::CleanMissCache);
-    } else {
-        out.addOp(dirty_victim ? Operation::DirtyMissMem
-                               : Operation::CleanMissMem);
-    }
-
-    fillLine(cpu, victim, addr,
-             holders > 0 ? LineState::SharedClean
-                         : LineState::Exclusive);
-
-    if (type == RefType::Store && holders > 0) {
-        // The fill made the line shared; the store part falls through
-        // to the shared-store path in access() via the returned line.
-        return victim;
-    }
-    if (type == RefType::Store) {
-        setLineState(cpu, victim, LineState::Dirty);
-    }
-    return victim;
-}
-
 void
-HybridProtocol::broadcastUpdate(CpuId cpu, CacheLine &line,
-                                AccessResult &out, BlockPolicy &policy)
+HybridProtocol::scoreBroadcast(CpuId cpu, BlockPolicy &policy)
 {
-    out.addOp(Operation::WriteBroadcast);
     ++measured_.updateBroadcasts;
-
     // Usefulness accounting: a broadcast by the same writer with no
     // intervening remote touch delivered words nobody read.
     if (!policy.remoteAccessSinceWrite && policy.lastWriter == cpu) {
@@ -106,40 +38,6 @@ HybridProtocol::broadcastUpdate(CpuId cpu, CacheLine &line,
     }
     policy.lastWriter = cpu;
     policy.remoteAccessSinceWrite = false;
-
-    unsigned holders = 0;
-    forEachOtherHolder(cpu, line.blockAddr,
-                       [&](CpuId other, CacheLine &copy) {
-        ++holders;
-        // The holder's controller updates the word in place, stealing
-        // a cycle from its processor; a previous owner loses ownership.
-        out.steals.push_back(other);
-        setLineState(other, copy, LineState::SharedClean);
-    });
-
-    setLineState(cpu, line,
-                 holders > 0 ? LineState::SharedDirty
-                             : LineState::Dirty);
-}
-
-void
-HybridProtocol::broadcastInvalidate(CpuId cpu, CacheLine &line,
-                                    AccessResult &out)
-{
-    const Addr block = line.blockAddr;
-    out.addOp(Operation::WriteBroadcast);
-    ++measured_.invalidations;
-
-    unsigned copies = 0;
-    forEachOtherHolder(cpu, block, [&](CpuId other, CacheLine &copy) {
-        ++copies;
-        invalidateLine(other, copy);
-        lostBlocks_[other].insert(block);
-        out.steals.push_back(other);
-    });
-    measured_.copiesInvalidated += copies;
-
-    setLineState(cpu, line, LineState::Dirty);
 }
 
 void
@@ -159,24 +57,33 @@ HybridProtocol::access(CpuId cpu, RefType type, Addr addr,
     // broadcaster marks the last broadcast useful. Entries only exist
     // for blocks that have broadcast at least once, so the common
     // private-block path pays one failed hash probe.
-    {
-        const auto it = policy_.find(block);
-        if (it != policy_.end() && it->second.lastWriter != cpu) {
-            it->second.remoteAccessSinceWrite = true;
-        }
+    const auto it = policy_.find(block);
+    if (it != policy_.end() && it->second.lastWriter != cpu) {
+        it->second.remoteAccessSinceWrite = true;
     }
 
     CacheLine *line = cache.find(addr);
     if (line != nullptr) {
         cache.touch(*line);
     } else {
-        line = &handleMiss(cpu, type, addr, out);
-        if (type != RefType::Store ||
-            line->state != LineState::SharedClean) {
-            return;
+        if (refetchesLostCopy(cpu, block, measured_) &&
+            it != policy_.end()) {
+            // Someone wants the block back: invalidations are costing
+            // coherence misses, so decay the wasted-update evidence
+            // and flip back to update mode below the threshold.
+            BlockPolicy &policy = it->second;
+            policy.wasted = policy.wasted > 0
+                ? static_cast<std::uint8_t>(policy.wasted - 1)
+                : std::uint8_t{0};
+            if (policy.invalidateMode &&
+                policy.wasted < kSwitchThreshold) {
+                policy.invalidateMode = false;
+                ++measured_.switchesToUpdate;
+            }
         }
         // A store miss that filled shared continues into the shared-
         // store path below, exactly like a store hit on a shared line.
+        line = &updateFill(cpu, addr, out);
     }
 
     if (type != RefType::Store) {
@@ -193,9 +100,11 @@ HybridProtocol::access(CpuId cpu, RefType type, Addr addr,
       case LineState::SharedDirty: {
         BlockPolicy &policy = policy_[block];
         if (policy.invalidateMode) {
-            broadcastInvalidate(cpu, *line, out);
+            invalidateCopies(cpu, block, out, measured_);
+            setLineState(cpu, *line, LineState::Dirty);
         } else {
-            broadcastUpdate(cpu, *line, out, policy);
+            scoreBroadcast(cpu, policy);
+            updateCopies(cpu, *line, out);
         }
         return;
       }

@@ -15,6 +15,11 @@
  * invalidation) is evidence the block is actively shared again and
  * decays the counter, flipping the block back to update mode once it
  * drops below the threshold.
+ *
+ * The class holds only that policy. Each mode's bus actions are the
+ * ones Dragon and MESI run: CoherenceProtocol::updateFill() and
+ * updateCopies() in update mode, invalidateCopies() and
+ * refetchesLostCopy() in invalidate mode.
  */
 
 #ifndef SWCC_SIM_CACHE_HYBRID_PROTOCOL_HH
@@ -22,28 +27,23 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
 #include "sim/cache/coherence.hh"
 
 namespace swcc
 {
 
-/** Counters describing a hybrid run's policy activity. */
-struct HybridMeasurements
+/**
+ * Counters describing a hybrid run's policy activity; the inherited
+ * invalidation counters cover invalidate-mode stores.
+ */
+struct HybridMeasurements : InvalidationMeasurements
 {
     /** Word broadcasts issued while in update mode. */
     std::uint64_t updateBroadcasts = 0;
     /** ... of which no remote processor read since the writer's
      *  previous broadcast (the "wasted" signal). */
     std::uint64_t wastedBroadcasts = 0;
-    /** Invalidation bus operations issued while in invalidate mode. */
-    std::uint64_t invalidations = 0;
-    /** Remote copies destroyed across all invalidations. */
-    std::uint64_t copiesInvalidated = 0;
-    /** Misses to blocks lost to a remote invalidation. */
-    std::uint64_t coherenceMisses = 0;
     /** Block-policy flips update → invalidate. */
     std::uint64_t switchesToInvalidate = 0;
     /** Block-policy flips invalidate → update. */
@@ -54,9 +54,9 @@ struct HybridMeasurements
  * Per-block adaptive update/invalidate protocol.
  *
  * Uses the Dragon state machine (Exclusive, Dirty, SharedClean,
- * SharedDirty ownership) for update-mode traffic and the MESI actions
- * for invalidate-mode stores; misses are always supplied by a dirty
- * owner when one exists, Dragon-style.
+ * SharedDirty ownership) for update-mode traffic and the MESI
+ * invalidation for invalidate-mode stores; every miss is Dragon's
+ * fill, supplied by a dirty owner when one exists.
  */
 class HybridProtocol : public CoherenceProtocol
 {
@@ -71,7 +71,7 @@ class HybridProtocol : public CoherenceProtocol
     void access(CpuId cpu, RefType type, Addr addr,
                 AccessResult &out) override;
 
-    std::string_view name() const override { return "Adaptive-Hybrid"; }
+    Scheme scheme() const override { return Scheme::Hybrid; }
 
     const HybridMeasurements &measurements() const { return measured_; }
 
@@ -93,23 +93,13 @@ class HybridProtocol : public CoherenceProtocol
         bool invalidateMode = false;
     };
 
-    /** Handles a load/ifetch/store miss; returns the installed line. */
-    CacheLine &handleMiss(CpuId cpu, RefType type, Addr addr,
-                          AccessResult &out);
-
-    /** Dragon-style word broadcast updating remote copies in place. */
-    void broadcastUpdate(CpuId cpu, CacheLine &line, AccessResult &out,
-                         BlockPolicy &policy);
-
-    /** MESI-style invalidation of every remote copy. */
-    void broadcastInvalidate(CpuId cpu, CacheLine &line,
-                             AccessResult &out);
+    /** Scores an update-mode broadcast by @p cpu as wasted or useful,
+     *  flipping the block to invalidate mode at the threshold. */
+    void scoreBroadcast(CpuId cpu, BlockPolicy &policy);
 
     HybridMeasurements measured_;
     /** Block → adaptive policy; entries appear on first broadcast. */
     std::unordered_map<Addr, BlockPolicy> policy_;
-    /** Blocks each cache lost to a remote invalidation. */
-    std::vector<std::unordered_set<Addr>> lostBlocks_;
 };
 
 } // namespace swcc

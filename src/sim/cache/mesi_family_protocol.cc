@@ -6,8 +6,7 @@ namespace swcc
 MesiFamilyProtocol::MesiFamilyProtocol(MesiVariant variant,
                                        const CacheConfig &cache_config,
                                        CpuId num_cpus)
-    : CoherenceProtocol(cache_config, num_cpus), variant_(variant),
-      lostBlocks_(num_cpus)
+    : CoherenceProtocol(cache_config, num_cpus), variant_(variant)
 {
 }
 
@@ -18,38 +17,12 @@ MesiFamilyProtocol::forwarderOf(Addr block) const
     return it == forwarder_.end() ? -1 : static_cast<int>(it->second);
 }
 
-unsigned
-MesiFamilyProtocol::invalidateRemotes(CpuId cpu, Addr block,
-                                      AccessResult &out)
-{
-    unsigned copies = 0;
-    forEachOtherHolder(cpu, block, [&](CpuId other, CacheLine &line) {
-        ++copies;
-        invalidateLine(other, line);
-        lostBlocks_[other].insert(block);
-        // The victim's controller spends a snoop cycle killing the
-        // line, exactly like a Dragon update.
-        out.steals.push_back(other);
-    });
-    measured_.copiesInvalidated += copies;
-    // The writer now holds the sole (dirty) copy, so no clean
-    // forwarder for the block can exist.
-    if (variant_ == MesiVariant::Mesif) {
-        forwarder_.erase(block);
-    }
-    return copies;
-}
-
 CacheLine &
-MesiFamilyProtocol::handleMiss(CpuId cpu, RefType type, Addr addr,
-                               AccessResult &out)
+MesiFamilyProtocol::handleMiss(CpuId cpu, Addr addr, AccessResult &out)
 {
     Cache &cache = caches_[cpu];
     const Addr block = cache.blockAddr(addr);
-
-    if (lostBlocks_[cpu].erase(block) > 0) {
-        ++measured_.coherenceMisses;
-    }
+    refetchesLostCopy(cpu, block, measured_);
 
     CacheLine &victim = cache.victimFor(addr);
     const bool victim_valid = victim.state != LineState::Invalid;
@@ -96,13 +69,7 @@ MesiFamilyProtocol::handleMiss(CpuId cpu, RefType type, Addr addr,
         ++measured_.forwardSupplies;
     }
 
-    if (supplied_by_cache) {
-        out.addOp(dirty_victim ? Operation::DirtyMissCache
-                               : Operation::CleanMissCache);
-    } else {
-        out.addOp(dirty_victim ? Operation::DirtyMissMem
-                               : Operation::CleanMissMem);
-    }
+    out.addOp(missOp(supplied_by_cache, dirty_victim));
 
     fillLine(cpu, victim, addr,
              holders > 0 ? LineState::SharedClean
@@ -116,18 +83,6 @@ MesiFamilyProtocol::handleMiss(CpuId cpu, RefType type, Addr addr,
         } else {
             forwarder_.erase(block);
         }
-    }
-
-    if (type == RefType::Store) {
-        // Read-for-ownership: kill the other copies and write.
-        if (holders > 0) {
-            out.addOp(Operation::WriteBroadcast);
-            ++measured_.invalidations;
-            invalidateRemotes(cpu, block, out);
-        }
-        CacheLine *line = cache.find(addr);
-        setLineState(cpu, *line, LineState::Dirty);
-        return *line;
     }
     return victim;
 }
@@ -143,13 +98,14 @@ MesiFamilyProtocol::access(CpuId cpu, RefType type, Addr addr,
     }
 
     Cache &cache = caches_[cpu];
-
     CacheLine *line = cache.find(addr);
-    if (line == nullptr) {
-        handleMiss(cpu, type, addr, out);
-        return;
+    if (line != nullptr) {
+        cache.touch(*line);
+    } else {
+        // A store miss is a read-for-ownership: the fill, then the
+        // shared-store path below when it filled shared.
+        line = &handleMiss(cpu, addr, out);
     }
-    cache.touch(*line);
 
     if (type != RefType::Store) {
         return;
@@ -158,30 +114,27 @@ MesiFamilyProtocol::access(CpuId cpu, RefType type, Addr addr,
     switch (line->state) {
       case LineState::Exclusive:
       case LineState::Dirty:
-        setLineState(cpu, *line, LineState::Dirty);
-        return;
-      case LineState::SharedClean: {
-        out.addOp(Operation::WriteBroadcast);
-        ++measured_.invalidations;
-        invalidateRemotes(cpu, cache.blockAddr(addr), out);
-        setLineState(cpu, *line, LineState::Dirty);
-        return;
-      }
+        break;
       case LineState::SharedDirty:
-        if (variant_ == MesiVariant::Moesi) {
-            // The owner upgrades: invalidate the other sharers and
-            // return to the sole-dirty state.
-            out.addOp(Operation::WriteBroadcast);
-            ++measured_.invalidations;
-            invalidateRemotes(cpu, cache.blockAddr(addr), out);
-            setLineState(cpu, *line, LineState::Dirty);
-            return;
+        if (variant_ != MesiVariant::Moesi) {
+            throw std::logic_error(
+                "MESI-family store reached an impossible line state");
         }
+        // The owner upgrades: invalidate the other sharers and return
+        // to the sole-dirty state.
         [[fallthrough]];
+      case LineState::SharedClean:
+        invalidateCopies(cpu, line->blockAddr, out, measured_);
+        // The writer now holds the sole (dirty) copy, so no clean
+        // forwarder for the block can exist.
+        if (variant_ == MesiVariant::Mesif) {
+            forwarder_.erase(line->blockAddr);
+        }
+        break;
       case LineState::Invalid:
-        throw std::logic_error(
-            "MESI-family store reached an impossible line state");
+        throw std::logic_error("store resolved to an invalid line");
     }
+    setLineState(cpu, *line, LineState::Dirty);
 }
 
 } // namespace swcc

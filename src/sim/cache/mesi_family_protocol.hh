@@ -15,9 +15,12 @@
  *    a dirty owner supplying a miss keeps ownership and memory stays
  *    stale, deferring the write-back to the owner's eviction.
  *
- * MESI is also the write-invalidate side of the update-versus-
- * invalidate comparison (X5): its measurements() give the copies each
- * invalidation destroys and the fraction of them read again.
+ * The store-side invalidation and the coherence-miss count are
+ * CoherenceProtocol::invalidateCopies() and refetchesLostCopy(), which
+ * the hybrid shares. MESI is also the write-invalidate side of the
+ * update-versus-invalidate comparison (X5): its measurements() give
+ * the copies each invalidation destroys and the fraction of them read
+ * again.
  */
 
 #ifndef SWCC_SIM_CACHE_MESI_FAMILY_PROTOCOL_HH
@@ -25,8 +28,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
 #include "sim/cache/coherence.hh"
 
@@ -54,37 +55,12 @@ mesiVariantScheme(MesiVariant variant)
 }
 
 /** Counters describing a MESI-family run's coherence activity. */
-struct MesiFamilyMeasurements
+struct MesiFamilyMeasurements : InvalidationMeasurements
 {
-    /** Invalidation bus operations issued. */
-    std::uint64_t invalidations = 0;
-    /** Remote copies destroyed across all invalidations. */
-    std::uint64_t copiesInvalidated = 0;
-    /** Misses to blocks this cache once held but lost to a remote
-     *  write (coherence misses). */
-    std::uint64_t coherenceMisses = 0;
     /** Misses supplied by a dirty (or Owned) remote cache. */
     std::uint64_t ownerSupplies = 0;
     /** Misses supplied by the MESIF clean forwarder. */
     std::uint64_t forwardSupplies = 0;
-
-    /** Mean copies destroyed per invalidation. */
-    double
-    copiesPerInvalidation(double fallback = 0.0) const
-    {
-        return invalidations == 0 ? fallback
-            : static_cast<double>(copiesInvalidated) /
-                static_cast<double>(invalidations);
-    }
-
-    /** Coherence misses per destroyed copy (the model's reref). */
-    double
-    rerefFraction(double fallback = 0.0) const
-    {
-        return copiesInvalidated == 0 ? fallback
-            : static_cast<double>(coherenceMisses) /
-                static_cast<double>(copiesInvalidated);
-    }
 };
 
 /**
@@ -105,10 +81,7 @@ class MesiFamilyProtocol : public CoherenceProtocol
     void access(CpuId cpu, RefType type, Addr addr,
                 AccessResult &out) override;
 
-    std::string_view name() const override
-    {
-        return schemeName(mesiVariantScheme(variant_));
-    }
+    Scheme scheme() const override { return mesiVariantScheme(variant_); }
 
     const MesiFamilyMeasurements &measurements() const
     {
@@ -122,17 +95,15 @@ class MesiFamilyProtocol : public CoherenceProtocol
     int forwarderOf(Addr block) const;
 
   private:
-    /** Handles a miss; returns the installed line. */
-    CacheLine &handleMiss(CpuId cpu, RefType type, Addr addr,
-                          AccessResult &out);
-
-    /** Invalidates every remote copy of @p block; returns the count. */
-    unsigned invalidateRemotes(CpuId cpu, Addr block, AccessResult &out);
+    /**
+     * Handles a miss: the owner or forwarder supplies the block,
+     * which installs SharedClean when another cache holds it, else
+     * Exclusive. @return The installed line.
+     */
+    CacheLine &handleMiss(CpuId cpu, Addr addr, AccessResult &out);
 
     MesiVariant variant_;
     MesiFamilyMeasurements measured_;
-    /** Blocks each cache lost to a remote invalidation. */
-    std::vector<std::unordered_set<Addr>> lostBlocks_;
     /** MESIF: block → CPU holding the clean-forwarder (F) slot. */
     std::unordered_map<Addr, CpuId> forwarder_;
 };

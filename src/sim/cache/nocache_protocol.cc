@@ -5,7 +5,7 @@ namespace swcc
 
 NoCacheProtocol::NoCacheProtocol(const CacheConfig &cache_config,
                                  CpuId num_cpus, SharedClassifier shared)
-    : CoherenceProtocol(cache_config, num_cpus), shared_(std::move(shared))
+    : BaseProtocol(cache_config, num_cpus), shared_(std::move(shared))
 {
     if (!shared_) {
         throw std::invalid_argument(
@@ -17,36 +17,15 @@ void
 NoCacheProtocol::access(CpuId cpu, RefType type, Addr addr,
                         AccessResult &out)
 {
-    out.reset();
-    if (type == RefType::Flush) {
-        // Nothing shared is ever cached; a flush has nothing to do.
-        return;
-    }
-
-    Cache &cache = caches_[cpu];
-    const Addr block = cache.blockAddr(addr);
-
-    if (isData(type) && shared_(block)) {
+    if (isData(type) && shared_(caches_[cpu].blockAddr(addr))) {
+        out.reset();
         out.addOp(type == RefType::Store ? Operation::WriteThrough
                                          : Operation::ReadThrough);
         return;
     }
-
-    if (CacheLine *line = cache.find(addr)) {
-        cache.touch(*line);
-        if (type == RefType::Store) {
-            setLineState(cpu, *line, LineState::Dirty);
-        }
-        return;
-    }
-
-    CacheLine &victim = cache.victimFor(addr);
-    const bool dirty_victim = evict(cpu, victim);
-    out.addOp(dirty_victim ? Operation::DirtyMissMem
-                           : Operation::CleanMissMem);
-    fillLine(cpu, victim, addr,
-             type == RefType::Store ? LineState::Dirty
-                                    : LineState::Exclusive);
+    // Nothing shared is ever cached, so a flush has nothing to do:
+    // Base ignores it too.
+    BaseProtocol::access(cpu, type, addr, out);
 }
 
 } // namespace swcc

@@ -1,12 +1,13 @@
 /**
  * @file
- * No-Cache software scheme: shared data is uncacheable.
+ * No-Cache software scheme: shared data is uncacheable; everything
+ * else takes Base's private-caching path.
  */
 
 #ifndef SWCC_SIM_CACHE_NOCACHE_PROTOCOL_HH
 #define SWCC_SIM_CACHE_NOCACHE_PROTOCOL_HH
 
-#include "sim/cache/coherence.hh"
+#include "sim/cache/base_protocol.hh"
 #include "sim/trace/trace_stats.hh"
 
 namespace swcc
@@ -19,7 +20,7 @@ namespace swcc
  * straight to memory. Unshared data and instructions are cached as in
  * Base. C.mmp and the Elxsi 6400 used this approach.
  */
-class NoCacheProtocol : public CoherenceProtocol
+class NoCacheProtocol final : public BaseProtocol
 {
   public:
     /**
@@ -35,7 +36,7 @@ class NoCacheProtocol : public CoherenceProtocol
     void access(CpuId cpu, RefType type, Addr addr,
                 AccessResult &out) override;
 
-    std::string_view name() const override { return "No-Cache"; }
+    Scheme scheme() const override { return Scheme::NoCache; }
 
   private:
     SharedClassifier shared_;

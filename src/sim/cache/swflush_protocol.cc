@@ -7,42 +7,26 @@ void
 SwFlushProtocol::access(CpuId cpu, RefType type, Addr addr,
                         AccessResult &out)
 {
+    if (type != RefType::Flush) {
+        BaseProtocol::access(cpu, type, addr, out);
+        return;
+    }
+
     out.reset();
-    Cache &cache = caches_[cpu];
-
-    if (type == RefType::Flush) {
-        ++measured_.flushes;
-        CacheLine *line = cache.find(addr);
-        if (line == nullptr) {
-            // Already replaced; the flush instruction still executes.
-            ++measured_.missedFlushes;
-            out.addOp(Operation::CleanFlush);
-            return;
-        }
-        const bool dirty = isDirtyState(line->state);
-        if (dirty) {
-            ++measured_.dirtyFlushes;
-        }
-        invalidateLine(cpu, *line);
-        out.addOp(dirty ? Operation::DirtyFlush : Operation::CleanFlush);
+    ++measured_.flushes;
+    CacheLine *line = caches_[cpu].find(addr);
+    if (line == nullptr) {
+        // Already replaced; the flush instruction still executes.
+        ++measured_.missedFlushes;
+        out.addOp(Operation::CleanFlush);
         return;
     }
-
-    if (CacheLine *line = cache.find(addr)) {
-        cache.touch(*line);
-        if (type == RefType::Store) {
-            setLineState(cpu, *line, LineState::Dirty);
-        }
-        return;
+    const bool dirty = isDirtyState(line->state);
+    if (dirty) {
+        ++measured_.dirtyFlushes;
     }
-
-    CacheLine &victim = cache.victimFor(addr);
-    const bool dirty_victim = evict(cpu, victim);
-    out.addOp(dirty_victim ? Operation::DirtyMissMem
-                           : Operation::CleanMissMem);
-    fillLine(cpu, victim, addr,
-             type == RefType::Store ? LineState::Dirty
-                                    : LineState::Exclusive);
+    invalidateLine(cpu, *line);
+    out.addOp(dirty ? Operation::DirtyFlush : Operation::CleanFlush);
 }
 
 } // namespace swcc

@@ -1,6 +1,7 @@
 /**
  * @file
- * Software-Flush scheme: cached shared data with explicit flushes.
+ * Software-Flush scheme: cached shared data with explicit flushes;
+ * every other reference takes Base's private-caching path.
  */
 
 #ifndef SWCC_SIM_CACHE_SWFLUSH_PROTOCOL_HH
@@ -8,7 +9,7 @@
 
 #include <cstdint>
 
-#include "sim/cache/coherence.hh"
+#include "sim/cache/base_protocol.hh"
 
 namespace swcc
 {
@@ -30,15 +31,15 @@ struct FlushMeasurements
  * protocol executes them. A flush of an absent block (replaced since
  * its last use) costs the clean-flush time and does nothing.
  */
-class SwFlushProtocol : public CoherenceProtocol
+class SwFlushProtocol final : public BaseProtocol
 {
   public:
-    using CoherenceProtocol::CoherenceProtocol;
+    using BaseProtocol::BaseProtocol;
 
     void access(CpuId cpu, RefType type, Addr addr,
                 AccessResult &out) override;
 
-    std::string_view name() const override { return "Software-Flush"; }
+    Scheme scheme() const override { return Scheme::SoftwareFlush; }
 
     const FlushMeasurements &measurements() const { return measured_; }
 

@@ -54,9 +54,9 @@ struct CpuStats
 /** Whole-system simulation results. */
 struct SimStats
 {
-    /** Paper scheme (Base for extension protocols). */
+    /** The simulated protocol's scheme. */
     Scheme scheme = Scheme::Base;
-    /** Protocol name, authoritative for extension protocols. */
+    /** The simulated protocol's name(), i.e. schemeName(scheme). */
     std::string protocolName;
     CpuId cpus = 0;
 

@@ -50,19 +50,6 @@ makeProtocol(Scheme scheme, const CacheConfig &cache_config,
     throw std::invalid_argument("unknown Scheme");
 }
 
-bool
-isMissOp(Operation op)
-{
-    return op == Operation::CleanMissMem || op == Operation::DirtyMissMem ||
-        op == Operation::CleanMissCache || op == Operation::DirtyMissCache;
-}
-
-bool
-isDirtyVictimOp(Operation op)
-{
-    return op == Operation::DirtyMissMem || op == Operation::DirtyMissCache;
-}
-
 } // namespace
 
 MultiprocessorSystem::MultiprocessorSystem(Scheme scheme,
@@ -74,13 +61,12 @@ MultiprocessorSystem::MultiprocessorSystem(Scheme scheme,
                                         std::move(shared)),
                            costs)
 {
-    scheme_ = scheme;
 }
 
 MultiprocessorSystem::MultiprocessorSystem(
     std::unique_ptr<CoherenceProtocol> protocol,
     const BusCostModel &costs)
-    : scheme_(Scheme::Base), costs_(costs), protocol_(std::move(protocol))
+    : costs_(costs), protocol_(std::move(protocol))
 {
     if (!protocol_) {
         throw std::invalid_argument("need a protocol");
@@ -124,13 +110,13 @@ MultiprocessorSystem::step(TraceProcessor &proc, SimStats &stats)
         const OpCost cost = costs_.cost(op);
         ++stats.opCounts[operationIndex(op)];
 
-        if (isMissOp(op)) {
+        if (isMiss(op)) {
             if (event.type == RefType::IFetch) {
                 ++stats.instrMisses;
             } else {
                 ++stats.dataMisses;
             }
-            if (isDirtyVictimOp(op)) {
+            if (isDirtyMiss(op)) {
                 ++stats.dirtyMisses;
             }
         }
@@ -257,7 +243,7 @@ MultiprocessorSystem::run(const TraceBuffer &trace)
     }
 
     SimStats stats;
-    stats.scheme = scheme_;
+    stats.scheme = protocol_->scheme();
     stats.protocolName = std::string(protocol_->name());
     stats.cpus = static_cast<CpuId>(processors_.size());
 

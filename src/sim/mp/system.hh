@@ -56,8 +56,7 @@ class MultiprocessorSystem
     /**
      * Builds a system around a caller-supplied protocol, e.g. one
      * whose measurements() the caller reads after run(). Statistics
-     * carry the protocol's name(); the SimStats::scheme field defaults
-     * to Base here.
+     * carry the protocol's scheme() and name().
      */
     MultiprocessorSystem(std::unique_ptr<CoherenceProtocol> protocol,
                          const BusCostModel &costs = BusCostModel());
@@ -104,7 +103,6 @@ class MultiprocessorSystem
     /** Opens this run's simulated-time trace process (tracing on). */
     void beginRunTrace();
 
-    Scheme scheme_;
     BusCostModel costs_;
     std::unique_ptr<CoherenceProtocol> protocol_;
     std::vector<TraceProcessor> processors_;

@@ -46,6 +46,31 @@ TEST(OperationTest, NamesMatchPaperTable1)
     EXPECT_EQ(operationName(Operation::CycleSteal), "Cycle stealing");
 }
 
+TEST(OperationTest, MissVocabularyNamesTheFourMisses)
+{
+    static_assert(missOp(false, false) == Operation::CleanMissMem);
+    static_assert(missOp(false, true) == Operation::DirtyMissMem);
+    static_assert(missOp(true, false) == Operation::CleanMissCache);
+    static_assert(missOp(true, true) == Operation::DirtyMissCache);
+    std::set<Operation> misses;
+    std::set<Operation> dirty;
+    for (Operation op : kAllOperations) {
+        if (isMiss(op)) {
+            misses.insert(op);
+        }
+        if (isDirtyMiss(op)) {
+            EXPECT_TRUE(isMiss(op)) << operationName(op);
+            dirty.insert(op);
+        }
+    }
+    EXPECT_EQ(misses, (std::set<Operation>{missOp(false, false),
+                                           missOp(false, true),
+                                           missOp(true, false),
+                                           missOp(true, true)}));
+    EXPECT_EQ(dirty, (std::set<Operation>{missOp(false, true),
+                                          missOp(true, true)}));
+}
+
 TEST(OperationTest, NamesAreUnique)
 {
     std::set<std::string_view> names;

@@ -144,6 +144,32 @@ TEST(HybridProtocolTest, CoherenceMissesFlipTheBlockBackToUpdate)
     EXPECT_EQ(protocol.measurements().switchesToUpdate, 1u);
 }
 
+TEST(HybridProtocolTest, InvalidateModeReportsTheInvalidationRatios)
+{
+    HybridProtocol protocol(config(), 3);
+    AccessResult result;
+    for (CpuId cpu = 0; cpu < 3; ++cpu) {
+        protocol.access(cpu, RefType::Load, kBlockA, result);
+    }
+    for (unsigned i = 0; i < 1u + HybridProtocol::kSwitchThreshold;
+         ++i) {
+        protocol.access(0, RefType::Store, kBlockA, result);
+    }
+    ASSERT_TRUE(protocol.inInvalidateMode(kBlockA));
+
+    // One invalidation destroys two copies; only CPU 1 reads again.
+    protocol.access(0, RefType::Store, kBlockA, result);
+    EXPECT_EQ(result.steals, (std::vector<CpuId>{1, 2}));
+    protocol.access(1, RefType::Load, kBlockA, result);
+
+    const HybridMeasurements &measured = protocol.measurements();
+    EXPECT_EQ(measured.invalidations, 1u);
+    EXPECT_EQ(measured.copiesInvalidated, 2u);
+    EXPECT_EQ(measured.coherenceMisses, 1u);
+    EXPECT_DOUBLE_EQ(measured.copiesPerInvalidation(), 2.0);
+    EXPECT_DOUBLE_EQ(measured.rerefFraction(), 0.5);
+}
+
 TEST(HybridProtocolTest, DirtyOwnerSuppliesMissesCacheToCache)
 {
     HybridProtocol protocol(config(), 2);

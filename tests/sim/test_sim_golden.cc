@@ -11,16 +11,30 @@
  * per run. A change to a protocol, the cache, the bus, the event loop
  * or the cost table moves these numbers, even one that moves both
  * snoop paths alike.
+ *
+ * The protocols' own measurement counters are pinned the same way:
+ * Dragon's six extraction counters (with the workload's classifier),
+ * the MESI family's invalidation and supply counters, the hybrid's
+ * policy counters and Software-Flush's flush counters (on the
+ * flush-bearing trace), one digest per (protocol, profile) at 8 CPUs.
+ * At 4 CPUs thor-like issues no invalidation at all, so the
+ * invalidation counters would read 0 there.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/campaign/cell_hash.hh"
+#include "sim/cache/dragon_protocol.hh"
+#include "sim/cache/hybrid_protocol.hh"
+#include "sim/cache/mesi_family_protocol.hh"
+#include "sim/cache/swflush_protocol.hh"
 #include "sim/mp/system.hh"
 #include "sim/synth/app_profiles.hh"
 #include "sim/synth/trace_generator.hh"
@@ -108,6 +122,149 @@ TEST_P(SimGoldenTest, StatsDigestIsPinned)
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, SimGoldenTest, ::testing::ValuesIn(goldenRuns()),
+    [](const ::testing::TestParamInfo<GoldenRun> &test) {
+        return test.param.name;
+    });
+
+/** Processors of each measurement run. */
+constexpr CpuId kMeasuredCpus = 8;
+
+std::vector<GoldenRun>
+measurementRuns()
+{
+    using enum Scheme;
+    using enum AppProfile;
+    return {
+        {"Dragon_pops", Dragon, PopsLike, 0x3330d317e11b55bcull},
+        {"Dragon_thor", Dragon, ThorLike, 0x5eca06d0fdab9c82ull},
+        {"Dragon_pero", Dragon, PeroLike, 0x554b9c75992416a6ull},
+        {"Mesi_pops", Mesi, PopsLike, 0x85729966d031fa57ull},
+        {"Mesi_thor", Mesi, ThorLike, 0xbe96879e9ef07e86ull},
+        {"Mesi_pero", Mesi, PeroLike, 0xb1d2fc1c9945b8b4ull},
+        {"Mesif_pops", Mesif, PopsLike, 0x85729166d031ecbfull},
+        {"Mesif_thor", Mesif, ThorLike, 0xbe96879e9ef07e86ull},
+        {"Mesif_pero", Mesif, PeroLike, 0xdb70b886b4a37c7full},
+        {"Moesi_pops", Moesi, PopsLike, 0x2765910f86a5f1eeull},
+        {"Moesi_thor", Moesi, ThorLike, 0xbe96879e9ef07e86ull},
+        {"Moesi_pero", Moesi, PeroLike, 0xb4faeb48837dfb69ull},
+        {"Hybrid_pops", Hybrid, PopsLike, 0xe2fa3d6d63692703ull},
+        {"Hybrid_thor", Hybrid, ThorLike, 0x2a6f7cdfe61d9b89ull},
+        {"Hybrid_pero", Hybrid, PeroLike, 0xbf88636bb2e9fd08ull},
+        {"SoftwareFlush_pops", SoftwareFlush, PopsLike, 0x0a8d0b43d36aa40eull},
+        {"SoftwareFlush_thor", SoftwareFlush, ThorLike, 0x079debc226332600ull},
+        {"SoftwareFlush_pero", SoftwareFlush, PeroLike, 0xac2d61d41f20e265ull},
+    };
+}
+
+void
+printCounters(std::ostream &out, const DragonMeasurements &m)
+{
+    out << "sharedMisses=" << m.sharedMisses
+        << " sharedMissesClean=" << m.sharedMissesClean
+        << " sharedWrites=" << m.sharedWrites
+        << " sharedWritesPresent=" << m.sharedWritesPresent
+        << " broadcasts=" << m.broadcasts
+        << " broadcastCopies=" << m.broadcastCopies;
+}
+
+void
+printCounters(std::ostream &out, const MesiFamilyMeasurements &m)
+{
+    out << "invalidations=" << m.invalidations
+        << " copiesInvalidated=" << m.copiesInvalidated
+        << " coherenceMisses=" << m.coherenceMisses
+        << " ownerSupplies=" << m.ownerSupplies
+        << " forwardSupplies=" << m.forwardSupplies;
+}
+
+void
+printCounters(std::ostream &out, const HybridMeasurements &m)
+{
+    out << "updateBroadcasts=" << m.updateBroadcasts
+        << " wastedBroadcasts=" << m.wastedBroadcasts
+        << " invalidations=" << m.invalidations
+        << " copiesInvalidated=" << m.copiesInvalidated
+        << " coherenceMisses=" << m.coherenceMisses
+        << " switchesToInvalidate=" << m.switchesToInvalidate
+        << " switchesToUpdate=" << m.switchesToUpdate;
+}
+
+void
+printCounters(std::ostream &out, const FlushMeasurements &m)
+{
+    out << "flushes=" << m.flushes << " dirtyFlushes=" << m.dirtyFlushes
+        << " missedFlushes=" << m.missedFlushes;
+}
+
+/** Runs @p protocol over @p trace and prints its counters. */
+template <typename Protocol>
+std::string
+countersAfterRun(std::unique_ptr<Protocol> protocol,
+                 const TraceBuffer &trace)
+{
+    const Protocol &measured = *protocol;
+    MultiprocessorSystem system(std::move(protocol));
+    system.run(trace);
+    std::ostringstream out;
+    printCounters(out, measured.measurements());
+    return out.str();
+}
+
+std::string
+countersOf(const GoldenRun &golden)
+{
+    const SyntheticWorkloadConfig workload =
+        profileConfig(golden.profile, kMeasuredCpus, 10'000, 23,
+                      golden.scheme == Scheme::SoftwareFlush);
+    const TraceBuffer trace = generateTrace(workload);
+    CacheConfig cache;
+    cache.sizeBytes = 64 * 1024;
+    cache.blockBytes = 16;
+    switch (golden.scheme) {
+      case Scheme::Dragon:
+        return countersAfterRun(
+            std::make_unique<DragonProtocol>(cache, kMeasuredCpus,
+                                             workload.sharedClassifier()),
+            trace);
+      case Scheme::Mesi:
+      case Scheme::Mesif:
+      case Scheme::Moesi: {
+        const MesiVariant variant = golden.scheme == Scheme::Mesi
+            ? MesiVariant::Mesi
+            : golden.scheme == Scheme::Mesif ? MesiVariant::Mesif
+                                             : MesiVariant::Moesi;
+        return countersAfterRun(std::make_unique<MesiFamilyProtocol>(
+                                    variant, cache, kMeasuredCpus),
+                                trace);
+      }
+      case Scheme::Hybrid:
+        return countersAfterRun(
+            std::make_unique<HybridProtocol>(cache, kMeasuredCpus), trace);
+      case Scheme::SoftwareFlush:
+        return countersAfterRun(
+            std::make_unique<SwFlushProtocol>(cache, kMeasuredCpus), trace);
+      default:
+        ADD_FAILURE() << "no measurements for " << schemeName(golden.scheme);
+        return "";
+    }
+}
+
+class MeasurementGoldenTest : public ::testing::TestWithParam<GoldenRun>
+{
+};
+
+TEST_P(MeasurementGoldenTest, CountersDigestIsPinned)
+{
+    const GoldenRun &golden = GetParam();
+    const std::string counters = countersOf(golden);
+    const std::uint64_t digest =
+        campaign::fnv1a64(counters.data(), counters.size(), kFnvOffset);
+    EXPECT_EQ(digest, golden.digest)
+        << std::hex << "0x" << digest << "ull\n" << counters;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, MeasurementGoldenTest, ::testing::ValuesIn(measurementRuns()),
     [](const ::testing::TestParamInfo<GoldenRun> &test) {
         return test.param.name;
     });

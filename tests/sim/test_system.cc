@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
+#include "sim/cache/mesi_family_protocol.hh"
 #include "sim/mp/system.hh"
 #include "sim/synth/app_profiles.hh"
 #include "sim/synth/trace_generator.hh"
@@ -190,6 +194,29 @@ TEST(SystemTest, RejectsTracesWithTooManyCpus)
     trace.append(3, RefType::IFetch, kCode);
     MultiprocessorSystem system(Scheme::Base, config(), 2);
     EXPECT_THROW(system.run(trace), std::invalid_argument);
+}
+
+TEST(SystemTest, StatsCarryTheSchemeOfASuppliedProtocol)
+{
+    TraceBuffer trace;
+    trace.append(0, RefType::Load, kShared);
+    MultiprocessorSystem system(
+        std::make_unique<MesiFamilyProtocol>(MesiVariant::Moesi, config(),
+                                             2));
+    const SimStats stats = system.run(trace);
+    EXPECT_EQ(stats.scheme, Scheme::Moesi);
+    EXPECT_EQ(stats.protocolName, "MOESI");
+}
+
+TEST(SystemTest, EveryProtocolKnowsItsScheme)
+{
+    for (Scheme scheme : kAllSchemes) {
+        const MultiprocessorSystem system(scheme, config(), 2,
+                                          classifier());
+        EXPECT_EQ(system.protocol().scheme(), scheme)
+            << schemeName(scheme);
+        EXPECT_EQ(system.protocol().name(), schemeName(scheme));
+    }
 }
 
 TEST(SystemTest, SchemeOrderingOnARealisticTrace)

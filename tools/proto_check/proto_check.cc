@@ -216,10 +216,13 @@ runScheme(Scheme scheme, const TraceBuffer &trace,
 std::uint64_t
 totalMissOps(const SimStats &stats)
 {
-    return stats.opCount(Operation::CleanMissMem) +
-        stats.opCount(Operation::DirtyMissMem) +
-        stats.opCount(Operation::CleanMissCache) +
-        stats.opCount(Operation::DirtyMissCache);
+    std::uint64_t misses = 0;
+    for (Operation op : kAllOperations) {
+        if (isMiss(op)) {
+            misses += stats.opCount(op);
+        }
+    }
+    return misses;
 }
 
 } // namespace
