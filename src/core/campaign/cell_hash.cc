@@ -1,9 +1,5 @@
 #include "core/campaign/cell_hash.hh"
 
-#include <cmath>
-#include <cstring>
-
-#include "core/cost_model.hh"
 #include "core/workload.hh"
 
 namespace swcc::campaign
@@ -14,8 +10,6 @@ namespace
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x00000100000001b3ull;
-/** Seed of key()'s high half: the offset basis, words swapped. */
-constexpr std::uint64_t kFnvOffsetHi = 0x84222325cbf29ce4ull;
 
 /**
  * A byte that cannot appear inside a field's encoding (fields are
@@ -23,21 +17,6 @@ constexpr std::uint64_t kFnvOffsetHi = 0x84222325cbf29ce4ull;
  * tag), so ("ab","c") never collides with ("a","bc").
  */
 constexpr unsigned char kSeparator = 0xff;
-
-/** One canonical bit pattern per double value (see header). */
-std::uint64_t
-canonicalBits(double value)
-{
-    if (std::isnan(value)) {
-        return 0x7ff8000000000000ull; // Quiet NaN, zero payload.
-    }
-    if (value == 0.0) {
-        value = 0.0; // Collapse -0.0.
-    }
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof bits);
-    return bits;
-}
 
 } // namespace
 
@@ -53,8 +32,7 @@ fnv1a64(const void *data, std::size_t size, std::uint64_t seed)
     return hash;
 }
 
-CellKey::CellKey(std::string_view domain)
-    : lo_(kFnvOffset), hi_(kFnvOffsetHi)
+CellKey::CellKey(std::string_view domain) : hash_(kFnvOffset)
 {
     add(domain);
 }
@@ -62,8 +40,7 @@ CellKey::CellKey(std::string_view domain)
 void
 CellKey::mixBytes(const void *data, std::size_t size)
 {
-    lo_ = fnv1a64(data, size, lo_);
-    hi_ = fnv1a64(data, size, hi_);
+    hash_ = fnv1a64(data, size, hash_);
 }
 
 void
@@ -108,20 +85,6 @@ CellKey::add(const WorkloadParams &params)
 {
     for (ParamId id : kAllParams) {
         add(getParam(params, id));
-    }
-    return *this;
-}
-
-CellKey &
-CellKey::add(const CostModel &costs)
-{
-    for (Operation op : kAllOperations) {
-        if (!costs.supports(op)) {
-            add(std::uint64_t{0});
-            continue;
-        }
-        const OpCost cost = costs.cost(op);
-        add(std::uint64_t{1}).add(cost.cpu).add(cost.channel);
     }
     return *this;
 }

@@ -18,49 +18,48 @@
  * that round-trips through the journal re-hashes identically on any
  * host with IEEE doubles.
  *
- * The same builder keys the solver memo (solver_cache.hh): key()
- * carries a second FNV-1a 64 state under a different seed over the
- * same bytes, and its low half is the journal hash.
+ * CellKey is only the journal hash: the solver memo keys its entries
+ * with its own word-at-a-time builder (MemoKey, solver_cache.hh),
+ * which canonicalises doubles by the same canonicalBits().
  */
 
 #ifndef SWCC_CORE_CAMPAIGN_CELL_HASH_HH
 #define SWCC_CORE_CAMPAIGN_CELL_HASH_HH
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string_view>
 
 namespace swcc
 {
-class CostModel;
 struct WorkloadParams;
-
-/** 128-bit memo key: two independent FNV-1a 64 states. */
-struct SolverCacheKey
-{
-    std::uint64_t lo = 0;
-    std::uint64_t hi = 0;
-
-    bool operator==(const SolverCacheKey &) const = default;
-};
-
-struct SolverCacheKeyHash
-{
-    std::size_t
-    operator()(const SolverCacheKey &key) const
-    {
-        return static_cast<std::size_t>(
-            key.lo ^ (key.hi * 0x9e3779b97f4a7c15ull));
-    }
-};
-
 } // namespace swcc
 
 namespace swcc::campaign
 {
 
 /**
- * Builder for cell identity hashes and memo keys (see file comment).
+ * One bit pattern per double value: -0.0 as 0.0 and every NaN as the
+ * quiet NaN with a zero payload; any other value as its own bits.
+ */
+inline std::uint64_t
+canonicalBits(double value)
+{
+    if (std::isnan(value)) {
+        return 0x7ff8000000000000ull;
+    }
+    if (value == 0.0) {
+        value = 0.0;
+    }
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof bits);
+    return bits;
+}
+
+/**
+ * Builder for cell identity hashes (see file comment).
  *
  * @code
  *   const std::uint64_t h = CellKey("sweep")
@@ -71,7 +70,7 @@ namespace swcc::campaign
 class CellKey
 {
   public:
-    /** @param domain Namespace of the campaign or solver ("sweep", ...). */
+    /** @param domain Namespace of the campaign ("sweep", ...). */
     explicit CellKey(std::string_view domain);
 
     /** Appends a string field. */
@@ -86,33 +85,18 @@ class CellKey
     /** Appends every Table 2 parameter of @p params, in table order. */
     CellKey &add(const WorkloadParams &params);
 
-    /**
-     * Appends the full cost table via its public interface: for every
-     * operation, whether it is supported and (if so) its cpu/channel
-     * cycles. Two semantically equal tables key identically.
-     */
-    CellKey &add(const CostModel &costs);
-
     /** The 64-bit journal hash accumulated so far. */
     std::uint64_t
     hash() const
     {
-        return lo_;
-    }
-
-    /** The 128-bit memo key accumulated so far. */
-    SolverCacheKey
-    key() const
-    {
-        return {lo_, hi_};
+        return hash_;
     }
 
   private:
     void mixBytes(const void *data, std::size_t size);
     void mixWord(unsigned char tag, std::uint64_t word);
 
-    std::uint64_t lo_;
-    std::uint64_t hi_;
+    std::uint64_t hash_;
 };
 
 /** FNV-1a 64 of a byte range; the primitive CellKey is built on. */

@@ -168,6 +168,17 @@ invalidateFamilyFrequencies(const WorkloadParams &p, double reref,
 }
 
 /**
+ * MESI: the plain invalidate table, where only a dirty owner supplies
+ * a miss. Unchecked: its callers validate @p p (and @p reref).
+ */
+FrequencyVector
+mesiFrequencies(const WorkloadParams &p, double reref)
+{
+    return invalidateFamilyFrequencies(p, reref, p.shd * (1.0 - p.oclean),
+                                       false);
+}
+
+/**
  * MESIF: one clean holder is the designated forwarder, so clean-shared
  * misses whose block is still present in some cache (probability
  * opres, the steady-state presence) are cache-supplied too:
@@ -210,7 +221,7 @@ FrequencyVector
 hybridFrequencies(const WorkloadParams &p)
 {
     const FrequencyVector update = dragonFrequencies(p);
-    const FrequencyVector invalidate = invalidateFrequencies(p, p.opres);
+    const FrequencyVector invalidate = mesiFrequencies(p, p.opres);
     const BusCostModel costs;
     const double update_cycles = perInstructionCost(update, costs).cpu;
     const double invalidate_cycles =
@@ -229,8 +240,7 @@ operationFrequencies(Scheme scheme, const WorkloadParams &params)
       case Scheme::NoCache:       return noCacheFrequencies(params);
       case Scheme::SoftwareFlush: return softwareFlushFrequencies(params);
       case Scheme::Dragon:        return dragonFrequencies(params);
-      case Scheme::Mesi:
-        return invalidateFrequencies(params, params.opres);
+      case Scheme::Mesi:          return mesiFrequencies(params, params.opres);
       case Scheme::Mesif:         return mesifFrequencies(params);
       case Scheme::Moesi:         return moesiFrequencies(params);
       case Scheme::Hybrid:        return hybridFrequencies(params);
@@ -238,7 +248,6 @@ operationFrequencies(Scheme scheme, const WorkloadParams &params)
     throw std::invalid_argument("unknown Scheme");
 }
 
-/** MESI: the plain invalidate table (dirty-owner cache supply only). */
 FrequencyVector
 invalidateFrequencies(const WorkloadParams &params, double reref)
 {
@@ -246,8 +255,7 @@ invalidateFrequencies(const WorkloadParams &params, double reref)
     if (!(reref >= 0.0 && reref <= 1.0)) {
         throw std::invalid_argument("reref must lie in [0, 1]");
     }
-    return invalidateFamilyFrequencies(
-        params, reref, params.shd * (1.0 - params.oclean), false);
+    return mesiFrequencies(params, reref);
 }
 
 } // namespace swcc

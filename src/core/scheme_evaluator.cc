@@ -56,29 +56,32 @@ networkCurveMemo()
     return true;
 }();
 
+/**
+ * The key of @p prefix followed by a machine size. Every memo key
+ * here ends with its size, so the point keys a curve seeds all extend
+ * one prefix.
+ */
 SolverCacheKey
-busPointKey(Scheme scheme, const WorkloadParams &params,
-            unsigned processors, const BusCostModel &costs)
+sizedKey(MemoKey prefix, unsigned size)
 {
-    return campaign::CellKey("bus")
-        .add(schemeName(scheme))
-        .add(params)
-        .add(std::uint64_t{processors})
-        .add(costs)
-        .key();
+    return prefix.add(std::uint64_t{size}).key();
 }
 
-SolverCacheKey
-networkPointKey(Scheme scheme, const WorkloadParams &params,
-                unsigned stages)
+MemoKey
+busPointPrefix(Scheme scheme, const WorkloadParams &params,
+               const BusCostModel &costs)
 {
-    // The cost table is NetworkCostModel(stages), fully determined by
-    // the stage count already in the key.
-    return campaign::CellKey("network")
-        .add(schemeName(scheme))
-        .add(params)
-        .add(std::uint64_t{stages})
-        .key();
+    return MemoKey(MemoDomain::Bus).add(scheme).add(params).add(costs);
+}
+
+/**
+ * The cost table is NetworkCostModel(stages), fully determined by the
+ * stage count the key ends with.
+ */
+MemoKey
+networkPointPrefix(Scheme scheme, const WorkloadParams &params)
+{
+    return MemoKey(MemoDomain::Network).add(scheme).add(params);
 }
 
 } // namespace
@@ -99,7 +102,7 @@ evaluateBus(Scheme scheme, const WorkloadParams &params,
     BusSolution sol;
     SolverCacheKey key;
     if (memo) {
-        key = busPointKey(scheme, params, processors, costs);
+        key = sizedKey(busPointPrefix(scheme, params, costs), processors);
         if (busMemo().lookup(key, sol)) {
             return sol;
         }
@@ -126,7 +129,7 @@ evaluateNetwork(Scheme scheme, const WorkloadParams &params,
     NetworkSolution sol;
     SolverCacheKey key;
     if (memo) {
-        key = networkPointKey(scheme, params, stages);
+        key = sizedKey(networkPointPrefix(scheme, params), stages);
         if (networkMemo().lookup(key, sol)) {
             return sol;
         }
@@ -157,12 +160,11 @@ evaluateBusCurve(Scheme scheme, const WorkloadParams &params,
     std::vector<BusSolution> curve;
     SolverCacheKey key;
     if (memo) {
-        key = campaign::CellKey("bus-curve")
-                  .add(schemeName(scheme))
-                  .add(params)
-                  .add(std::uint64_t{max_processors})
-                  .add(costs)
-                  .key();
+        key = sizedKey(MemoKey(MemoDomain::BusCurve)
+                           .add(scheme)
+                           .add(params)
+                           .add(costs),
+                       max_processors);
         if (busCurveMemo().lookup(key, curve)) {
             return curve;
         }
@@ -175,10 +177,10 @@ evaluateBusCurve(Scheme scheme, const WorkloadParams &params,
         // Seed the per-point memo too: the curve's element i is the
         // bitwise i+1-processor solution, so later single-point
         // evaluations of the same workload hit without solving.
+        const MemoKey prefix = busPointPrefix(scheme, params, costs);
         for (std::size_t i = 0; i < curve.size(); ++i) {
             busMemo().insert(
-                busPointKey(scheme, params,
-                            static_cast<unsigned>(i) + 1, costs),
+                sizedKey(prefix, static_cast<unsigned>(i) + 1),
                 curve[i]);
         }
     }
@@ -198,11 +200,9 @@ evaluateNetworkCurve(Scheme scheme, const WorkloadParams &params,
     std::vector<NetworkSolution> curve;
     SolverCacheKey key;
     if (memo) {
-        key = campaign::CellKey("network-curve")
-                  .add(schemeName(scheme))
-                  .add(params)
-                  .add(std::uint64_t{max_stages})
-                  .key();
+        key = sizedKey(
+            MemoKey(MemoDomain::NetworkCurve).add(scheme).add(params),
+            max_stages);
         if (networkCurveMemo().lookup(key, curve)) {
             return curve;
         }
@@ -218,10 +218,10 @@ evaluateNetworkCurve(Scheme scheme, const WorkloadParams &params,
     }
     if (memo) {
         networkCurveMemo().insert(key, curve);
+        const MemoKey prefix = networkPointPrefix(scheme, params);
         for (std::size_t i = 0; i < curve.size(); ++i) {
             networkMemo().insert(
-                networkPointKey(scheme, params,
-                                static_cast<unsigned>(i) + 1),
+                sizedKey(prefix, static_cast<unsigned>(i) + 1),
                 curve[i]);
         }
     }

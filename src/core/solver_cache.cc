@@ -8,8 +8,10 @@
 #include <vector>
 
 #include "core/campaign/faults.hh"
+#include "core/cost_model.hh"
 #include "core/obs/metrics.hh"
 #include "core/obs/obs.hh"
+#include "core/workload.hh"
 
 namespace swcc
 {
@@ -63,6 +65,33 @@ envDisablesCache()
 }
 
 } // namespace
+
+MemoKey &
+MemoKey::add(const WorkloadParams &params)
+{
+    return add(params.ls)
+        .add(params.msdat)
+        .add(params.mains)
+        .add(params.md)
+        .add(params.shd)
+        .add(params.wr)
+        .add(params.apl)
+        .add(params.mdshd)
+        .add(params.oclean)
+        .add(params.opres)
+        .add(params.nshd);
+}
+
+MemoKey &
+MemoKey::add(const CostModel &costs)
+{
+    for (Operation op : kAllOperations) {
+        const bool supported = costs.supports(op);
+        const OpCost cost = supported ? costs.cost(op) : OpCost{};
+        add(std::uint64_t{supported}).add(cost.cpu).add(cost.channel);
+    }
+    return *this;
+}
 
 bool
 solverCacheEnabled()

@@ -12,11 +12,14 @@
  * hit. Cached values are the bitwise output of the original solve, so
  * caching never changes a result, only skips recomputing it.
  *
- * Keys are 128-bit (campaign::CellKey::key(), cell_hash.hh): two
- * FNV-1a 64 hashes of the same canonical byte stream under different
- * seeds, the low one being the journal hash of the same fields. A
- * collision would need both hashes to collide simultaneously, pushing
- * accidental aliasing past any campaign size this library will see.
+ * Keys are 128-bit (MemoKey below): a domain tag word, then every
+ * field as 64-bit words, folded into two independent lanes by a
+ * bijective xor-rotate-multiply step and finalised once. Each domain
+ * has one fixed layout, so two keys of a domain whose words differ in
+ * one place always differ; any other collision would need both 64-bit
+ * lanes to collide at once, past any campaign size this library will
+ * see. The memo is process-local, so the key values are not a format
+ * and may change between builds (journals use campaign::CellKey).
  *
  * The cache is sharded (16 shards, one mutex each) so concurrent pool
  * lanes hit different locks; each shard is bounded and self-clears on
@@ -50,9 +53,148 @@
 #include <unordered_map>
 
 #include "core/campaign/cell_hash.hh"
+#include "core/types.hh"
 
 namespace swcc
 {
+class CostModel;
+struct WorkloadParams;
+
+/** 128-bit memo key: the two finalised lanes of a MemoKey. */
+struct SolverCacheKey
+{
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+
+    bool operator==(const SolverCacheKey &) const = default;
+};
+
+struct SolverCacheKeyHash
+{
+    std::size_t
+    operator()(const SolverCacheKey &key) const
+    {
+        return static_cast<std::size_t>(
+            key.lo ^ (key.hi * 0x9e3779b97f4a7c15ull));
+    }
+};
+
+/** What a memo key names; the first word of every key. */
+enum class MemoDomain : std::uint64_t
+{
+    /** evaluateBus(): scheme, params, cost table, processors. */
+    Bus = 1,
+    /** evaluateBusCurve(): scheme, params, cost table, max processors. */
+    BusCurve = 2,
+    /** evaluateNetwork(): scheme, params, stages. */
+    Network = 3,
+    /** evaluateNetworkCurve(): scheme, params, max stages. */
+    NetworkCurve = 4,
+    /** swccd's batch groups: query domain, scheme, params. */
+    ServiceGroup = 5,
+    /** validatePoint()'s per-trace extraction: every trace input. */
+    Extraction = 6,
+};
+
+/**
+ * Builder of solver memo keys (see file comment).
+ *
+ * Every field is one word: integers and enum values as themselves,
+ * doubles by canonical bit pattern (campaign::canonicalBits). Put the
+ * machine size last, so the point keys a curve seeds extend one
+ * shared prefix by one word each:
+ *
+ * @code
+ *   const MemoKey prefix = MemoKey(MemoDomain::Bus)
+ *       .add(scheme).add(params).add(costs);
+ *   const SolverCacheKey key = MemoKey(prefix).add(n).key();
+ * @endcode
+ */
+class MemoKey
+{
+  public:
+    explicit MemoKey(MemoDomain domain)
+    {
+        add(static_cast<std::uint64_t>(domain));
+    }
+
+    /** Appends one word. */
+    MemoKey &
+    add(std::uint64_t word)
+    {
+        lo_ = step(lo_, word, kRotateLo, kMultiplyLo);
+        hi_ = step(hi_, word, kRotateHi, kMultiplyHi);
+        return *this;
+    }
+
+    /** Appends a double by canonical bit pattern. */
+    MemoKey &
+    add(double value)
+    {
+        return add(campaign::canonicalBits(value));
+    }
+
+    /** Appends a scheme by enum value. */
+    MemoKey &
+    add(Scheme scheme)
+    {
+        return add(std::uint64_t{static_cast<std::uint8_t>(scheme)});
+    }
+
+    /** Appends the eleven Table 2 parameters, in table order. */
+    MemoKey &add(const WorkloadParams &params);
+
+    /**
+     * Appends the full cost table via its public interface: three
+     * words per operation, whether it is supported and its cpu and
+     * channel cycles (0 and 0 when unsupported), so every table keys
+     * at the same length and two equal tables key identically.
+     */
+    MemoKey &add(const CostModel &costs);
+
+    /** The key of the words appended so far. */
+    SolverCacheKey
+    key() const
+    {
+        return {finalise(lo_), finalise(hi_)};
+    }
+
+  private:
+    static constexpr std::uint64_t kSeedLo = 0x243f6a8885a308d3ull;
+    static constexpr std::uint64_t kSeedHi = 0x13198a2e03707344ull;
+    static constexpr int kRotateLo = 29;
+    static constexpr int kRotateHi = 41;
+    static constexpr std::uint64_t kMultiplyLo = 0x9e3779b97f4a7c15ull;
+    static constexpr std::uint64_t kMultiplyHi = 0xc2b2ae3d27d4eb4full;
+
+    /**
+     * Folds one word into a lane. Xor, rotate and an odd multiply are
+     * each bijective, so the step is a bijection of the lane for any
+     * fixed word and of the word for any fixed lane.
+     */
+    static std::uint64_t
+    step(std::uint64_t lane, std::uint64_t word, int rotate,
+         std::uint64_t multiply)
+    {
+        const std::uint64_t x = lane ^ word;
+        return ((x << rotate) | (x >> (64 - rotate))) * multiply;
+    }
+
+    /** MurmurHash3's fmix64: a bijective avalanche of one lane. */
+    static std::uint64_t
+    finalise(std::uint64_t lane)
+    {
+        lane ^= lane >> 33;
+        lane *= 0xff51afd7ed558ccdull;
+        lane ^= lane >> 33;
+        lane *= 0xc4ceb9fe1a85ec53ull;
+        lane ^= lane >> 33;
+        return lane;
+    }
+
+    std::uint64_t lo_ = kSeedLo;
+    std::uint64_t hi_ = kSeedHi;
+};
 
 /** Hit/miss/eviction totals across every solver memo in the process. */
 struct SolverCacheStats

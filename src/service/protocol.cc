@@ -16,6 +16,9 @@ namespace
 {
 
 constexpr std::size_t kQueryPayload = 96;
+/** Ok payloads: 8 bytes of domain, padding and sizes, then f64s. */
+constexpr std::uint32_t kBusResultPayload = 4 + 4 + 7 * 8;
+constexpr std::uint32_t kNetworkResultPayload = 4 + 4 + 4 + 4 + 11 * 8;
 
 /** Payload type carried in a response header's flags byte. */
 enum class PayloadType : std::uint8_t
@@ -26,27 +29,20 @@ enum class PayloadType : std::uint8_t
 };
 
 void
-putU16(std::vector<std::uint8_t> &out, std::uint16_t value)
+setU32(std::uint8_t *data, std::uint32_t value)
 {
-    out.push_back(static_cast<std::uint8_t>(value & 0xff));
-    out.push_back(static_cast<std::uint8_t>(value >> 8));
-}
-
-void
-putU32(std::vector<std::uint8_t> &out, std::uint32_t value)
-{
-    for (int shift = 0; shift < 32; shift += 8) {
-        out.push_back(static_cast<std::uint8_t>(value >> shift) & 0xff);
+    for (int i = 0; i < 4; ++i) {
+        data[i] = static_cast<std::uint8_t>(value >> (8 * i));
     }
 }
 
 void
-putF64(std::vector<std::uint8_t> &out, double value)
+setF64(std::uint8_t *data, double value)
 {
     std::uint64_t bits = 0;
     std::memcpy(&bits, &value, sizeof bits);
-    for (int shift = 0; shift < 64; shift += 8) {
-        out.push_back(static_cast<std::uint8_t>(bits >> shift) & 0xff);
+    for (int i = 0; i < 8; ++i) {
+        data[i] = static_cast<std::uint8_t>(bits >> (8 * i));
     }
 }
 
@@ -72,32 +68,41 @@ getF64(const std::uint8_t *data)
     return value;
 }
 
-void
-putHeader(std::vector<std::uint8_t> &out, std::uint8_t magic,
-          std::uint8_t kind_or_status, std::uint8_t flags,
-          std::uint32_t payload_len)
+/**
+ * Grows @p out by one whole frame, header written and payload zeroed
+ * (so padding and reserved bytes are 0), and returns the payload's
+ * first byte for the caller to fill in place.
+ */
+std::uint8_t *
+appendFrame(std::vector<std::uint8_t> &out, std::uint8_t magic,
+            std::uint8_t kind_or_status, std::uint8_t flags,
+            std::uint32_t payload_len)
 {
-    out.push_back(magic);
-    out.push_back(kProtocolVersion);
-    out.push_back(kind_or_status);
-    out.push_back(flags);
-    putU32(out, payload_len);
+    const std::size_t at = out.size();
+    out.resize(at + kFrameHeader + payload_len);
+    std::uint8_t *frame = out.data() + at;
+    frame[0] = magic;
+    frame[1] = kProtocolVersion;
+    frame[2] = kind_or_status;
+    frame[3] = flags;
+    setU32(frame + 4, payload_len);
+    return frame + kFrameHeader;
 }
 
 void
-putParams(std::vector<std::uint8_t> &out, const WorkloadParams &p)
+setParams(std::uint8_t *data, const WorkloadParams &p)
 {
-    putF64(out, p.ls);
-    putF64(out, p.msdat);
-    putF64(out, p.mains);
-    putF64(out, p.md);
-    putF64(out, p.shd);
-    putF64(out, p.wr);
-    putF64(out, p.apl);
-    putF64(out, p.mdshd);
-    putF64(out, p.oclean);
-    putF64(out, p.opres);
-    putF64(out, p.nshd);
+    setF64(data + 0 * 8, p.ls);
+    setF64(data + 1 * 8, p.msdat);
+    setF64(data + 2 * 8, p.mains);
+    setF64(data + 3 * 8, p.md);
+    setF64(data + 4 * 8, p.shd);
+    setF64(data + 5 * 8, p.wr);
+    setF64(data + 6 * 8, p.apl);
+    setF64(data + 7 * 8, p.mdshd);
+    setF64(data + 8 * 8, p.oclean);
+    setF64(data + 9 * 8, p.opres);
+    setF64(data + 10 * 8, p.nshd);
 }
 
 void
@@ -505,21 +510,19 @@ formatDouble(double value)
 void
 appendQueryRequest(std::vector<std::uint8_t> &out, const Query &query)
 {
-    putHeader(out, kRequestMagic,
-              static_cast<std::uint8_t>(RequestKind::Query), 0,
-              kQueryPayload);
-    out.push_back(static_cast<std::uint8_t>(query.domain));
-    out.push_back(static_cast<std::uint8_t>(query.scheme));
-    putU16(out, 0);
-    putU32(out, query.size);
-    putParams(out, query.params);
+    std::uint8_t *payload = appendFrame(
+        out, kRequestMagic, static_cast<std::uint8_t>(RequestKind::Query),
+        0, kQueryPayload);
+    payload[0] = static_cast<std::uint8_t>(query.domain);
+    payload[1] = static_cast<std::uint8_t>(query.scheme);
+    setU32(payload + 4, query.size);
+    setParams(payload + 8, query.params);
 }
 
 void
 appendControlRequest(std::vector<std::uint8_t> &out, RequestKind kind)
 {
-    putHeader(out, kRequestMagic, static_cast<std::uint8_t>(kind), 0,
-              0);
+    appendFrame(out, kRequestMagic, static_cast<std::uint8_t>(kind), 0, 0);
 }
 
 void
@@ -536,46 +539,43 @@ appendQueryResponse(std::vector<std::uint8_t> &out,
                            result.error, false);
         return;
     }
-    std::vector<std::uint8_t> payload;
-    PayloadType type;
-    payload.push_back(static_cast<std::uint8_t>(result.domain));
-    payload.push_back(0);
-    payload.push_back(0);
-    payload.push_back(0);
+    const auto ok = static_cast<std::uint8_t>(ResponseStatus::Ok);
     if (result.domain == QueryDomain::Bus) {
-        type = PayloadType::BusResult;
         const BusSolution &s = result.bus;
-        putU32(payload, s.processors);
-        putF64(payload, s.cpu);
-        putF64(payload, s.bus);
-        putF64(payload, s.waiting);
-        putF64(payload, s.busUtilization);
-        putF64(payload, s.busQueueLength);
-        putF64(payload, s.processorUtilization);
-        putF64(payload, s.processingPower);
-    } else {
-        type = PayloadType::NetworkResult;
-        const NetworkSolution &s = result.network;
-        putU32(payload, s.stages);
-        putU32(payload, s.processors);
-        putU32(payload, 0);
-        putF64(payload, s.cpu);
-        putF64(payload, s.network);
-        putF64(payload, s.transactionRate);
-        putF64(payload, s.unitRequestRate);
-        putF64(payload, s.computeFraction);
-        putF64(payload, s.inputLoad);
-        putF64(payload, s.acceptance);
-        putF64(payload, s.cyclesPerInstruction);
-        putF64(payload, s.waiting);
-        putF64(payload, s.processorUtilization);
-        putF64(payload, s.processingPower);
+        std::uint8_t *payload = appendFrame(
+            out, kResponseMagic, ok,
+            static_cast<std::uint8_t>(PayloadType::BusResult),
+            kBusResultPayload);
+        payload[0] = static_cast<std::uint8_t>(result.domain);
+        setU32(payload + 4, s.processors);
+        setF64(payload + 8, s.cpu);
+        setF64(payload + 16, s.bus);
+        setF64(payload + 24, s.waiting);
+        setF64(payload + 32, s.busUtilization);
+        setF64(payload + 40, s.busQueueLength);
+        setF64(payload + 48, s.processorUtilization);
+        setF64(payload + 56, s.processingPower);
+        return;
     }
-    putHeader(out, kResponseMagic,
-              static_cast<std::uint8_t>(ResponseStatus::Ok),
-              static_cast<std::uint8_t>(type),
-              static_cast<std::uint32_t>(payload.size()));
-    out.insert(out.end(), payload.begin(), payload.end());
+    const NetworkSolution &s = result.network;
+    std::uint8_t *payload = appendFrame(
+        out, kResponseMagic, ok,
+        static_cast<std::uint8_t>(PayloadType::NetworkResult),
+        kNetworkResultPayload);
+    payload[0] = static_cast<std::uint8_t>(result.domain);
+    setU32(payload + 4, s.stages);
+    setU32(payload + 8, s.processors);
+    setF64(payload + 16, s.cpu);
+    setF64(payload + 24, s.network);
+    setF64(payload + 32, s.transactionRate);
+    setF64(payload + 40, s.unitRequestRate);
+    setF64(payload + 48, s.computeFraction);
+    setF64(payload + 56, s.inputLoad);
+    setF64(payload + 64, s.acceptance);
+    setF64(payload + 72, s.cyclesPerInstruction);
+    setF64(payload + 80, s.waiting);
+    setF64(payload + 88, s.processorUtilization);
+    setF64(payload + 96, s.processingPower);
 }
 
 void
@@ -597,11 +597,11 @@ appendTextResponse(std::vector<std::uint8_t> &out,
     }
     const std::size_t length =
         std::min<std::size_t>(text.size(), kMaxResponsePayload);
-    putHeader(out, kResponseMagic, static_cast<std::uint8_t>(status),
-              static_cast<std::uint8_t>(PayloadType::Text),
-              static_cast<std::uint32_t>(length));
-    out.insert(out.end(), text.begin(), text.begin() +
-               static_cast<std::ptrdiff_t>(length));
+    std::uint8_t *payload = appendFrame(
+        out, kResponseMagic, static_cast<std::uint8_t>(status),
+        static_cast<std::uint8_t>(PayloadType::Text),
+        static_cast<std::uint32_t>(length));
+    std::copy_n(text.data(), length, payload);
 }
 
 DecodeStatus
@@ -739,7 +739,7 @@ decodeResponse(const std::uint8_t *data, std::size_t size,
         return DecodeStatus::Frame;
     }
     if (type == static_cast<std::uint8_t>(PayloadType::BusResult)) {
-        if (length != 4 + 4 + 7 * 8) {
+        if (length != kBusResultPayload) {
             error = "bus result payload has the wrong size";
             return DecodeStatus::BadFrame;
         }
@@ -757,7 +757,7 @@ decodeResponse(const std::uint8_t *data, std::size_t size,
         return DecodeStatus::Frame;
     }
     if (type == static_cast<std::uint8_t>(PayloadType::NetworkResult)) {
-        if (length != 4 + 4 + 4 + 4 + 11 * 8) {
+        if (length != kNetworkResultPayload) {
             error = "network result payload has the wrong size";
             return DecodeStatus::BadFrame;
         }

@@ -10,14 +10,18 @@
  *
  *   query payload (kind=Query, 96 bytes):
  *     domain:u8 scheme:u8 reserved:u16 size:u32 params:11 x f64
- *   ok-bus payload:     domain:u8 pad:u8x3 processors:u32 + 7 x f64
- *   ok-network payload: domain:u8 pad:u8x3 stages:u32 processors:u32
- *                       pad:u32 + 11 x f64
+ *   ok-bus payload (64 bytes):
+ *     domain:u8 pad:u8x3 processors:u32 + 7 x f64
+ *   ok-network payload (104 bytes):
+ *     domain:u8 pad:u8x3 stages:u32 processors:u32 pad:u32 + 11 x f64
  *   error payload:      UTF-8 message
  *   scrape payload:     Prometheus text exposition
  *
- * Doubles travel as raw IEEE-754 bit patterns, so a binary response
- * is bitwise identical to the in-process solver output. The JSON
+ * Padding and reserved bytes are zero. Every binary frame is encoded
+ * in place: the buffer grows once by the whole frame, which is then
+ * filled field by field. Doubles travel as raw IEEE-754 bit patterns,
+ * so a binary response is bitwise identical to the in-process solver
+ * output. The JSON
  * fallback (a request line starting with '{', answered by one JSON
  * line) formats doubles with shortest round-trip precision
  * (std::to_chars), so parsing a JSON response also reproduces the

@@ -61,9 +61,9 @@ paramFieldValue(const WorkloadParams &params, std::size_t index)
 SolverCacheKey
 groupKey(const Query &query)
 {
-    return campaign::CellKey("service-group")
+    return MemoKey(MemoDomain::ServiceGroup)
         .add(std::uint64_t{static_cast<std::uint8_t>(query.domain)})
-        .add(schemeName(query.scheme))
+        .add(query.scheme)
         .add(query.params)
         .key();
 }

@@ -53,8 +53,8 @@ SolverCacheKey
 extractionKey(const ValidationConfig &config, CpuId cpus,
               bool software_trace)
 {
-    return campaign::CellKey("extract")
-        .add(profileName(config.profile))
+    return MemoKey(MemoDomain::Extraction)
+        .add(std::uint64_t{static_cast<std::uint8_t>(config.profile)})
         .add(std::uint64_t{cpus})
         .add(static_cast<std::uint64_t>(config.instructionsPerCpu))
         .add(config.seed + cpus)

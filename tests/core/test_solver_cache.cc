@@ -3,18 +3,22 @@
  * Tests for the solver memo cache and the curve kernels:
  * cold-vs-warm bitwise identity, curve-vs-per-point bitwise identity,
  * race-free concurrent insertion (the suite name starts with
- * "Parallel" so the tsan preset picks it up), the disable gate, and
- * the fault-injection bypass.
+ * "Parallel" so the tsan preset picks it up), the disable gate, the
+ * fault-injection bypass, and the memo key builder's field coverage.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include "core/bus_model.hh"
 #include "core/campaign/faults.hh"
+#include "core/cost_model.hh"
 #include "core/network_model.hh"
 #include "core/per_instruction.hh"
 #include "core/scheme_evaluator.hh"
@@ -292,7 +296,7 @@ TEST_F(ParallelSolverCacheTest, ShardOverflowCountsEvictions)
     // Keys land on shards by hi % 16; pushing 16 * (4096 + 1)
     // distinct keys guarantees at least one shard overflows.
     for (std::uint64_t i = 0; i < 16 * 4097; ++i) {
-        memo.insert(campaign::CellKey("evict-test").add(i).key(),
+        memo.insert(MemoKey(MemoDomain::Bus).add(i).key(),
                     static_cast<int>(i));
     }
     const SolverCacheStats after = solverCacheStats();
@@ -352,6 +356,154 @@ TEST_F(ParallelSolverCacheTest, ConcurrentMixedLookupsAreRaceFree)
         for (std::size_t i = 0; i < serial.size(); ++i) {
             expectIdentical(got[t][i], serial[i]);
         }
+    }
+}
+
+/** A bus point key in the layout evaluateBus() uses. */
+SolverCacheKey
+busKey(Scheme scheme, const WorkloadParams &params,
+       const CostModel &costs, unsigned processors)
+{
+    return MemoKey(MemoDomain::Bus)
+        .add(scheme)
+        .add(params)
+        .add(costs)
+        .add(std::uint64_t{processors})
+        .key();
+}
+
+/** The eleven Table 2 fields, for perturbing one at a time. */
+constexpr double WorkloadParams::*kParamFields[] = {
+    &WorkloadParams::ls,     &WorkloadParams::msdat,
+    &WorkloadParams::mains,  &WorkloadParams::md,
+    &WorkloadParams::shd,    &WorkloadParams::wr,
+    &WorkloadParams::apl,    &WorkloadParams::mdshd,
+    &WorkloadParams::oclean, &WorkloadParams::opres,
+    &WorkloadParams::nshd,
+};
+
+TEST(SolverMemoKeyTest, SignedZerosAndNaNPayloadsKeyEqually)
+{
+    EXPECT_EQ(MemoKey(MemoDomain::Bus).add(-0.0).key(),
+              MemoKey(MemoDomain::Bus).add(0.0).key());
+    const double nan1 = std::numeric_limits<double>::quiet_NaN();
+    const double nan2 = std::nan("0x5");
+    EXPECT_EQ(MemoKey(MemoDomain::Bus).add(nan1).key(),
+              MemoKey(MemoDomain::Bus).add(nan2).key());
+
+    // The same holds inside a parameter set.
+    const BusCostModel costs;
+    WorkloadParams a = middleParams();
+    WorkloadParams b = middleParams();
+    a.md = 0.0;
+    b.md = -0.0;
+    EXPECT_EQ(busKey(Scheme::Dragon, a, costs, 8),
+              busKey(Scheme::Dragon, b, costs, 8));
+    a.md = nan1;
+    b.md = nan2;
+    EXPECT_EQ(busKey(Scheme::Dragon, a, costs, 8),
+              busKey(Scheme::Dragon, b, costs, 8));
+}
+
+TEST(SolverMemoKeyTest, EveryParameterChangesTheKey)
+{
+    // The smallest change of each field, one at a time, moves the key.
+    const BusCostModel costs;
+    const WorkloadParams base = middleParams();
+    const SolverCacheKey reference = busKey(Scheme::Dragon, base, costs, 8);
+    for (std::size_t i = 0; i < std::size(kParamFields); ++i) {
+        SCOPED_TRACE(i);
+        WorkloadParams changed = base;
+        double &field = changed.*kParamFields[i];
+        field = std::nextafter(field, 2.0 * field + 1.0);
+        EXPECT_NE(busKey(Scheme::Dragon, changed, costs, 8), reference);
+    }
+
+    // apl is keyed by its own bits, not by 1/apl: these two apl values
+    // have the same reciprocal but are different workloads.
+    WorkloadParams a = base;
+    WorkloadParams b = base;
+    a.apl = 7.692307692307693;
+    b.apl = std::nextafter(a.apl, 8.0);
+    ASSERT_EQ(1.0 / a.apl, 1.0 / b.apl);
+    EXPECT_NE(busKey(Scheme::Dragon, a, costs, 8),
+              busKey(Scheme::Dragon, b, costs, 8));
+}
+
+TEST(SolverMemoKeyTest, SchemeSizeAndCostTableChangeTheKey)
+{
+    const BusCostModel costs;
+    const WorkloadParams params = middleParams();
+    std::vector<SolverCacheKey> keys;
+    for (Scheme scheme : kAllSchemes) {
+        keys.push_back(busKey(scheme, params, costs, 8));
+    }
+    keys.push_back(busKey(Scheme::Dragon, params, costs, 9));
+    for (Operation op : kAllOperations) {
+        if (!costs.supports(op)) {
+            continue;
+        }
+        const OpCost cost = costs.cost(op);
+        BusCostModel cpu = costs;
+        cpu.setCost(op, {std::nextafter(cost.cpu, 1e9), cost.channel});
+        keys.push_back(busKey(Scheme::Dragon, params, cpu, 8));
+        BusCostModel channel = costs;
+        channel.setCost(op,
+                        {cost.cpu, std::nextafter(cost.channel, 1e9)});
+        keys.push_back(busKey(Scheme::Dragon, params, channel, 8));
+    }
+    // A table that leaves operations unsupported keys apart too.
+    keys.push_back(
+        busKey(Scheme::Dragon, params, NetworkCostModel(3), 8));
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        for (std::size_t j = i + 1; j < keys.size(); ++j) {
+            EXPECT_NE(keys[i], keys[j]) << i << " vs " << j;
+        }
+    }
+}
+
+TEST(SolverMemoKeyTest, DomainsNeverShareAKey)
+{
+    const MemoDomain domains[] = {
+        MemoDomain::Bus,          MemoDomain::BusCurve,
+        MemoDomain::Network,      MemoDomain::NetworkCurve,
+        MemoDomain::ServiceGroup, MemoDomain::Extraction,
+    };
+    const BusCostModel costs;
+    const WorkloadParams params = middleParams();
+    std::vector<SolverCacheKey> keys;
+    for (MemoDomain domain : domains) {
+        keys.push_back(MemoKey(domain)
+                           .add(Scheme::Dragon)
+                           .add(params)
+                           .add(costs)
+                           .add(std::uint64_t{8})
+                           .key());
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        for (std::size_t j = i + 1; j < keys.size(); ++j) {
+            EXPECT_NE(keys[i], keys[j]) << i << " vs " << j;
+        }
+    }
+}
+
+TEST_F(ParallelSolverCacheTest, NearbyAplValuesAreSolvedApart)
+{
+    // Two apl values with one reciprocal: the memo must not answer the
+    // second with the first one's solution.
+    WorkloadParams a = middleParams();
+    a.apl = 7.692307692307693;
+    WorkloadParams b = a;
+    b.apl = std::nextafter(a.apl, 8.0);
+    for (Scheme scheme : kAllSchemes) {
+        SCOPED_TRACE(schemeName(scheme));
+        clearSolverCache();
+        evaluateBus(scheme, a, 16);
+        const BusSolution warm = evaluateBus(scheme, b, 16);
+        setSolverCacheEnabled(false);
+        const BusSolution direct = evaluateBus(scheme, b, 16);
+        setSolverCacheEnabled(true);
+        expectIdentical(warm, direct);
     }
 }
 

@@ -524,6 +524,124 @@ TEST_F(ServiceProtocolTest, ErrorResponseRoundTrips)
     }
 }
 
+TEST_F(ServiceProtocolTest, FixedFramesEncodeToLiteralBytes)
+{
+    // The wire format itself, not just its round trip: an encoder and
+    // decoder that drifted together would still round-trip. Header:
+    // magic, version 1, kind or status, payload type, u32 LE length;
+    // every field little-endian, every double by IEEE-754 bits.
+    Query query = busQuery(Scheme::Mesi, 300);
+    query.params.ls = 0.5;
+    query.params.msdat = 0.25;
+    query.params.mains = 0.125;
+    query.params.md = 0.75;
+    query.params.shd = 1.0;
+    query.params.wr = 1.5;
+    query.params.apl = 2.0;
+    query.params.mdshd = 3.0;
+    query.params.oclean = 4.0;
+    query.params.opres = 0.1;
+    query.params.nshd = 8.0;
+    const std::vector<std::uint8_t> query_bytes = {
+        0xc5, 0x01, 0x00, 0x00, 0x60, 0x00, 0x00, 0x00, // query, 96 B
+        0x00, 0x04, 0x00, 0x00, 0x2c, 0x01, 0x00, 0x00, // bus, mesi, 300
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, // ls 0.5
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f, // msdat 0.25
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x3f, // mains 0.125
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe8, 0x3f, // md 0.75
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, // shd 1
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f, // wr 1.5
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, // apl 2
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x40, // mdshd 3
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x40, // oclean 4
+        0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xb9, 0x3f, // opres 0.1
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x20, 0x40, // nshd 8
+    };
+
+    QueryResult bus;
+    bus.ok = true;
+    bus.domain = QueryDomain::Bus;
+    bus.bus.processors = 16;
+    bus.bus.cpu = 1.0;
+    bus.bus.bus = 2.0;
+    bus.bus.waiting = 0.5;
+    bus.bus.busUtilization = 0.25;
+    bus.bus.busQueueLength = 3.0;
+    bus.bus.processorUtilization = 0.125;
+    bus.bus.processingPower = 10.0;
+    const std::vector<std::uint8_t> bus_bytes = {
+        0xc6, 0x01, 0x00, 0x01, 0x40, 0x00, 0x00, 0x00, // ok, bus, 64 B
+        0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, // bus, 16 cpus
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, // cpu 1
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, // bus 2
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, // waiting 0.5
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f, // busUtilization
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x40, // busQueueLength
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x3f, // processorUtil.
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x24, 0x40, // power 10
+    };
+
+    QueryResult network;
+    network.ok = true;
+    network.domain = QueryDomain::Network;
+    network.network.stages = 6;
+    network.network.processors = 64;
+    network.network.cpu = 1.0;
+    network.network.network = 2.0;
+    network.network.transactionRate = 0.5;
+    network.network.unitRequestRate = 0.25;
+    network.network.computeFraction = 0.75;
+    network.network.inputLoad = 0.125;
+    network.network.acceptance = 1.5;
+    network.network.cyclesPerInstruction = 3.0;
+    network.network.waiting = 4.0;
+    network.network.processorUtilization = 0.0625;
+    network.network.processingPower = 32.0;
+    const std::vector<std::uint8_t> network_bytes = {
+        0xc6, 0x01, 0x00, 0x02, 0x68, 0x00, 0x00, 0x00, // ok, net, 104 B
+        0x01, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00, // network, 6 st.
+        0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // 64 cpus, pad
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, // cpu 1
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, // network 2
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, // transactionRate
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f, // unitRequestRate
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe8, 0x3f, // computeFraction
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x3f, // inputLoad
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f, // acceptance
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x40, // cycles/instr.
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x40, // waiting 4
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xb0, 0x3f, // processorUtil.
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x40, // power 32
+    };
+
+    QueryResult failed;
+    failed.error = "bad n";
+    const std::vector<std::uint8_t> error_bytes = {
+        0xc6, 0x01, 0x01, 0x00, 0x05, 0x00, 0x00, 0x00, // bad req, text
+        'b', 'a', 'd', ' ', 'n',
+    };
+
+    std::vector<std::uint8_t> bytes;
+    appendQueryRequest(bytes, query);
+    EXPECT_EQ(bytes, query_bytes);
+    bytes.clear();
+    appendQueryResponse(bytes, bus, false);
+    EXPECT_EQ(bytes, bus_bytes);
+    bytes.clear();
+    appendQueryResponse(bytes, network, false);
+    EXPECT_EQ(bytes, network_bytes);
+    bytes.clear();
+    appendQueryResponse(bytes, failed, false);
+    EXPECT_EQ(bytes, error_bytes);
+
+    // Appending never disturbs what the buffer already holds.
+    appendQueryRequest(bytes, query);
+    std::vector<std::uint8_t> expected = error_bytes;
+    expected.insert(expected.end(), query_bytes.begin(),
+                    query_bytes.end());
+    EXPECT_EQ(bytes, expected);
+}
+
 TEST_F(ServiceProtocolTest, ControlRequestsRoundTrip)
 {
     for (const RequestKind kind :

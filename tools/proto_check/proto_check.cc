@@ -28,6 +28,7 @@
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/cache/coherence.hh"
@@ -269,9 +270,13 @@ main(int argc, char **argv)
               << unsigned{trace.numCpus()} << " cpus\n";
 
     // Snoop-path identity per scheme, on the reference-scan stats.
+    // Each side fills its own slot, so a scheme paired with itself
+    // fills both.
     SimStats statsA;
     SimStats statsB;
-    for (const Scheme scheme : {options.schemeA, options.schemeB}) {
+    const std::pair<Scheme, SimStats *> sides[] = {
+        {options.schemeA, &statsA}, {options.schemeB, &statsB}};
+    for (const auto &[scheme, slot] : sides) {
         const SimStats scan = runScheme(scheme, trace, cache, shared,
                                         SnoopPath::ReferenceScan,
                                         checker);
@@ -284,7 +289,7 @@ main(int argc, char **argv)
                 ": directory and reference-scan stats byte-identical",
             scan.serialize() == directory.serialize(),
             "serialized statistics differ between snoop paths");
-        (scheme == options.schemeA ? statsA : statsB) = scan;
+        *slot = scan;
     }
 
     // Stream identity: what the program did is protocol-independent.
