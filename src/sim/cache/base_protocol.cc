@@ -16,7 +16,7 @@ BaseProtocol::access(CpuId cpu, RefType type, Addr addr, AccessResult &out)
     if (CacheLine *line = cache.find(addr)) {
         cache.touch(*line);
         if (type == RefType::Store) {
-            setLineState(cpu, *line, LineState::Dirty);
+            line->state = LineState::Dirty;
         }
         return;
     }

@@ -66,6 +66,8 @@ struct CacheConfig
      * The power-of-two requirements are not merely conventional: the
      * cache's shift/mask address decomposition (blockShift()/setMask())
      * is only correct for power-of-two block sizes and set counts.
+     * Blocks hold at least 2 bytes: the cache tags an invalid way with
+     * ~0, which is a block address only for 1-byte blocks.
      *
      * @throws std::invalid_argument on a malformed geometry.
      */
@@ -78,6 +80,10 @@ struct CacheConfig
         if (!pow2(sizeBytes) || !pow2(blockBytes)) {
             throw std::invalid_argument(
                 "cache size and block size must be powers of two");
+        }
+        if (blockBytes < 2) {
+            throw std::invalid_argument(
+                "block size must be at least 2 bytes");
         }
         if (associativity == 0) {
             throw std::invalid_argument("associativity must be positive");

@@ -110,12 +110,6 @@ CoherenceProtocol::holderMask(Addr block) const
     return directory_.mask(block);
 }
 
-CoherenceProtocol::HolderMask
-CoherenceProtocol::dirtyHolderMask(Addr block) const
-{
-    return directory_.dirtyMask(block);
-}
-
 bool
 CoherenceProtocol::evict(CpuId cpu, CacheLine &victim)
 {
@@ -133,7 +127,7 @@ CoherenceProtocol::fillLine(CpuId cpu, CacheLine &victim, Addr addr,
 {
     caches_[cpu].fill(victim, addr, state);
     if (useDirectory_) {
-        directory_.setBit(victim.blockAddr, cpu, isDirtyState(state));
+        directory_.setBit(victim.blockAddr, cpu);
     }
 }
 
@@ -146,72 +140,36 @@ CoherenceProtocol::invalidateLine(CpuId cpu, CacheLine &line)
     caches_[cpu].invalidate(line);
 }
 
-bool
-CoherenceProtocol::dirtyElsewhere(CpuId cpu, Addr block) const
-{
-    if (useDirectory_) {
-        // The dirty-holder bitset is maintained by fillLine()/
-        // setLineState()/invalidateLine(), so no holder cache needs
-        // to be probed at all.
-        return (directory_.dirtyMask(block) & ~cpuBit(cpu)) != 0;
-    }
-    for (CpuId other = 0; other < numCpus(); ++other) {
-        if (other == cpu) {
-            continue;
-        }
-        const CacheLine *line = caches_[other].find(block);
-        if (line != nullptr && isDirtyState(line->state)) {
-            return true;
-        }
-    }
-    return false;
-}
-
-unsigned
-CoherenceProtocol::countOtherHolders(CpuId cpu, Addr block) const
-{
-    if (useDirectory_) {
-        return static_cast<unsigned>(
-            std::popcount(directory_.mask(block) & ~cpuBit(cpu)));
-    }
-    unsigned holders = 0;
-    for (CpuId other = 0; other < numCpus(); ++other) {
-        if (other != cpu && caches_[other].find(block) != nullptr) {
-            ++holders;
-        }
-    }
-    return holders;
-}
-
-CacheLine &
-CoherenceProtocol::updateFill(CpuId cpu, Addr addr, AccessResult &out)
+CoherenceProtocol::Fill
+CoherenceProtocol::snoopFill(CpuId cpu, Addr addr, AccessResult &out,
+                             LineState owner_after, bool forwarded)
 {
     Cache &cache = caches_[cpu];
     CacheLine &victim = cache.victimFor(addr);
     const bool dirty_victim = evict(cpu, victim);
 
-    bool from_cache = false;
+    bool owner_supplied = false;
     unsigned holders = 0;
     // Safe: victim was invalidated above, so the holder walk can't
     // alias it.
     forEachOtherHolder(
-        cpu, cache.blockAddr(addr), [&](CpuId other, CacheLine &line) {
+        cpu, cache.blockAddr(addr), [&](CpuId, CacheLine &line) {
             ++holders;
             // Everyone sees the fill on the bus and knows the block is
-            // now shared. A dirty owner supplies the data and keeps
-            // ownership.
-            from_cache = from_cache || isDirtyState(line.state);
-            if (line.state == LineState::Exclusive) {
-                setLineState(other, line, LineState::SharedClean);
-            } else if (line.state == LineState::Dirty) {
-                setLineState(other, line, LineState::SharedDirty);
+            // now shared. A dirty owner (at most one) supplies the
+            // data.
+            if (isDirtyState(line.state)) {
+                owner_supplied = true;
+                line.state = owner_after;
+            } else {
+                line.state = LineState::SharedClean;
             }
         });
 
-    out.addOp(missOp(from_cache, dirty_victim));
+    out.addOp(missOp(owner_supplied || forwarded, dirty_victim));
     fillLine(cpu, victim, addr,
              holders > 0 ? LineState::SharedClean : LineState::Exclusive);
-    return victim;
+    return {victim, owner_supplied};
 }
 
 unsigned
@@ -226,10 +184,9 @@ CoherenceProtocol::updateCopies(CpuId cpu, CacheLine &line,
         // The holder's controller updates the word in place, stealing
         // a cycle from its processor; a previous owner loses ownership.
         out.steals.push_back(other);
-        setLineState(other, copy, LineState::SharedClean);
+        copy.state = LineState::SharedClean;
     });
-    setLineState(cpu, line,
-                 copies > 0 ? LineState::SharedDirty : LineState::Dirty);
+    line.state = copies > 0 ? LineState::SharedDirty : LineState::Dirty;
     return copies;
 }
 
@@ -262,7 +219,6 @@ checkCoherenceInvariants(const CoherenceProtocol &protocol)
         unsigned owners = 0;
         unsigned exclusives = 0;
         CoherenceProtocol::HolderMask mask = 0;
-        CoherenceProtocol::HolderMask dirty = 0;
     };
     std::unordered_map<Addr, BlockView> blocks;
 
@@ -276,7 +232,6 @@ checkCoherenceInvariants(const CoherenceProtocol &protocol)
             view.mask |= CoherenceProtocol::HolderMask{1} << cpu;
             if (isDirtyState(line.state)) {
                 ++view.owners;
-                view.dirty |= CoherenceProtocol::HolderMask{1} << cpu;
             }
             if (line.state == LineState::Exclusive ||
                 line.state == LineState::Dirty) {
@@ -311,12 +266,6 @@ checkCoherenceInvariants(const CoherenceProtocol &protocol)
             if (protocol.holderMask(addr) != view.mask) {
                 throw std::logic_error(
                     "sharer index disagrees with the caches on block " +
-                    std::to_string(addr));
-            }
-            if (protocol.dirtyHolderMask(addr) != view.dirty) {
-                throw std::logic_error(
-                    "sharer index dirty bitset disagrees with the "
-                    "caches on block " +
                     std::to_string(addr));
             }
         }

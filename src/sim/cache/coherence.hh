@@ -1,6 +1,8 @@
 /**
  * @file
- * Coherence protocol interface for the multiprocessor simulator.
+ * Coherence protocol interface for the multiprocessor simulator, and
+ * the snoopy actions the protocols compose: one fill, one update and
+ * one invalidation.
  */
 
 #ifndef SWCC_SIM_CACHE_COHERENCE_HH
@@ -131,14 +133,19 @@ enum class SnoopPath : std::uint8_t
  * protocols keep it consistent by routing every line installation and
  * invalidation through fillLine()/invalidateLine()/evict(), and in
  * exchange get O(sharers) holder iteration instead of O(P) snooping.
+ * The index records residency only; a state change on a valid line is
+ * a plain assignment.
  *
  * Each snoopy action has one implementation here, and the protocols
- * compose them: updateFill() and updateCopies() are write-update
- * (Dragon, and the hybrid in update mode); invalidateCopies() and
- * refetchesLostCopy() are write-invalidate (the MESI family, and the
- * hybrid in invalidate mode), with the one per-CPU record of copies
- * lost to an invalidation. Private caching is BaseProtocol::access(),
- * which No-Cache and Software-Flush reuse.
+ * compose them. snoopFill() is every snooping protocol's miss (Dragon,
+ * the MESI family and the hybrid), told only where a supplying owner
+ * ends and whether a MESIF forwarder supplies. updateCopies() is the
+ * write-update store (Dragon, and the hybrid in update mode);
+ * invalidateCopies() and refetchesLostCopy() are write-invalidate (the
+ * MESI family, and the hybrid in invalidate mode), with the one
+ * per-CPU record of copies lost to an invalidation. What the fill and
+ * the update report is all Dragon's measurements need. Private caching
+ * is BaseProtocol::access(), which No-Cache and Software-Flush reuse.
  */
 class CoherenceProtocol
 {
@@ -207,13 +214,6 @@ class CoherenceProtocol
      */
     HolderMask holderMask(Addr block) const;
 
-    /**
-     * The sharer index's dirty-holder bitset for @p block — the
-     * holders whose copy is in an owner (dirty) state; for tests and
-     * invariants. Always a subset of holderMask().
-     */
-    HolderMask dirtyHolderMask(Addr block) const;
-
     /** Number of blocks the sharer index currently tracks. */
     std::size_t directoryBlocks() const { return directory_.size(); }
 
@@ -237,45 +237,28 @@ class CoherenceProtocol
      */
     void invalidateLine(CpuId cpu, CacheLine &line);
 
-    /**
-     * Rewrites a valid @p line's state, keeping the sharer index's
-     * dirty-holder bitset in sync when the transition crosses the
-     * clean/dirty boundary. Every protocol state transition on a
-     * valid line must go through here (or fillLine()/
-     * invalidateLine()) so that dirtyElsewhere() can answer from the
-     * index alone, without probing holder caches.
-     */
-    void
-    setLineState(CpuId cpu, CacheLine &line, LineState state)
+    /** What snoopFill() installed and who supplied it. */
+    struct Fill
     {
-        if (useDirectory_ &&
-            isDirtyState(line.state) != isDirtyState(state)) {
-            directory_.setDirty(line.blockAddr, cpu,
-                                isDirtyState(state));
-        }
-        line.state = state;
-    }
+        CacheLine &line;
+        /** A dirty owner supplied the block. */
+        bool ownerSupplied;
+    };
 
     /**
-     * True if another cache holds @p block dirty. On the directory
-     * path this is one hash probe of the dirty-holder bitset; the
-     * reference scan probes every other cache.
-     */
-    bool dirtyElsewhere(CpuId cpu, Addr block) const;
-
-    /** Other caches currently holding @p block (excluding @p cpu). */
-    unsigned countOtherHolders(CpuId cpu, Addr block) const;
-
-    /**
-     * Write-update miss: evicts the victim, snoops the other holders
-     * (an Exclusive copy becomes SharedClean; a dirty owner supplies
-     * the block and stays SharedDirty), costs the miss, and installs
-     * the block SharedClean when another cache holds it, else
-     * Exclusive.
+     * Snooping miss: evicts the victim, snoops the other holders (a
+     * clean copy becomes SharedClean; a dirty owner supplies the block
+     * and ends in @p owner_after), costs the miss, and installs the
+     * block SharedClean when another cache holds it, else Exclusive.
      *
-     * @return The installed line.
+     * @param owner_after SharedDirty when the owner keeps ownership
+     *        (Dragon, the hybrid, MOESI's Owned), SharedClean when
+     *        memory is updated in the same transaction (MESI, MESIF).
+     * @param forwarded A clean forwarder supplies the block when no
+     *        owner does (MESIF), so the miss is cache-supplied.
      */
-    CacheLine &updateFill(CpuId cpu, Addr addr, AccessResult &out);
+    Fill snoopFill(CpuId cpu, Addr addr, AccessResult &out,
+                   LineState owner_after, bool forwarded = false);
 
     /**
      * Write-update store to the shared @p line: issues a word

@@ -60,13 +60,15 @@ DragonProtocol::access(CpuId cpu, RefType type, Addr addr,
     if (line != nullptr) {
         cache.touch(*line);
     } else {
+        const Fill fill =
+            snoopFill(cpu, addr, out, LineState::SharedDirty);
         if (measured) {
             ++measured_.sharedMisses;
-            if (!dirtyElsewhere(cpu, block)) {
+            if (!fill.ownerSupplied) {
                 ++measured_.sharedMissesClean;
             }
         }
-        line = &updateFill(cpu, addr, out);
+        line = &fill.line;
     }
 
     if (type != RefType::Store) {
@@ -75,22 +77,26 @@ DragonProtocol::access(CpuId cpu, RefType type, Addr addr,
 
     if (measured) {
         ++measured_.sharedWrites;
-        if (countOtherHolders(cpu, block) > 0) {
-            ++measured_.sharedWritesPresent;
-        }
     }
 
     switch (line->state) {
       case LineState::Exclusive:
       case LineState::Dirty:
         // Sole copy: write locally, no bus action.
-        setLineState(cpu, *line, LineState::Dirty);
+        line->state = LineState::Dirty;
         return;
       case LineState::SharedClean:
-      case LineState::SharedDirty:
+      case LineState::SharedDirty: {
+        // A shared line's sharers may all have been evicted since, so
+        // only the broadcast's copy count tells whether one is present.
+        const unsigned copies = updateCopies(cpu, *line, out);
         ++measured_.broadcasts;
-        measured_.broadcastCopies += updateCopies(cpu, *line, out);
+        measured_.broadcastCopies += copies;
+        if (measured && copies > 0) {
+            ++measured_.sharedWritesPresent;
+        }
         return;
+      }
       case LineState::Invalid:
         throw std::logic_error("store resolved to an invalid line");
     }

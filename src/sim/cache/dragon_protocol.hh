@@ -23,11 +23,12 @@ struct DragonMeasurements
 {
     /** Data misses to measured-shared blocks. */
     std::uint64_t sharedMisses = 0;
-    /** ... of which the block was not dirty in any other cache. */
+    /** ... of which no dirty owner supplied the fill. */
     std::uint64_t sharedMissesClean = 0;
     /** Stores to measured-shared blocks. */
     std::uint64_t sharedWrites = 0;
-    /** ... of which the block was present in another cache. */
+    /** ... of which the block was present in another cache: the
+     *  broadcast updated at least one copy. */
     std::uint64_t sharedWritesPresent = 0;
     /** Write broadcasts issued. */
     std::uint64_t broadcasts = 0;
@@ -52,9 +53,14 @@ struct DragonMeasurements
  * States: Exclusive (clean, sole copy), Dirty (modified, sole copy),
  * SharedClean, SharedDirty (modified and owned; memory stale).
  * The simulator resolves each access atomically with exact knowledge
- * of other caches, standing in for the bus "shared" line. The fill and
- * the broadcast are CoherenceProtocol::updateFill() and
- * updateCopies(), which the hybrid shares.
+ * of other caches, standing in for the bus "shared" line. The fill is
+ * CoherenceProtocol::snoopFill(), shared with the MESI family and the
+ * hybrid, and the broadcast is updateCopies(), shared with the hybrid.
+ * The measurements are read off those two actions: a shared miss is
+ * clean when no owner supplied the fill, and a shared write finds a
+ * copy present when its broadcast updated at least one. A Shared line
+ * whose sharers were all evicted still broadcasts, to no one, so its
+ * state alone cannot say.
  */
 class DragonProtocol : public CoherenceProtocol
 {

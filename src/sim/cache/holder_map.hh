@@ -10,6 +10,10 @@
  * the worst case — every cache line across all processors holding a
  * distinct block — so it never rehashes and stays at most half full.
  *
+ * A slot is a block address and its holder bitset, 16 bytes. Line
+ * states stay in the caches, so only fills and invalidations touch the
+ * map.
+ *
  * A slot with an empty holder bitset IS an empty slot: the directory
  * erases a block exactly when its last holder drops it, so mask == 0
  * doubles as the vacancy marker and no separate key sentinel is
@@ -32,12 +36,9 @@ namespace swcc
 {
 
 /**
- * Block address → bitset of the caches holding the block, plus a
- * second bitset of the holders whose copy is dirty (an owner state:
- * Dirty or SharedDirty). The dirty bitset is always a subset of the
- * holder bitset, letting "is this block dirty in any other cache?" —
- * asked on every miss by the update-based protocols — be answered
- * with one probe instead of a find() in every holder's cache.
+ * Block address → bitset of the caches holding the block. A snoop
+ * walks the set bits and reads each holder's line state in its own
+ * cache.
  */
 class HolderMap
 {
@@ -79,27 +80,9 @@ class HolderMap
         }
     }
 
-    /** The dirty-holder bitset of @p block (0 when absent). */
-    Mask
-    dirtyMask(Addr block) const
-    {
-        if (slots_.empty()) {
-            return 0;
-        }
-        for (std::size_t i = home(block);; i = next(i)) {
-            const Slot &slot = slots_[i];
-            if (slot.mask == 0 || slot.key == block) {
-                return slot.dirty;
-            }
-        }
-    }
-
-    /**
-     * Sets holder bit @p cpu of @p block, inserting it if absent, and
-     * records whether that holder's copy is dirty.
-     */
+    /** Sets holder bit @p cpu of @p block, inserting it if absent. */
     void
-    setBit(Addr block, CpuId cpu, bool dirty = false)
+    setBit(Addr block, CpuId cpu)
     {
         for (std::size_t i = home(block);; i = next(i)) {
             Slot &slot = slots_[i];
@@ -110,45 +93,10 @@ class HolderMap
                 }
                 slot.key = block;
                 slot.mask = cpuBit(cpu);
-                slot.dirty = dirty ? cpuBit(cpu) : 0;
                 return;
             }
             if (slot.key == block) {
                 slot.mask |= cpuBit(cpu);
-                if (dirty) {
-                    slot.dirty |= cpuBit(cpu);
-                } else {
-                    slot.dirty &= ~cpuBit(cpu);
-                }
-                return;
-            }
-        }
-    }
-
-    /**
-     * Flips holder @p cpu's dirty bit for @p block to @p dirty.
-     * A no-op when the block is absent (mirrors clearBit()).
-     */
-    void
-    setDirty(Addr block, CpuId cpu, bool dirty)
-    {
-        if (slots_.empty()) {
-            return;
-        }
-        for (std::size_t i = home(block);; i = next(i)) {
-            Slot &slot = slots_[i];
-            if (slot.mask == 0) {
-                return;
-            }
-            if (slot.key == block) {
-                if (dirty) {
-                    // Only holders may carry a dirty bit; marking a
-                    // non-holder would break the dirty-subset-of-mask
-                    // invariant the snoop fast path relies on.
-                    slot.dirty |= cpuBit(cpu) & slot.mask;
-                } else {
-                    slot.dirty &= ~cpuBit(cpu);
-                }
                 return;
             }
         }
@@ -172,7 +120,6 @@ class HolderMap
             }
             if (slot.key == block) {
                 slot.mask &= ~cpuBit(cpu);
-                slot.dirty &= ~cpuBit(cpu);
                 if (slot.mask == 0) {
                     --size_;
                     eraseAt(i);
@@ -187,8 +134,6 @@ class HolderMap
     {
         Addr key = 0;
         Mask mask = 0;
-        /** Holders whose copy is in an owner state; subset of mask. */
-        Mask dirty = 0;
     };
 
     static Mask
@@ -234,7 +179,6 @@ class HolderMap
             }
         }
         slots_[i].mask = 0;
-        slots_[i].dirty = 0;
     }
 
     std::vector<Slot> slots_;

@@ -83,7 +83,7 @@ HybridProtocol::access(CpuId cpu, RefType type, Addr addr,
         }
         // A store miss that filled shared continues into the shared-
         // store path below, exactly like a store hit on a shared line.
-        line = &updateFill(cpu, addr, out);
+        line = &snoopFill(cpu, addr, out, LineState::SharedDirty).line;
     }
 
     if (type != RefType::Store) {
@@ -94,14 +94,14 @@ HybridProtocol::access(CpuId cpu, RefType type, Addr addr,
       case LineState::Exclusive:
       case LineState::Dirty:
         // Sole copy: write locally, no bus action.
-        setLineState(cpu, *line, LineState::Dirty);
+        line->state = LineState::Dirty;
         return;
       case LineState::SharedClean:
       case LineState::SharedDirty: {
         BlockPolicy &policy = policy_[block];
         if (policy.invalidateMode) {
             invalidateCopies(cpu, block, out, measured_);
-            setLineState(cpu, *line, LineState::Dirty);
+            line->state = LineState::Dirty;
         } else {
             scoreBroadcast(cpu, policy);
             updateCopies(cpu, *line, out);

@@ -17,9 +17,10 @@
  * drops below the threshold.
  *
  * The class holds only that policy. Each mode's bus actions are the
- * ones Dragon and MESI run: CoherenceProtocol::updateFill() and
- * updateCopies() in update mode, invalidateCopies() and
- * refetchesLostCopy() in invalidate mode.
+ * ones Dragon and MESI run: every miss is CoherenceProtocol::snoopFill()
+ * with the owner keeping ownership, as in Dragon; updateCopies() is the
+ * update-mode store, invalidateCopies() and refetchesLostCopy() the
+ * invalidate mode's.
  */
 
 #ifndef SWCC_SIM_CACHE_HYBRID_PROTOCOL_HH
@@ -55,8 +56,8 @@ struct HybridMeasurements : InvalidationMeasurements
  *
  * Uses the Dragon state machine (Exclusive, Dirty, SharedClean,
  * SharedDirty ownership) for update-mode traffic and the MESI
- * invalidation for invalidate-mode stores; every miss is Dragon's
- * fill, supplied by a dirty owner when one exists.
+ * invalidation for invalidate-mode stores; every miss is the shared
+ * snoopy fill, supplied by a dirty owner when one exists.
  */
 class HybridProtocol : public CoherenceProtocol
 {

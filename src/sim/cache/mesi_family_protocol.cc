@@ -14,77 +14,11 @@ int
 MesiFamilyProtocol::forwarderOf(Addr block) const
 {
     const auto it = forwarder_.find(block);
-    return it == forwarder_.end() ? -1 : static_cast<int>(it->second);
-}
-
-CacheLine &
-MesiFamilyProtocol::handleMiss(CpuId cpu, Addr addr, AccessResult &out)
-{
-    Cache &cache = caches_[cpu];
-    const Addr block = cache.blockAddr(addr);
-    refetchesLostCopy(cpu, block, measured_);
-
-    CacheLine &victim = cache.victimFor(addr);
-    const bool victim_valid = victim.state != LineState::Invalid;
-    const Addr victim_block = victim.blockAddr;
-    const bool dirty_victim = evict(cpu, victim);
-    if (variant_ == MesiVariant::Mesif && victim_valid) {
-        // An evicted forwarder copy silently drops the slot; the next
-        // shared miss to the block re-seats it (or goes to memory).
-        const auto it = forwarder_.find(victim_block);
-        if (it != forwarder_.end() && it->second == cpu) {
-            forwarder_.erase(it);
-        }
+    if (it == forwarder_.end() ||
+        caches_[it->second].find(block) == nullptr) {
+        return -1;
     }
-
-    bool supplied_by_owner = false;
-    unsigned holders = 0;
-    forEachOtherHolder(cpu, block, [&](CpuId other, CacheLine &line) {
-        ++holders;
-        if (isDirtyState(line.state)) {
-            supplied_by_owner = true;
-            if (variant_ == MesiVariant::Moesi) {
-                // MOESI: the owner supplies the block and *keeps*
-                // ownership (Owned); memory stays stale and the
-                // write-back is deferred to the owner's eviction.
-                setLineState(other, line, LineState::SharedDirty);
-            } else {
-                // Illinois: the owner supplies the block and memory is
-                // updated in the same transaction; the owner keeps a
-                // shared clean copy.
-                setLineState(other, line, LineState::SharedClean);
-            }
-        } else if (line.state == LineState::Exclusive) {
-            setLineState(other, line, LineState::SharedClean);
-        }
-    });
-
-    bool supplied_by_cache = supplied_by_owner;
-    if (supplied_by_owner) {
-        ++measured_.ownerSupplies;
-    } else if (variant_ == MesiVariant::Mesif && holders > 0 &&
-               forwarder_.contains(block)) {
-        // The clean forwarder supplies the block cache-to-cache.
-        supplied_by_cache = true;
-        ++measured_.forwardSupplies;
-    }
-
-    out.addOp(missOp(supplied_by_cache, dirty_victim));
-
-    fillLine(cpu, victim, addr,
-             holders > 0 ? LineState::SharedClean
-                         : LineState::Exclusive);
-    if (variant_ == MesiVariant::Mesif) {
-        if (holders > 0) {
-            // The newest sharer takes the forwarder slot (real MESIF
-            // hands F to the most recent requester, keeping the slot
-            // on the copy least likely to be evicted soon).
-            forwarder_[block] = cpu;
-        } else {
-            forwarder_.erase(block);
-        }
-    }
-    return victim;
+    return static_cast<int>(it->second);
 }
 
 void
@@ -104,7 +38,36 @@ MesiFamilyProtocol::access(CpuId cpu, RefType type, Addr addr,
     } else {
         // A store miss is a read-for-ownership: the fill, then the
         // shared-store path below when it filled shared.
-        line = &handleMiss(cpu, addr, out);
+        const Addr block = cache.blockAddr(addr);
+        refetchesLostCopy(cpu, block, measured_);
+        const bool mesif = variant_ == MesiVariant::Mesif;
+        // Read before the fill; its eviction touches only this cache,
+        // so the slot still answers for the snoop.
+        const bool forwarded = mesif && forwarderOf(block) >= 0;
+        // MOESI's owner keeps ownership (Owned) and defers the
+        // write-back to its eviction; Illinois updates memory in the
+        // same transaction and leaves the owner a clean copy.
+        const Fill fill = snoopFill(
+            cpu, addr, out,
+            variant_ == MesiVariant::Moesi ? LineState::SharedDirty
+                                           : LineState::SharedClean,
+            forwarded);
+        if (fill.ownerSupplied) {
+            ++measured_.ownerSupplies;
+        } else if (forwarded) {
+            ++measured_.forwardSupplies;
+        }
+        line = &fill.line;
+        if (mesif) {
+            // The newest sharer takes the forwarder slot (real MESIF
+            // hands F to the most recent requester, keeping the slot
+            // on the copy least likely to be evicted soon).
+            if (line->state == LineState::SharedClean) {
+                forwarder_[block] = cpu;
+            } else {
+                forwarder_.erase(block);
+            }
+        }
     }
 
     if (type != RefType::Store) {
@@ -134,7 +97,7 @@ MesiFamilyProtocol::access(CpuId cpu, RefType type, Addr addr,
       case LineState::Invalid:
         throw std::logic_error("store resolved to an invalid line");
     }
-    setLineState(cpu, *line, LineState::Dirty);
+    line->state = LineState::Dirty;
 }
 
 } // namespace swcc

@@ -15,12 +15,16 @@
  *    a dirty owner supplying a miss keeps ownership and memory stays
  *    stale, deferring the write-back to the owner's eviction.
  *
- * The store-side invalidation and the coherence-miss count are
- * CoherenceProtocol::invalidateCopies() and refetchesLostCopy(), which
- * the hybrid shares. MESI is also the write-invalidate side of the
- * update-versus-invalidate comparison (X5): its measurements() give
- * the copies each invalidation destroys and the fraction of them read
- * again.
+ * The class holds only those two policy points. Every miss is
+ * CoherenceProtocol::snoopFill(), the fill Dragon and the hybrid use,
+ * told where a supplying owner ends (SharedClean for Illinois MESI and
+ * MESIF, SharedDirty for MOESI's Owned) and whether the forwarder
+ * supplies. The store-side invalidation and the coherence-miss count
+ * are CoherenceProtocol::invalidateCopies() and refetchesLostCopy(),
+ * which the hybrid shares. MESI is also the write-invalidate side of
+ * the update-versus-invalidate comparison (X5): its measurements()
+ * give the copies each invalidation destroys and the fraction of them
+ * read again.
  */
 
 #ifndef SWCC_SIM_CACHE_MESI_FAMILY_PROTOCOL_HH
@@ -70,7 +74,9 @@ struct MesiFamilyMeasurements : InvalidationMeasurements
  * SharedClean, and — MOESI only — SharedDirty as the Owned state
  * (modified, shared, memory stale). A store to a shared line is costed
  * as the 1-bus-cycle word broadcast of Table 1 and destroys every
- * remote copy, each victim cache losing one snoop cycle.
+ * remote copy, each victim cache losing one snoop cycle. A miss is the
+ * shared snoopy fill, and MESIF's forwarder slot is checked against
+ * the caches when it is read, so the fill needs no hook of its own.
  */
 class MesiFamilyProtocol : public CoherenceProtocol
 {
@@ -90,21 +96,18 @@ class MesiFamilyProtocol : public CoherenceProtocol
 
     /**
      * The CPU currently holding @p block's clean-forwarder slot, or
-     * -1 when no forwarder exists (MESIF only; for tests).
+     * -1 when no forwarder exists (MESIF only).
      */
     int forwarderOf(Addr block) const;
 
   private:
-    /**
-     * Handles a miss: the owner or forwarder supplies the block,
-     * which installs SharedClean when another cache holds it, else
-     * Exclusive. @return The installed line.
-     */
-    CacheLine &handleMiss(CpuId cpu, Addr addr, AccessResult &out);
-
     MesiVariant variant_;
     MesiFamilyMeasurements measured_;
-    /** MESIF: block → CPU holding the clean-forwarder (F) slot. */
+    /**
+     * MESIF: block → CPU given the clean-forwarder (F) slot by the
+     * block's last fill. An eviction leaves the entry behind, so
+     * forwarderOf() checks that the CPU still holds the block.
+     */
     std::unordered_map<Addr, CpuId> forwarder_;
 };
 

@@ -46,6 +46,18 @@ TEST(CacheConfigTest, RejectsBadGeometry)
                  std::invalid_argument);
 }
 
+TEST(CacheConfigTest, RejectsBlocksTheInvalidTagCouldName)
+{
+    // An invalid way's tag is ~0, the block address of 0xff..ff when
+    // blocks are 1 byte: a cold cache would report that address as a
+    // hit on an invalid line.
+    EXPECT_THROW(tinyConfig(256, 1, 1).validate(), std::invalid_argument);
+    EXPECT_THROW(Cache{tinyConfig(256, 1, 2)}, std::invalid_argument);
+
+    const Cache two(tinyConfig(256, 2, 1));
+    EXPECT_EQ(two.find(~Addr{0}), nullptr);
+}
+
 TEST(CacheTest, MissThenHit)
 {
     Cache cache(tinyConfig());

@@ -200,6 +200,24 @@ TEST(DragonTest, MeasurementsCountSharingInteractions)
     EXPECT_EQ(m.broadcasts, 1u);
     EXPECT_EQ(m.broadcastCopies, 1u);
     EXPECT_DOUBLE_EQ(m.nshd(), 1.0);
+
+    // Cache 0's copy is SharedClean, but its only sharer goes: two
+    // conflicting instruction fetches (unmeasured) evict cache 1's.
+    // The store then broadcasts to no one: a shared write and a
+    // broadcast, but no copy present, though the line state says
+    // shared.
+    protocol.access(1, RefType::IFetch, kBlockA + 512, result);
+    protocol.access(1, RefType::IFetch, kBlockA + 1024, result);
+    ASSERT_EQ(stateOf(protocol, 1, kBlockA), LineState::Invalid);
+    ASSERT_EQ(stateOf(protocol, 0, kBlockA), LineState::SharedClean);
+    protocol.access(0, RefType::Store, kBlockA, result);
+    EXPECT_EQ(m.sharedMisses, 3u);
+    EXPECT_EQ(m.sharedWrites, 4u);
+    EXPECT_EQ(m.sharedWritesPresent, 1u);
+    EXPECT_EQ(m.broadcasts, 2u);
+    EXPECT_EQ(m.broadcastCopies, 1u);
+    EXPECT_DOUBLE_EQ(m.opres(), 0.25);
+    EXPECT_DOUBLE_EQ(m.nshd(), 0.5);
 }
 
 TEST(DragonMeasurementsTest, FallbacksWhenNothingObserved)

@@ -88,11 +88,11 @@ TEST(GoldenStatsTest, PaperSchemesMatchReferenceScanOnEveryProfile)
 
 TEST(GoldenStatsTest, UpdateSchemesMatchReferenceScanAtLargeCpuCounts)
 {
-    // The dirty-holder bitset lets update-based schemes service bus
-    // writes from the directory instead of scanning every cache; at
-    // 32-48 CPUs on a sharing-heavy profile that path carries real
-    // traffic (many holders, mixed clean/dirty copies), so byte-equal
-    // statistics here pin the whole off-Base directory fast path.
+    // The sharer index lets update-based schemes walk only a block's
+    // holders instead of scanning every cache; at 32-48 CPUs on a
+    // sharing-heavy profile that path carries real traffic (many
+    // holders, mixed clean/dirty copies), so byte-equal statistics
+    // here pin the whole off-Base directory fast path.
     for (const CpuId cpus : {CpuId{8}, CpuId{32}, CpuId{48}}) {
         const SyntheticWorkloadConfig workload =
             profileConfig(AppProfile::PeroLike, cpus, 3'000, 17, false);
@@ -112,9 +112,9 @@ TEST(GoldenStatsTest, UpdateSchemesMatchReferenceScanAtLargeCpuCounts)
 TEST(GoldenStatsTest, NewProtocolsMatchReferenceScanAtLargeCpuCounts)
 {
     // Same contract for the invalidate family and the hybrid: the
-    // sharer-index fast path (including the dirty-holder bitset the
-    // MOESI Owned state and the hybrid's Dragon fills lean on) must
-    // not change a single statistic versus the reference scan.
+    // sharer-index fast path (the holder walk that the MOESI Owned
+    // supply and the hybrid's fills lean on) must not change a single
+    // statistic versus the reference scan.
     for (const CpuId cpus : {CpuId{8}, CpuId{32}, CpuId{48}}) {
         const SyntheticWorkloadConfig workload =
             profileConfig(AppProfile::PeroLike, cpus, 3'000, 17, false);

@@ -118,94 +118,5 @@ TEST(HolderMapTest, ThrowsWhenOverfilledPastItsSizingContract)
     EXPECT_THROW(map.setBit(0xffff'0000, 0), std::logic_error);
 }
 
-TEST(HolderMapTest, DirtyBitsTrackHoldersIndependently)
-{
-    HolderMap map(64);
-    map.setBit(0x2000, 1);             // Clean insert.
-    EXPECT_EQ(map.dirtyMask(0x2000), 0u);
-
-    map.setBit(0x2000, 3, true);       // Dirty holder joins.
-    EXPECT_EQ(map.mask(0x2000), 0b1010u);
-    EXPECT_EQ(map.dirtyMask(0x2000), 0b1000u);
-
-    map.setDirty(0x2000, 1, true);     // Clean holder turns dirty.
-    EXPECT_EQ(map.dirtyMask(0x2000), 0b1010u);
-
-    map.setDirty(0x2000, 3, false);    // Write-back cleans one copy.
-    EXPECT_EQ(map.dirtyMask(0x2000), 0b0010u);
-    EXPECT_EQ(map.mask(0x2000), 0b1010u);
-}
-
-TEST(HolderMapTest, DirtyInsertMarksOnlyTheInsertingCpu)
-{
-    HolderMap map(16);
-    map.setBit(0x3000, 4, true);
-    EXPECT_EQ(map.mask(0x3000), 0b1'0000u);
-    EXPECT_EQ(map.dirtyMask(0x3000), 0b1'0000u);
-
-    // Re-setting the same holder clean clears its dirty bit.
-    map.setBit(0x3000, 4, false);
-    EXPECT_EQ(map.mask(0x3000), 0b1'0000u);
-    EXPECT_EQ(map.dirtyMask(0x3000), 0u);
-}
-
-TEST(HolderMapTest, ClearBitAlsoClearsTheDirtyBit)
-{
-    HolderMap map(16);
-    map.setBit(0x4000, 2, true);
-    map.setBit(0x4000, 5, true);
-    map.clearBit(0x4000, 2);
-    EXPECT_EQ(map.dirtyMask(0x4000), 0b10'0000u);
-    map.clearBit(0x4000, 5);
-    EXPECT_EQ(map.mask(0x4000), 0u);
-    EXPECT_EQ(map.dirtyMask(0x4000), 0u);
-    EXPECT_EQ(map.size(), 0u);
-
-    // Re-inserting the erased block starts with a clean slate even
-    // after backward-shift deletion recycled the slot.
-    map.setBit(0x4000, 2);
-    EXPECT_EQ(map.dirtyMask(0x4000), 0u);
-}
-
-TEST(HolderMapTest, SetDirtyOnAbsentBlockOrNonHolderIsANoOp)
-{
-    HolderMap map(16);
-    map.setDirty(0x5000, 1, true); // Absent block: no-op.
-    EXPECT_EQ(map.mask(0x5000), 0u);
-    EXPECT_EQ(map.dirtyMask(0x5000), 0u);
-
-    map.setBit(0x5000, 1);
-    map.setDirty(0x5000, 2, true); // CPU 2 holds nothing here.
-    EXPECT_EQ(map.dirtyMask(0x5000), 0u);
-}
-
-TEST(HolderMapTest, DirtyBitsSurviveChurnAndBackwardShift)
-{
-    constexpr std::size_t kBlocks = 512;
-    HolderMap map(kBlocks);
-    for (std::size_t i = 0; i < kBlocks; ++i) {
-        map.setBit(static_cast<Addr>(i * 32),
-                   static_cast<CpuId>(i % 64), i % 2 == 0);
-    }
-    // Erase every fourth block so backward-shift deletion moves
-    // surviving slots; their dirty masks must move with them.
-    for (std::size_t i = 0; i < kBlocks; i += 4) {
-        map.clearBit(static_cast<Addr>(i * 32),
-                     static_cast<CpuId>(i % 64));
-    }
-    for (std::size_t i = 0; i < kBlocks; ++i) {
-        const Addr block = static_cast<Addr>(i * 32);
-        if (i % 4 == 0) {
-            EXPECT_EQ(map.mask(block), 0u) << "block " << i;
-            EXPECT_EQ(map.dirtyMask(block), 0u) << "block " << i;
-        } else {
-            const auto bit = std::uint64_t{1} << (i % 64);
-            EXPECT_EQ(map.mask(block), bit) << "block " << i;
-            EXPECT_EQ(map.dirtyMask(block), i % 2 == 0 ? bit : 0u)
-                << "block " << i;
-        }
-    }
-}
-
 } // namespace
 } // namespace swcc

@@ -18,7 +18,9 @@
  * policy counters and Software-Flush's flush counters (on the
  * flush-bearing trace), one digest per (protocol, profile) at 8 CPUs.
  * At 4 CPUs thor-like issues no invalidation at all, so the
- * invalidation counters would read 0 there.
+ * invalidation counters would read 0 there. The counters come from the
+ * snoopy fill's and broadcast's holder walk, which branches on the
+ * snoop path, so the same digests are checked on both paths.
  */
 
 #include <gtest/gtest.h>
@@ -196,12 +198,14 @@ printCounters(std::ostream &out, const FlushMeasurements &m)
         << " missedFlushes=" << m.missedFlushes;
 }
 
-/** Runs @p protocol over @p trace and prints its counters. */
+/** Runs @p protocol over @p trace on @p path and prints its counters. */
 template <typename Protocol>
 std::string
 countersAfterRun(std::unique_ptr<Protocol> protocol,
-                 const TraceBuffer &trace)
+                 const TraceBuffer &trace, SnoopPath path)
 {
+    protocol->setSnoopPath(path);
+    EXPECT_EQ(protocol->snoopPath(), path);
     const Protocol &measured = *protocol;
     MultiprocessorSystem system(std::move(protocol));
     system.run(trace);
@@ -211,7 +215,8 @@ countersAfterRun(std::unique_ptr<Protocol> protocol,
 }
 
 std::string
-countersOf(const GoldenRun &golden)
+countersOf(const GoldenRun &golden,
+           SnoopPath path = SnoopPath::Directory)
 {
     const SyntheticWorkloadConfig workload =
         profileConfig(golden.profile, kMeasuredCpus, 10'000, 23,
@@ -225,7 +230,7 @@ countersOf(const GoldenRun &golden)
         return countersAfterRun(
             std::make_unique<DragonProtocol>(cache, kMeasuredCpus,
                                              workload.sharedClassifier()),
-            trace);
+            trace, path);
       case Scheme::Mesi:
       case Scheme::Mesif:
       case Scheme::Moesi: {
@@ -235,14 +240,16 @@ countersOf(const GoldenRun &golden)
                                              : MesiVariant::Moesi;
         return countersAfterRun(std::make_unique<MesiFamilyProtocol>(
                                     variant, cache, kMeasuredCpus),
-                                trace);
+                                trace, path);
       }
       case Scheme::Hybrid:
         return countersAfterRun(
-            std::make_unique<HybridProtocol>(cache, kMeasuredCpus), trace);
+            std::make_unique<HybridProtocol>(cache, kMeasuredCpus), trace,
+            path);
       case Scheme::SoftwareFlush:
         return countersAfterRun(
-            std::make_unique<SwFlushProtocol>(cache, kMeasuredCpus), trace);
+            std::make_unique<SwFlushProtocol>(cache, kMeasuredCpus), trace,
+            path);
       default:
         ADD_FAILURE() << "no measurements for " << schemeName(golden.scheme);
         return "";
@@ -257,6 +264,17 @@ TEST_P(MeasurementGoldenTest, CountersDigestIsPinned)
 {
     const GoldenRun &golden = GetParam();
     const std::string counters = countersOf(golden);
+    const std::uint64_t digest =
+        campaign::fnv1a64(counters.data(), counters.size(), kFnvOffset);
+    EXPECT_EQ(digest, golden.digest)
+        << std::hex << "0x" << digest << "ull\n" << counters;
+}
+
+TEST_P(MeasurementGoldenTest, CountersDigestIsPinnedOnTheReferenceScan)
+{
+    const GoldenRun &golden = GetParam();
+    const std::string counters =
+        countersOf(golden, SnoopPath::ReferenceScan);
     const std::uint64_t digest =
         campaign::fnv1a64(counters.data(), counters.size(), kFnvOffset);
     EXPECT_EQ(digest, golden.digest)

@@ -275,6 +275,30 @@ TEST(CliTest, GenAndValidateRejectMoreCpusThanTheGeneratorHolds)
     }
 }
 
+TEST(CliTest, SimRejectsOneByteBlocks)
+{
+    // With 1-byte blocks the top address would alias the cache's
+    // invalid tag: Base would count a cold load as a hit, and Dragon
+    // and MESI would throw.
+    const std::string path = ::testing::TempDir() + "/cli_block1.trace";
+    {
+        std::ofstream os(path);
+        os << "0 l ffffffffffffffff\n0 s ffffffffffffffff\n";
+    }
+    for (const char *scheme : {"base", "dragon", "mesi"}) {
+        std::string output;
+        EXPECT_EQ(runCli({"sim", path, "--scheme", scheme, "--block",
+                          "1", "--cache", "1024"},
+                         &output),
+                  2)
+            << scheme;
+        EXPECT_NE(output.find("block size must be at least 2 bytes"),
+                  std::string::npos)
+            << output;
+    }
+    std::remove(path.c_str());
+}
+
 TEST(CliTest, StatWithoutFileFails)
 {
     std::string output;
