@@ -101,7 +101,7 @@ main(int argc, char **argv)
                  "vs fixed bus service),\n"
                  "so model power sits slightly below simulation at "
                  "higher processor counts.\n";
-    if (report.fromJournal + report.retries + report.poisoned > 0) {
+    if (report.fromJournal > 0) {
         std::cerr << "campaign: " << report.summary() << '\n';
     }
     obs::finalize();

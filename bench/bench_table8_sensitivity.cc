@@ -70,7 +70,7 @@ main(int argc, char **argv)
                  "  - No-Cache: same picture minus apl.\n"
                  "  - Dragon: overall hit rate beats sharing level.\n"
                  "  - wr unimportant everywhere.\n";
-    if (report.fromJournal + report.retries + report.poisoned > 0) {
+    if (report.fromJournal > 0) {
         std::cerr << "campaign: " << report.summary() << '\n';
     }
     obs::finalize();

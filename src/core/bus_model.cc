@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "core/campaign/faults.hh"
 #include "core/obs/metrics.hh"
 
 namespace swcc
@@ -72,12 +71,9 @@ solveBus(const PerInstructionCost &cost, unsigned processors)
         queue = throughput * response;
     }
     noteBusSolve(processors);
-    // Campaign resilience: the retry/poison machinery treats a
-    // non-finite recursion (or an injected failure) as a retryable
-    // solver fault rather than silently emitting garbage.
-    campaign::checkFault(campaign::FaultSite::SolverBus);
+    // A non-finite recursion is an error, never a result.
     if (!std::isfinite(response) || !std::isfinite(queue)) {
-        throw campaign::SolverNonConvergence(
+        throw std::runtime_error(
             "bus MVA recursion produced a non-finite solution");
     }
 
@@ -143,12 +139,10 @@ solveBusCurve(const PerInstructionCost &cost, unsigned max_processors)
         queues[k - 1] = queue;
     }
     noteBusSolve(max_processors);
-    // One fault site and finiteness check per curve: an injected or
-    // real failure degrades the whole (retryable) cell, exactly as a
-    // failed per-point solve would.
-    campaign::checkFault(campaign::FaultSite::SolverBus);
+    // One finiteness check per curve: a failure fails the whole curve,
+    // exactly as a failed per-point solve would.
     if (!std::isfinite(response) || !std::isfinite(queue)) {
-        throw campaign::SolverNonConvergence(
+        throw std::runtime_error(
             "bus MVA recursion produced a non-finite solution");
     }
 
@@ -217,9 +211,8 @@ solveBusGeneralService(const PerInstructionCost &cost,
         utilization = throughput * service;
     }
     noteBusSolve(processors);
-    campaign::checkFault(campaign::FaultSite::SolverBus);
     if (!std::isfinite(response) || !std::isfinite(queue)) {
-        throw campaign::SolverNonConvergence(
+        throw std::runtime_error(
             "bus approximate MVA produced a non-finite solution");
     }
 

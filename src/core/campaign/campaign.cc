@@ -1,35 +1,26 @@
 #include "core/campaign/campaign.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <memory>
+#include <string_view>
 
-#include "core/campaign/faults.hh"
 #include "core/campaign/journal.hh"
 #include "core/obs/log.hh"
 #include "core/obs/metrics.hh"
 #include "core/obs/trace.hh"
+#include "core/parallel.hh"
 
 namespace swcc::campaign
 {
 
 namespace
 {
-
-/** Adds this run's campaign accounting to the obs registry. */
-void
-recordCampaignMetrics(const CampaignReport &report)
-{
-    obs::MetricsRegistry &registry = obs::metrics();
-    registry.counter("campaign.cells").add(report.cells);
-    registry.counter("campaign.cells_from_journal")
-        .add(report.fromJournal);
-    registry.counter("campaign.cells_executed").add(report.executed);
-    registry.counter("campaign.retries").add(report.retries);
-    registry.counter("campaign.poisoned").add(report.poisoned);
-    registry.counter("campaign.timeouts").add(report.timeouts);
-}
 
 std::string
 envString(const char *name)
@@ -38,20 +29,58 @@ envString(const char *name)
     return value != nullptr ? std::string(value) : std::string();
 }
 
-std::uint64_t
-envUnsigned(const char *name, std::uint64_t fallback)
+/** The kill hook's window: cell starts [skip, skip + count) throw. */
+struct KillWindow
 {
-    const std::string text = envString(name);
-    if (text.empty()) {
-        return fallback;
+    std::uint64_t count = 0;
+    std::uint64_t skip = 0;
+};
+
+std::uint64_t
+parseCount(std::string_view text, const std::string &spec)
+{
+    std::uint64_t value = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc() || stop != end) {
+        throw std::invalid_argument("fault spec '" + spec +
+                                    "': bad count '" +
+                                    std::string(text) + "'");
     }
-    char *end = nullptr;
-    const unsigned long long parsed =
-        std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0') {
-        return fallback;
+    return value;
+}
+
+/** Parses `task-kill:COUNT[@SKIP]`; an empty spec kills nothing. */
+KillWindow
+parseKillSpec(const std::string &spec)
+{
+    KillWindow window;
+    if (spec.empty()) {
+        return window;
     }
-    return parsed;
+    constexpr std::string_view kPrefix = "task-kill:";
+    if (!spec.starts_with(kPrefix)) {
+        throw std::invalid_argument(
+            "fault spec '" + spec +
+            "' is not task-kill:COUNT[@SKIP], the only fault site");
+    }
+    std::string_view tail = std::string_view(spec).substr(kPrefix.size());
+    const auto at = tail.find('@');
+    if (at != std::string_view::npos) {
+        window.skip = parseCount(tail.substr(at + 1), spec);
+        tail = tail.substr(0, at);
+    }
+    window.count = parseCount(tail, spec);
+    return window;
+}
+
+std::string
+keyText(std::uint64_t key)
+{
+    char text[17];
+    std::snprintf(text, sizeof text, "%016llx",
+                  static_cast<unsigned long long>(key));
+    return text;
 }
 
 } // namespace
@@ -59,19 +88,9 @@ envUnsigned(const char *name, std::uint64_t fallback)
 std::string
 CampaignReport::summary() const
 {
-    std::string text = std::to_string(cells) + " cells (" +
+    return std::to_string(cells) + " cells (" +
         std::to_string(fromJournal) + " from journal, " +
-        std::to_string(executed) + " executed";
-    if (retries > 0) {
-        text += ", " + std::to_string(retries) + " retries";
-    }
-    if (timeouts > 0) {
-        text += ", " + std::to_string(timeouts) + " timeouts";
-    }
-    if (poisoned > 0) {
-        text += ", " + std::to_string(poisoned) + " poisoned";
-    }
-    return text + ")";
+        std::to_string(executed) + " executed)";
 }
 
 void
@@ -80,9 +99,6 @@ CampaignReport::merge(const CampaignReport &other)
     cells += other.cells;
     fromJournal += other.fromJournal;
     executed += other.executed;
-    retries += other.retries;
-    poisoned += other.poisoned;
-    timeouts += other.timeouts;
 }
 
 CampaignOptions
@@ -99,13 +115,6 @@ envCampaignOptions(const std::string &tag)
         options.resume = resume == "1" || resume == "true" ||
             resume == "yes" || resume == "on";
     }
-    options.policy.maxRetries = static_cast<unsigned>(
-        envUnsigned("SWCC_TASK_RETRIES", options.policy.maxRetries));
-    options.policy.timeoutMs =
-        envUnsigned("SWCC_TASK_TIMEOUT_MS", options.policy.timeoutMs);
-    options.policy.backoffBaseMs =
-        envUnsigned("SWCC_BACKOFF_MS", options.policy.backoffBaseMs);
-    options.seed = envUnsigned("SWCC_CAMPAIGN_SEED", options.seed);
     return options;
 }
 
@@ -115,9 +124,7 @@ runCells(std::size_t n, std::size_t width,
          const std::function<std::vector<double>(std::size_t)> &eval,
          const CampaignOptions &options, CampaignReport *report)
 {
-    if (!options.faultSpec.empty()) {
-        configureFaults(options.faultSpec, options.seed);
-    }
+    const KillWindow kill = parseKillSpec(options.faultSpec);
 
     CampaignReport local;
     local.cells = n;
@@ -132,7 +139,9 @@ runCells(std::size_t n, std::size_t width,
         const auto known = Journal::load(options.journalPath);
         for (std::size_t i = 0; i < n; ++i) {
             const auto it = known.find(keyOf(i));
-            if (it != known.end() && it->second.size() == width) {
+            if (it != known.end() && it->second.size() == width &&
+                std::all_of(it->second.begin(), it->second.end(),
+                            [](double v) { return std::isfinite(v); })) {
                 results[i] = it->second;
                 ++local.fromJournal;
             } else {
@@ -151,74 +160,69 @@ runCells(std::size_t n, std::size_t width,
         }
     }
 
+    // On a throw, the journal's destructor (unwinding with this frame)
+    // flushes every completed cell, so `--resume` recovers them.
     std::unique_ptr<Journal> journal;
     if (!options.journalPath.empty()) {
         journal = std::make_unique<Journal>(options.journalPath,
                                             options.resume);
     }
 
-    std::vector<TaskOutcome> outcomes;
-    {
-        obs::ScopedPhase phase("campaign: run cells");
-        try {
-            const ResilienceStats stats = parallelForResilient(
-                pending.size(),
-                [&](std::size_t p) {
-                    const std::size_t idx = pending[p];
-                    // The kill site sits at task start so an injected
-                    // kill lands between cells, like a real SIGKILL
-                    // would most often.
-                    checkFault(FaultSite::TaskKill);
-                    checkFault(FaultSite::TaskTimeout);
-                    results[idx] = eval(idx);
-                    if (journal) {
-                        journal->append(keyOf(idx), results[idx]);
-                    }
-                },
-                options.policy, &outcomes);
-            local.retries = stats.retries;
-            local.poisoned = stats.poisoned;
-            local.timeouts = stats.timeouts;
-        } catch (const FatalTaskError &) {
-            // Completed cells are enqueued for group commit; the
-            // journal's destructor (unwinding with this frame) flushes
-            // them, so a `--resume` run recovers every finished cell.
-            recordCampaignMetrics(local);
-            if (report != nullptr) {
-                *report = local;
-            }
-            throw;
+    // Fills the report and the metrics; a stopped campaign reports the
+    // cells it finished, for the post-mortem metrics the CLI writes.
+    const auto account = [&](std::size_t executed) {
+        local.executed = executed;
+        obs::MetricsRegistry &registry = obs::metrics();
+        registry.counter("campaign.cells").add(local.cells);
+        registry.counter("campaign.cells_from_journal")
+            .add(local.fromJournal);
+        registry.counter("campaign.cells_executed").add(executed);
+        if (report != nullptr) {
+            *report = local;
         }
-    }
+    };
 
-    // Poisoned cells degrade to NaN rows — journaled too, so a
-    // resumed run reproduces the same (NaN-guarded) artifacts.
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    for (std::size_t p = 0; p < pending.size(); ++p) {
-        const std::size_t idx = pending[p];
-        if (p < outcomes.size() &&
-            outcomes[p] == TaskOutcome::Poisoned) {
-            results[idx].assign(width, nan);
+    std::atomic<std::uint64_t> starts{0};
+    std::atomic<std::size_t> finished{0};
+    try {
+        obs::ScopedPhase phase("campaign: run cells");
+        parallelFor(pending.size(), [&](std::size_t p) {
+            const std::size_t idx = pending[p];
+            // The kill lands at a cell start, between cells, as a
+            // real SIGKILL most often would.
+            if (kill.count > 0) {
+                const std::uint64_t start =
+                    starts.fetch_add(1, std::memory_order_relaxed);
+                if (start >= kill.skip && start - kill.skip < kill.count) {
+                    throw TaskKilled("injected task kill at cell start " +
+                                     std::to_string(start));
+                }
+            }
+            try {
+                results[idx] = eval(idx);
+            } catch (const std::exception &error) {
+                throw std::runtime_error(
+                    "campaign cell " + std::to_string(idx) + " (key " +
+                    keyText(keyOf(idx)) + "): " + error.what());
+            }
             if (journal) {
                 journal->append(keyOf(idx), results[idx]);
             }
-            SWCC_LOG_WARN("campaign: cell " + std::to_string(idx) +
-                          " poisoned after retries; emitting NaNs");
-        }
-        ++local.executed;
+            finished.fetch_add(1, std::memory_order_relaxed);
+        });
+    } catch (...) {
+        account(finished.load(std::memory_order_relaxed));
+        throw;
     }
 
     // Group-commit barrier: returning from runCells() means every
-    // record (results and NaN rows alike) is durable, preserving the
-    // old per-cell-fsync guarantee at the run level.
+    // record is durable, preserving the old per-cell-fsync guarantee
+    // at the run level.
     if (journal) {
         journal->sync();
     }
 
-    recordCampaignMetrics(local);
-    if (report != nullptr) {
-        *report = local;
-    }
+    account(pending.size());
     return results;
 }
 

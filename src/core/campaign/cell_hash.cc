@@ -84,7 +84,9 @@ CellKey &
 CellKey::add(const WorkloadParams &params)
 {
     for (ParamId id : kAllParams) {
-        add(getParam(params, id));
+        // getParam reads 1/apl, and two apl values can share one
+        // reciprocal; apl's own bits key them apart.
+        add(id == ParamId::InvApl ? params.apl : getParam(params, id));
     }
     return *this;
 }

@@ -82,7 +82,10 @@ class CellKey
     /** Appends an unsigned integer field. */
     CellKey &add(std::uint64_t value);
 
-    /** Appends every Table 2 parameter of @p params, in table order. */
+    /**
+     * Appends every Table 2 parameter of @p params, in table order;
+     * the 1/apl slot holds apl itself.
+     */
     CellKey &add(const WorkloadParams &params);
 
     /** The 64-bit journal hash accumulated so far. */

@@ -28,8 +28,8 @@
  *
  * Values are IEEE-754 doubles by bit pattern — exact round trip. The
  * checksum is FNV-1a 64 over the record text up to and including the
- * space before the checksum field. Duplicate keys are legal (a retried
- * or re-run cell appends again); the last record wins.
+ * space before the checksum field. Duplicate keys are legal (a re-run
+ * cell appends again); the last record wins.
  */
 
 #ifndef SWCC_CORE_CAMPAIGN_JOURNAL_HH

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "core/campaign/faults.hh"
 #include "core/obs/metrics.hh"
 
 namespace swcc
@@ -91,9 +90,8 @@ solveComputeFractionK(double rate, double size, unsigned stages,
         }
     }
     noteNetworkSolve(iterations);
-    campaign::checkFault(campaign::FaultSite::SolverNet);
     if (!(hi - lo < 1e-6)) {
-        throw campaign::SolverNonConvergence(
+        throw std::runtime_error(
             "network fixed point failed to bracket U");
     }
     return 0.5 * (lo + hi);
@@ -175,9 +173,8 @@ solveComputeFraction(double rate, double size, unsigned stages)
         }
     }
     noteNetworkSolve(iterations);
-    campaign::checkFault(campaign::FaultSite::SolverNet);
     if (!(hi - lo < 1e-6)) {
-        throw campaign::SolverNonConvergence(
+        throw std::runtime_error(
             "network fixed point failed to bracket U");
     }
     return 0.5 * (lo + hi);

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "core/obs/obs.hh"
@@ -402,133 +403,6 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn)
         return;
     }
     globalPool().forEach(n, fn);
-}
-
-namespace
-{
-
-/** One deferred re-attempt of a failed index. */
-struct PendingRetry
-{
-    std::size_t index;
-    unsigned attempt; ///< Attempt number about to run (1-based).
-    std::chrono::steady_clock::time_point due;
-};
-
-} // namespace
-
-ResilienceStats
-parallelForResilient(std::size_t n,
-                     const std::function<void(std::size_t)> &fn,
-                     const TaskPolicy &policy,
-                     std::vector<TaskOutcome> *outcomes)
-{
-    if (outcomes != nullptr) {
-        outcomes->assign(n, TaskOutcome::Done);
-    }
-    std::atomic<std::uint64_t> retries{0};
-    std::atomic<std::uint64_t> poisoned{0};
-    std::atomic<std::uint64_t> timeouts{0};
-
-    std::mutex retry_mutex;
-    std::vector<PendingRetry> retry_queue;
-
-    const auto backoffDelayMs = [&policy](unsigned attempt) {
-        std::uint64_t delay = policy.backoffBaseMs;
-        for (unsigned d = 0; d < attempt; ++d) {
-            delay = std::min(delay * 2, policy.backoffCapMs);
-        }
-        return std::min(delay, policy.backoffCapMs);
-    };
-
-    // One attempt of one index. On a retryable failure the index is
-    // requeued with a backoff deadline instead of sleeping here — a
-    // pool lane must never park while holding a slice of the job.
-    const auto attemptIndex = [&](std::size_t i, unsigned attempt) {
-        bool failed = false;
-        const bool timed = policy.timeoutMs > 0;
-        std::chrono::steady_clock::time_point start;
-        if (timed) {
-            start = std::chrono::steady_clock::now();
-        }
-        try {
-            fn(i);
-        } catch (const FatalTaskError &) {
-            throw; // Job-fatal: the pool rethrows to the caller.
-        } catch (const TaskTimeoutError &) {
-            timeouts.fetch_add(1, std::memory_order_relaxed);
-            failed = true;
-        } catch (...) {
-            failed = true;
-        }
-        if (!failed && timed) {
-            const auto elapsed =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            if (static_cast<std::uint64_t>(elapsed > 0 ? elapsed : 0) >
-                policy.timeoutMs) {
-                // Over budget: the attempt's result is distrusted —
-                // a hung-then-finished cell and a failed cell get the
-                // same degradation path.
-                timeouts.fetch_add(1, std::memory_order_relaxed);
-                failed = true;
-            }
-        }
-        if (!failed) {
-            return;
-        }
-        if (attempt >= policy.maxRetries) {
-            poisoned.fetch_add(1, std::memory_order_relaxed);
-            if (outcomes != nullptr) {
-                (*outcomes)[i] = TaskOutcome::Poisoned;
-            }
-            return;
-        }
-        retries.fetch_add(1, std::memory_order_relaxed);
-        const auto due = std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(backoffDelayMs(attempt));
-        std::lock_guard<std::mutex> lock(retry_mutex);
-        retry_queue.push_back({i, attempt + 1, due});
-    };
-
-    // Wave 0: every index attempted once.
-    parallelFor(n, [&](std::size_t i) { attemptIndex(i, 0); });
-
-    // Retry waves: the caller sleeps out the earliest deadline, then
-    // re-runs every due index across the pool. Pool lanes stay busy
-    // with real attempts the whole time.
-    for (;;) {
-        std::vector<PendingRetry> due_wave;
-        {
-            std::unique_lock<std::mutex> lock(retry_mutex);
-            if (retry_queue.empty()) {
-                break;
-            }
-            auto earliest = retry_queue.front().due;
-            for (const PendingRetry &r : retry_queue) {
-                earliest = std::min(earliest, r.due);
-            }
-            lock.unlock();
-            std::this_thread::sleep_until(earliest);
-            lock.lock();
-            const auto now = std::chrono::steady_clock::now();
-            std::vector<PendingRetry> later;
-            for (PendingRetry &r : retry_queue) {
-                (r.due <= now ? due_wave : later).push_back(r);
-            }
-            retry_queue.swap(later);
-        }
-        parallelFor(due_wave.size(), [&](std::size_t k) {
-            attemptIndex(due_wave[k].index, due_wave[k].attempt);
-        });
-    }
-
-    ResilienceStats stats;
-    stats.retries = retries.load(std::memory_order_relaxed);
-    stats.poisoned = poisoned.load(std::memory_order_relaxed);
-    stats.timeouts = timeouts.load(std::memory_order_relaxed);
-    return stats;
 }
 
 } // namespace swcc

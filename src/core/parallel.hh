@@ -23,6 +23,10 @@
  * lanes (the caller participates as one) steal the next chunk with an
  * atomic cursor, so uneven cell costs — e.g. fixed-point solves that
  * converge at different speeds — balance automatically.
+ *
+ * An index that throws ends its loop: lanes stop claiming work and the
+ * first exception reaches the caller. The pool retries nothing; what a
+ * failing campaign cell means is campaign.hh's business.
  */
 
 #ifndef SWCC_CORE_PARALLEL_HH
@@ -36,93 +40,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
 namespace swcc
 {
-
-/**
- * An error that must abort the whole job, not just the throwing task:
- * the pool stops stealing and rethrows it to the caller without any
- * retry. The campaign layer derives its injected "process kill" from
- * this to exercise interrupted-run recovery.
- */
-struct FatalTaskError : std::runtime_error
-{
-    using std::runtime_error::runtime_error;
-};
-
-/**
- * A task exceeded (or was injected to exceed) its time budget.
- * Retryable under TaskPolicy; counted separately from other failures.
- */
-struct TaskTimeoutError : std::runtime_error
-{
-    using std::runtime_error::runtime_error;
-};
-
-/**
- * Per-task resilience policy for parallelForResilient().
- *
- * A failing task (any exception except FatalTaskError) is retried up
- * to maxRetries times with exponential backoff; a task still failing
- * after its last retry is *poisoned* — reported, counted, and skipped
- * — instead of sinking the campaign. timeoutMs is a cooperative
- * budget: an attempt measured over budget counts as a failure (its
- * result is discarded) so a pathological cell degrades into a
- * poisoned one instead of dominating the run.
- */
-struct TaskPolicy
-{
-    /** Extra attempts after the first failure. */
-    unsigned maxRetries = 2;
-    /** Per-attempt wall-clock budget in ms; 0 disables the check. */
-    std::uint64_t timeoutMs = 0;
-    /** Delay before the first retry; doubles per retry. */
-    std::uint64_t backoffBaseMs = 1;
-    /** Upper bound on a single backoff delay. */
-    std::uint64_t backoffCapMs = 100;
-};
-
-/** Final state of one index run under parallelForResilient(). */
-enum class TaskOutcome : std::uint8_t
-{
-    Done,
-    Poisoned,
-};
-
-/** Aggregate resilience activity of one parallelForResilient() call. */
-struct ResilienceStats
-{
-    std::uint64_t retries = 0;  ///< Re-attempts after a failure.
-    std::uint64_t poisoned = 0; ///< Indices that exhausted retries.
-    std::uint64_t timeouts = 0; ///< Attempts over their time budget.
-};
-
-/**
- * parallelFor() with task-level retry, timeout, and poisoning.
- *
- * Runs fn(0) ... fn(n-1) across the pool under @p policy. fn may run
- * several times for the same index (each attempt from scratch); after
- * the final failure the index is marked TaskOutcome::Poisoned in
- * @p outcomes (resized to n when non-null) and the loop continues. A
- * FatalTaskError aborts the job immediately and propagates.
- *
- * Scheduling is wave-based: every index is attempted once across the
- * pool (whose chunked cursor already batches cheap indices), then
- * failed indices are re-attempted in later waves once their backoff
- * deadline passes. Backoff is slept out on the *calling* thread
- * between waves — a retrying cell never parks a pool lane, so a retry
- * storm cannot serialise the healthy part of the campaign.
- */
-ResilienceStats
-parallelForResilient(std::size_t n,
-                     const std::function<void(std::size_t)> &fn,
-                     const TaskPolicy &policy,
-                     std::vector<TaskOutcome> *outcomes = nullptr);
 
 /**
  * Activity counters for one pool lane. Lane 0 is the participating

@@ -156,7 +156,7 @@ AsciiChart::print(std::ostream &os) const
     for (const Series &series : series_) {
         for (const SeriesPoint &p : series.points) {
             if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
-                continue; // Poisoned campaign cells plot as gaps.
+                continue; // Non-finite points plot as gaps.
             }
             if (first) {
                 x_lo = x_hi = p.x;

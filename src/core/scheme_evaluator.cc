@@ -98,7 +98,7 @@ BusSolution
 evaluateBus(Scheme scheme, const WorkloadParams &params,
             unsigned processors, const BusCostModel &costs)
 {
-    const bool memo = solverMemoUsable();
+    const bool memo = solverCacheEnabled();
     BusSolution sol;
     SolverCacheKey key;
     if (memo) {
@@ -125,7 +125,7 @@ evaluateNetwork(Scheme scheme, const WorkloadParams &params,
             "snoopy schemes need a broadcast bus; they cannot run on a "
             "multistage network");
     }
-    const bool memo = solverMemoUsable();
+    const bool memo = solverCacheEnabled();
     NetworkSolution sol;
     SolverCacheKey key;
     if (memo) {
@@ -156,7 +156,7 @@ std::vector<BusSolution>
 evaluateBusCurve(Scheme scheme, const WorkloadParams &params,
                  unsigned max_processors, const BusCostModel &costs)
 {
-    const bool memo = solverMemoUsable();
+    const bool memo = solverCacheEnabled();
     std::vector<BusSolution> curve;
     SolverCacheKey key;
     if (memo) {
@@ -196,7 +196,7 @@ evaluateNetworkCurve(Scheme scheme, const WorkloadParams &params,
             "snoopy schemes need a broadcast bus; they cannot run on a "
             "multistage network");
     }
-    const bool memo = solverMemoUsable();
+    const bool memo = solverCacheEnabled();
     std::vector<NetworkSolution> curve;
     SolverCacheKey key;
     if (memo) {

@@ -72,8 +72,8 @@ sensitivityTable(const SensitivityConfig &config);
 
 /**
  * Table 8 as a resumable campaign: one journaled cell per
- * (parameter, scheme) pair. Poisoned cells surface as NaN times.
- * The parameterless overload delegates here with journaling disabled.
+ * (parameter, scheme) pair. The parameterless overload delegates here
+ * with journaling disabled.
  */
 std::vector<SensitivityEntry>
 sensitivityTable(const SensitivityConfig &config,

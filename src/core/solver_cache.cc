@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "core/campaign/faults.hh"
 #include "core/cost_model.hh"
 #include "core/obs/metrics.hh"
 #include "core/obs/obs.hh"
@@ -108,12 +107,6 @@ void
 setSolverCacheEnabled(bool enabled)
 {
     cache_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-bool
-solverMemoUsable()
-{
-    return solverCacheEnabled() && !campaign::faultsActive();
 }
 
 SolverCacheStats

@@ -36,9 +36,8 @@
  *
  * Gate: SWCC_SOLVER_CACHE=off|0|false disables it process-wide;
  * setSolverCacheEnabled() overrides programmatically (benches measure
- * cold vs warm, tests compare cached vs uncached bitwise). The gate,
- * the fault-injection bypass (solverMemoUsable()) and
- * clearSolverCache() cover every memo, extractions included, and
+ * cold vs warm, tests compare cached vs uncached bitwise). The gate
+ * and clearSolverCache() cover every memo, extractions included, and
  * solverCacheStats() (the solver_cache.hits/misses gauges) counts
  * extraction lookups alongside solver lookups.
  */
@@ -205,19 +204,14 @@ struct SolverCacheStats
     std::uint64_t evictions = 0;
 };
 
-/** True unless disabled by env or setSolverCacheEnabled(false). */
+/**
+ * True unless disabled by env or setSolverCacheEnabled(false). Every
+ * memo user gates on this one predicate.
+ */
 bool solverCacheEnabled();
 
 /** Programmatic override of the SWCC_SOLVER_CACHE gate. */
 void setSolverCacheEnabled(bool enabled);
-
-/**
- * True when results may be served from / stored into a memo: the
- * cache is enabled and no fault plan is armed. Fault injection must
- * reach the solvers' checkFault() sites, so an armed plan bypasses
- * every memo entirely. Every memo user gates on this one predicate.
- */
-bool solverMemoUsable();
 
 /** Process-wide hit/miss counters (all memo instances). */
 SolverCacheStats solverCacheStats();

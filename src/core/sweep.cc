@@ -16,7 +16,7 @@ Series::maxY() const
 {
     // Seed from the first finite point — an all-negative series (e.g.
     // a delta/error series) must not report a phantom maximum of 0,
-    // and a poisoned (NaN) cell must not poison the whole extremum.
+    // and a NaN point must not poison the whole extremum.
     // Empty (or all-NaN) mirrors finalY's convention of returning 0.
     bool seeded = false;
     double best = 0.0;

@@ -98,7 +98,7 @@ struct SweepRow
  * @param base      Remaining workload parameters.
  * @param processors Bus system size.
  * @param schemes   Schemes evaluated per cell (row width).
- * @param options   Journal / resume / retry policy (campaign.hh).
+ * @param options   Journal / resume configuration (campaign.hh).
  * @param report    Campaign accounting when non-null.
  */
 std::vector<SweepRow>

@@ -85,7 +85,7 @@ validatePoint(const ValidationConfig &config, CpuId cpus)
     point.cpus = cpus;
     point.cacheBytes = config.cacheBytes;
 
-    const bool memo = solverMemoUsable();
+    const bool memo = solverCacheEnabled();
     SolverCacheKey key;
     ExtractedParams extracted;
     bool stored = false;

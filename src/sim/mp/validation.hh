@@ -66,8 +66,8 @@ struct ValidationConfig
  *    Every scheme validated on one trace in a process shares one
  *    extraction; a cell that finds it stored skips the trace
  *    statistics and extraction's Base and Dragon runs.
- *    SWCC_SOLVER_CACHE=off and an armed fault plan bypass the memo,
- *    and clearSolverCache() empties it.
+ *    SWCC_SOLVER_CACHE=off bypasses the memo, and clearSolverCache()
+ *    empties it.
  *  - A Base or Dragon cell, memo on or off, takes its simulator
  *    statistics from extraction's own Base or Dragon run instead of
  *    simulating the trace again. When its extraction is stored, it
@@ -91,11 +91,10 @@ std::vector<ValidationPoint> validate(const ValidationConfig &config);
 
 /**
  * validate() as a resumable campaign: one journaled cell per
- * processor count. Cells satisfied from the journal (and poisoned
- * cells, which surface as NaN powers) carry only simPower and
- * modelPower — the detailed model / sim sub-structures are populated
- * only for cells evaluated in this run. The parameterless overload
- * delegates here with journaling disabled.
+ * processor count. Cells satisfied from the journal carry only
+ * simPower and modelPower — the detailed model / sim sub-structures
+ * are populated only for cells evaluated in this run. The
+ * parameterless overload delegates here with journaling disabled.
  *
  * Cells go to the pool as 1, N, N-1, ..., 2 CPUs: the pool runs the
  * first cell alone on the caller, and the rest start heaviest first,

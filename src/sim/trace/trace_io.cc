@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/campaign/atomic_file.hh"
-#include "core/campaign/faults.hh"
 #include "core/obs/log.hh"
 
 namespace swcc
@@ -382,7 +381,6 @@ saveTrace(const TraceBuffer &trace, const std::string &path)
 TraceBuffer
 loadTrace(const std::string &path)
 {
-    campaign::checkFault(campaign::FaultSite::TraceIo);
     const bool binary = path.ends_with(".swcc");
     std::ifstream is(path, binary ? std::ios::binary : std::ios::in);
     if (!is) {

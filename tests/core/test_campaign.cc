@@ -1,10 +1,9 @@
 /**
  * @file
- * Unit tests for the resilient campaign engine: cell hashing, atomic
- * artifact writes, the checksummed journal, fault injection, and the
- * retry / poison / resume machinery of runCells(). Every suite name
- * starts with "Campaign" so the tsan preset's test filter picks the
- * whole file up.
+ * Unit tests for the campaign engine: cell hashing, atomic artifact
+ * writes, the checksummed journal, the task-kill hook, and runCells()'s
+ * resume and fail-fast contract. Every suite name starts with
+ * "Campaign" so the tsan preset's test filter picks the whole file up.
  */
 
 #include <gtest/gtest.h>
@@ -12,24 +11,27 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/campaign/atomic_file.hh"
 #include "core/campaign/campaign.hh"
 #include "core/campaign/cell_hash.hh"
-#include "core/campaign/faults.hh"
 #include "core/campaign/journal.hh"
+#include "core/obs/metrics.hh"
+#include "core/parallel.hh"
 #include "core/sensitivity.hh"
 #include "core/sweep.hh"
 #include "core/workload.hh"
 #include "sim/mp/validation.hh"
-#include "sim/trace/trace_io.hh"
 
 namespace swcc
 {
@@ -112,6 +114,15 @@ TEST(CampaignCellKeyTest, WorkloadParamsChangeTheHash)
     b.shd += 0.01;
     EXPECT_NE(campaign::CellKey("k").add(a).hash(),
               campaign::CellKey("k").add(b).hash());
+
+    // Two apl values with one reciprocal are different workloads.
+    WorkloadParams c = middleParams();
+    c.apl = 7.692307692307693;
+    WorkloadParams d = c;
+    d.apl = std::nextafter(c.apl, 8.0);
+    ASSERT_EQ(getParam(c, ParamId::InvApl), getParam(d, ParamId::InvApl));
+    EXPECT_NE(campaign::CellKey("k").add(c).hash(),
+              campaign::CellKey("k").add(d).hash());
 }
 
 TEST(CampaignCellKeyTest, JournalKeysArePinned)
@@ -135,7 +146,8 @@ TEST(CampaignCellKeyTest, JournalKeysArePinned)
     const auto keys = campaign::Journal::load(options.journalPath);
     EXPECT_EQ(keys.size(), 2 + kNumParams * kNumPaperSchemes);
     EXPECT_EQ(keys.count(0xe8b4b66be662332aull), 1u); // validate
-    EXPECT_EQ(keys.count(0x077124e1ce29d9e7ull), 1u); // sweep
+    // The sweep key holds apl by its own bits, not 1/apl.
+    EXPECT_EQ(keys.count(0xc1f9bfa90f91422dull), 1u); // sweep
     // Table 8's first cell: (ls, Software-Flush) at 16 processors.
     EXPECT_EQ(keys.count(0xc08d6c811f61dfe7ull), 1u);
 }
@@ -282,110 +294,183 @@ TEST(CampaignJournalTest, MissingFileLoadsEmpty)
 }
 
 // ---------------------------------------------------------------------
-// Fault injection.
+// The task-kill hook's spec.
 
-class CampaignFaultsTest : public ::testing::Test
+TEST(CampaignFaultsTest, BadSpecsAreRejected)
 {
-  protected:
-    void
-    SetUp() override
-    {
-        campaign::clearFaults();
+    // task-kill:COUNT[@SKIP] is the only spec; anything else fails
+    // before a cell runs.
+    for (const char *spec :
+         {"bogus-site:1", "solver-bus", "solver-bus:abc",
+          "solver-bus:150%", "solver-bus:1", "task-timeout:1",
+          "task-kill:50%"}) {
+        campaign::CampaignOptions options;
+        options.faultSpec = spec;
+        EXPECT_THROW(campaign::runCells(
+                         1, 1, [](std::size_t) { return std::uint64_t{1}; },
+                         [spec](std::size_t) -> std::vector<double> {
+                             ADD_FAILURE() << "cell ran under " << spec;
+                             return {1.0};
+                         },
+                         options),
+                     std::invalid_argument)
+            << spec;
+    }
+}
+
+TEST(CampaignFaultsTest, CountModeFiresAnExactWindow)
+{
+    // One lane starts cells in index order: task-kill:2@3 lets starts
+    // 0-2 finish and kills start 3. The window is counted per
+    // runCells() call, so a second call dies at the same start, and a
+    // window past the last start never fires.
+    const auto keyOf = [](std::size_t i) {
+        return campaign::CellKey("window")
+            .add(static_cast<std::uint64_t>(i))
+            .hash();
+    };
+    std::vector<std::size_t> ran;
+    const auto eval = [&ran](std::size_t i) {
+        ran.push_back(i);
+        return std::vector<double>{static_cast<double>(i)};
+    };
+    campaign::CampaignOptions options;
+    options.faultSpec = "task-kill:2@3";
+    setThreadCount(1);
+    for (int call = 0; call < 2; ++call) {
+        ran.clear();
+        campaign::CampaignReport report;
+        std::string message;
+        try {
+            campaign::runCells(10, 1, keyOf, eval, options, &report);
+            ADD_FAILURE() << "call " << call << " was not killed";
+        } catch (const campaign::TaskKilled &kill) {
+            message = kill.what();
+        }
+        EXPECT_NE(message.find("cell start 3"), std::string::npos)
+            << "call " << call << ": " << message;
+        EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2}))
+            << "call " << call;
+        EXPECT_EQ(report.executed, 3u) << "call " << call;
     }
 
-    void
-    TearDown() override
+    options.faultSpec = "task-kill:2@10";
+    ran.clear();
+    const auto results = campaign::runCells(10, 1, keyOf, eval, options);
+    setThreadCount(0);
+    EXPECT_EQ(ran.size(), 10u);
+    EXPECT_EQ(results.back(), std::vector<double>{9.0});
+}
+
+TEST(CampaignFaultsTest, BadSpecLeavesTheJournalUntouched)
+{
+    // The spec is parsed before the journal opens, so a mistyped spec
+    // cannot truncate the journal of an earlier run. The journal is
+    // copied to a path no Journal of this process has opened, where
+    // opening one without resume would truncate it.
+    const std::string written = freshPath("bad_spec_source.journal");
     {
-        campaign::clearFaults();
+        campaign::Journal journal(written, false);
+        journal.append(1, {1.0});
+        journal.append(2, {2.0});
     }
+    const std::string path = freshPath("bad_spec.journal");
+    fs::copy_file(written, path);
+    const std::string before = slurp(path);
+
+    campaign::CampaignOptions options;
+    options.journalPath = path;
+    options.faultSpec = "solver-bus:1";
+    EXPECT_THROW(campaign::runCells(
+                     2, 1,
+                     [](std::size_t i) {
+                         return static_cast<std::uint64_t>(i + 1);
+                     },
+                     [](std::size_t i) {
+                         return std::vector<double>{
+                             static_cast<double>(i)};
+                     },
+                     options),
+                 std::invalid_argument);
+    EXPECT_EQ(slurp(path), before);
+    EXPECT_EQ(campaign::Journal::load(path).size(), 2u);
+}
+
+/** Sets an environment variable for one scope (null unsets it). */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name)) {
+            saved_ = old;
+        }
+        set(value);
+    }
+
+    ~ScopedEnv() { set(saved_ ? saved_->c_str() : nullptr); }
+
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    void
+    set(const char *value)
+    {
+        if (value != nullptr) {
+            setenv(name_, value, 1);
+        } else {
+            unsetenv(name_);
+        }
+    }
+
+    const char *name_;
+    std::optional<std::string> saved_;
 };
 
-TEST_F(CampaignFaultsTest, BadSpecsAreRejected)
+TEST(CampaignEnvTest, OnlyTheJournalVariablesConfigureACampaign)
 {
-    EXPECT_THROW(campaign::configureFaults("bogus-site:1", 1),
-                 std::invalid_argument);
-    EXPECT_THROW(campaign::configureFaults("solver-bus", 1),
-                 std::invalid_argument);
-    EXPECT_THROW(campaign::configureFaults("solver-bus:abc", 1),
-                 std::invalid_argument);
-    EXPECT_THROW(campaign::configureFaults("solver-bus:150%", 1),
-                 std::invalid_argument);
-}
-
-TEST_F(CampaignFaultsTest, CountModeFiresAnExactWindow)
-{
-    campaign::configureFaults("solver-net:2@3", 1);
-    const std::uint64_t before =
-        campaign::injectedCount(campaign::FaultSite::SolverNet);
-    std::vector<bool> fired;
-    for (int i = 0; i < 10; ++i) {
-        bool threw = false;
-        try {
-            campaign::checkFault(campaign::FaultSite::SolverNet);
-        } catch (const campaign::SolverNonConvergence &) {
-            threw = true;
-        }
-        fired.push_back(threw);
+    // SWCC_JOURNAL_DIR and SWCC_RESUME are the campaign's environment;
+    // SWCC_FAULT_INJECT arms nothing.
+    {
+        ScopedEnv dir("SWCC_JOURNAL_DIR", nullptr);
+        ScopedEnv resume("SWCC_RESUME", "1");
+        const campaign::CampaignOptions off =
+            campaign::envCampaignOptions("fig01");
+        EXPECT_TRUE(off.journalPath.empty());
+        EXPECT_FALSE(off.resume) << "resume needs a journal";
     }
-    const std::vector<bool> expected = {
-        false, false, false, true, true,
-        false, false, false, false, false,
-    };
-    EXPECT_EQ(fired, expected);
-    EXPECT_EQ(campaign::injectedCount(campaign::FaultSite::SolverNet),
-              before + 2);
-}
 
-TEST_F(CampaignFaultsTest, ProbabilityModeIsSeedDeterministic)
-{
-    auto pattern = [](std::uint64_t seed) {
-        campaign::clearFaults();
-        campaign::configureFaults("solver-bus:50%", seed);
-        std::vector<bool> fired;
-        for (int i = 0; i < 64; ++i) {
-            bool threw = false;
-            try {
-                campaign::checkFault(campaign::FaultSite::SolverBus);
-            } catch (const campaign::SolverNonConvergence &) {
-                threw = true;
-            }
-            fired.push_back(threw);
-        }
-        return fired;
-    };
-    EXPECT_EQ(pattern(42), pattern(42));
-}
+    ScopedEnv dir("SWCC_JOURNAL_DIR", "journals");
+    ScopedEnv fault("SWCC_FAULT_INJECT", "task-kill:1");
+    {
+        ScopedEnv resume("SWCC_RESUME", "Yes");
+        const campaign::CampaignOptions on =
+            campaign::envCampaignOptions("fig01");
+        EXPECT_EQ(on.journalPath, "journals/fig01.journal");
+        EXPECT_TRUE(on.resume);
+        EXPECT_TRUE(on.faultSpec.empty());
+    }
+    {
+        ScopedEnv resume("SWCC_RESUME", "0");
+        EXPECT_FALSE(campaign::envCampaignOptions("fig01").resume);
+    }
 
-TEST_F(CampaignFaultsTest, SitesThrowTheirCharacteristicExceptions)
-{
-    campaign::configureFaults(
-        "trace-io:1,task-kill:1,task-timeout:1", 1);
-    EXPECT_THROW(campaign::checkFault(campaign::FaultSite::TraceIo),
-                 campaign::InjectedIoFailure);
-    EXPECT_THROW(campaign::checkFault(campaign::FaultSite::TaskKill),
-                 campaign::TaskKilled);
-    EXPECT_THROW(campaign::checkFault(campaign::FaultSite::TaskTimeout),
-                 TaskTimeoutError);
-}
-
-TEST_F(CampaignFaultsTest, TraceLoadHonoursInjectedIoFailure)
-{
-    const std::string path = freshPath("faulty_trace.txt");
-    TraceBuffer trace;
-    trace.append({0x100, 0, RefType::Load});
-    saveTrace(trace, path);
-
-    campaign::configureFaults("trace-io:1", 1);
-    EXPECT_THROW(loadTrace(path), campaign::InjectedIoFailure);
-    // The injection window is spent; the retry succeeds.
-    const TraceBuffer reloaded = loadTrace(path);
-    EXPECT_EQ(reloaded.size(), 1u);
+    campaign::CampaignReport report;
+    const auto results = campaign::runCells(
+        3, 1, [](std::size_t i) { return static_cast<std::uint64_t>(i); },
+        [](std::size_t i) {
+            return std::vector<double>{static_cast<double>(i)};
+        },
+        campaign::CampaignOptions{}, &report);
+    EXPECT_EQ(report.executed, 3u);
+    EXPECT_EQ(results.back(), std::vector<double>{2.0});
 }
 
 // ---------------------------------------------------------------------
-// runCells: retry, poison, resume.
+// runCells: resume and fail-fast.
 
-class CampaignRunCellsTest : public CampaignFaultsTest
+class CampaignRunCellsTest : public ::testing::Test
 {
   protected:
     /** Deterministic two-wide cell payload. */
@@ -429,7 +514,6 @@ TEST_F(CampaignRunCellsTest, ComputesEveryCellWithoutJournal)
     EXPECT_EQ(report.cells, 8u);
     EXPECT_EQ(report.executed, 8u);
     EXPECT_EQ(report.fromJournal, 0u);
-    EXPECT_EQ(report.retries, 0u);
 }
 
 TEST_F(CampaignRunCellsTest, ResumeUsesTheJournalInsteadOfEval)
@@ -471,10 +555,9 @@ TEST_F(CampaignRunCellsTest, KillThenResumeIsByteIdentical)
     EXPECT_THROW(campaign::runCells(
                      10, 2, keyOf,
                      [](std::size_t i) { return payload(i); }, options),
-                 FatalTaskError);
+                 campaign::TaskKilled);
 
-    // "New process": fault config gone, resume from the journal.
-    campaign::clearFaults();
+    // "New process": no kill, resume from the journal.
     options.faultSpec.clear();
     options.resume = true;
     campaign::CampaignReport report;
@@ -495,109 +578,156 @@ TEST_F(CampaignRunCellsTest, KillThenResumeIsByteIdentical)
     }
 }
 
-TEST_F(CampaignRunCellsTest, RetriesRecoverInjectedSolverFaults)
+TEST_F(CampaignRunCellsTest, FailingCellFailsTheRunAndKeepsEarlierCells)
 {
-    const std::uint64_t before =
-        campaign::injectedCount(campaign::FaultSite::SolverBus);
+    // One lane runs the cells in order: cells 0-2 finish and are
+    // journaled, cell 3 throws, and the run stops there.
     campaign::CampaignOptions options;
-    options.faultSpec = "solver-bus:2";
+    options.journalPath = freshPath("runcells_fail.journal");
+    setThreadCount(1);
     campaign::CampaignReport report;
-    const auto results = campaign::runCells(
-        4, 2, keyOf,
-        [](std::size_t i) {
-            campaign::checkFault(campaign::FaultSite::SolverBus);
-            return payload(i);
-        },
-        options, &report);
-    // Exactly two injections, both recovered by retries: no poison,
-    // every cell correct.
-    EXPECT_EQ(campaign::injectedCount(campaign::FaultSite::SolverBus),
-              before + 2);
-    EXPECT_EQ(report.retries, 2u);
-    EXPECT_EQ(report.poisoned, 0u);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        EXPECT_EQ(results[i], payload(i));
+    std::string message;
+    try {
+        campaign::runCells(
+            5, 2, keyOf,
+            [](std::size_t i) -> std::vector<double> {
+                if (i == 3) {
+                    throw std::invalid_argument("shd must lie in [0, 1]");
+                }
+                return payload(i);
+            },
+            options, &report);
+        ADD_FAILURE() << "a throwing cell must fail the run";
+    } catch (const std::exception &error) {
+        message = error.what();
+    }
+    setThreadCount(0);
+    EXPECT_NE(message.find("cell 3"), std::string::npos) << message;
+    EXPECT_NE(message.find("shd must lie in [0, 1]"), std::string::npos)
+        << message;
+    char key[17];
+    std::snprintf(key, sizeof key, "%016llx",
+                  static_cast<unsigned long long>(keyOf(3)));
+    EXPECT_NE(message.find(key), std::string::npos) << message;
+    EXPECT_EQ(report.cells, 5u);
+    EXPECT_EQ(report.executed, 3u);
+
+    const auto journaled = campaign::Journal::load(options.journalPath);
+    EXPECT_EQ(journaled.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) {
+        ASSERT_EQ(journaled.count(keyOf(i)), 1u) << "cell " << i;
+        EXPECT_EQ(journaled.at(keyOf(i)), payload(i)) << "cell " << i;
     }
 }
 
-TEST_F(CampaignRunCellsTest, ExhaustedRetriesPoisonTheCell)
+TEST_F(CampaignRunCellsTest, NonFiniteJournalRecordIsRecomputed)
 {
+    // Older builds journaled a failed cell as a row of NaNs; a resume
+    // recomputes that cell instead of handing the NaNs back.
     campaign::CampaignOptions options;
-    options.faultSpec = "solver-bus:1000";
-    options.policy.maxRetries = 1;
-    options.journalPath = freshPath("runcells_poison.journal");
-    campaign::CampaignReport report;
-    const auto results = campaign::runCells(
-        3, 2, keyOf,
-        [](std::size_t i) {
-            campaign::checkFault(campaign::FaultSite::SolverBus);
-            return payload(i);
-        },
-        options, &report);
-    EXPECT_EQ(report.poisoned, 3u);
-    EXPECT_EQ(report.retries, 3u); // One retry per cell, then poison.
-    for (const auto &row : results) {
-        ASSERT_EQ(row.size(), 2u);
-        EXPECT_TRUE(std::isnan(row[0]));
-        EXPECT_TRUE(std::isnan(row[1]));
+    options.journalPath = freshPath("runcells_nan.journal");
+    {
+        campaign::Journal journal(options.journalPath, false);
+        journal.append(keyOf(0), payload(0));
+        const double nan = std::numeric_limits<double>::quiet_NaN();
+        journal.append(keyOf(1), {nan, nan});
     }
-
-    // Poisoned cells are journaled, so a resumed run reproduces the
-    // same NaN rows without re-running the failing cells.
-    campaign::clearFaults();
-    options.faultSpec.clear();
     options.resume = true;
-    campaign::CampaignReport resumed_report;
-    const auto resumed = campaign::runCells(
-        3, 2, keyOf,
-        [](std::size_t i) -> std::vector<double> {
-            ADD_FAILURE() << "poisoned cell " << i << " recomputed";
-            return payload(i);
-        },
-        options, &resumed_report);
-    EXPECT_EQ(resumed_report.fromJournal, 3u);
-    for (const auto &row : resumed) {
-        EXPECT_TRUE(std::isnan(row[0]));
-    }
-}
-
-TEST_F(CampaignRunCellsTest, InjectedTimeoutIsRetriedAndCounted)
-{
-    campaign::CampaignOptions options;
-    options.faultSpec = "task-timeout:1";
     campaign::CampaignReport report;
     const auto results = campaign::runCells(
-        2, 2, keyOf, [](std::size_t i) { return payload(i); },
-        options, &report);
-    EXPECT_EQ(report.timeouts, 1u);
-    EXPECT_EQ(report.retries, 1u);
-    EXPECT_EQ(report.poisoned, 0u);
+        2, 2, keyOf, [](std::size_t i) { return payload(i); }, options,
+        &report);
+    EXPECT_EQ(report.fromJournal, 1u);
+    EXPECT_EQ(report.executed, 1u);
     EXPECT_EQ(results[0], payload(0));
     EXPECT_EQ(results[1], payload(1));
 }
 
-TEST_F(CampaignRunCellsTest, MeasuredOverrunPoisonsTheCell)
+TEST_F(CampaignRunCellsTest, FailedRunResumesOnceTheInputIsFixed)
 {
+    // The failing run journals cells 0-2 before cell 3 throws. Once
+    // the cell is fixed, a resume takes those three from the journal
+    // and computes only cells 3 and 4.
     campaign::CampaignOptions options;
-    options.policy.timeoutMs = 1;
-    options.policy.maxRetries = 0;
+    options.journalPath = freshPath("runcells_fixed.journal");
+    setThreadCount(1);
+    EXPECT_THROW(campaign::runCells(
+                     5, 2, keyOf,
+                     [](std::size_t i) -> std::vector<double> {
+                         if (i == 3) {
+                             throw std::invalid_argument("bad input");
+                         }
+                         return payload(i);
+                     },
+                     options),
+                 std::runtime_error);
+
+    options.resume = true;
+    std::vector<std::size_t> computed;
     campaign::CampaignReport report;
     const auto results = campaign::runCells(
-        1, 1,
-        [](std::size_t) { return std::uint64_t{99}; },
-        [](std::size_t) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(30));
-            return std::vector<double>{1.0};
+        5, 2, keyOf,
+        [&computed](std::size_t i) {
+            computed.push_back(i);
+            return payload(i);
         },
         options, &report);
-    EXPECT_EQ(report.timeouts, 1u);
-    EXPECT_EQ(report.poisoned, 1u);
-    EXPECT_TRUE(std::isnan(results[0][0]));
+    setThreadCount(0);
+    EXPECT_EQ(report.fromJournal, 3u);
+    EXPECT_EQ(report.executed, 2u);
+    EXPECT_EQ(computed, (std::vector<std::size_t>{3, 4}));
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        EXPECT_EQ(results[i], payload(i)) << "cell " << i;
+    }
 }
 
-// ---------------------------------------------------------------------
-// The real drivers on top of runCells.
+/** A counter's total so far in this process (0 before first use). */
+std::uint64_t
+counterValue(const std::string &name)
+{
+    for (const obs::MetricSnapshot &snap : obs::metrics().snapshot()) {
+        if (snap.name == name) {
+            return static_cast<std::uint64_t>(snap.value);
+        }
+    }
+    return 0;
+}
+
+TEST_F(CampaignRunCellsTest, StoppedRunCountsItsFinishedCells)
+{
+    // A run stopped by a failing cell or by the kill hook still reports
+    // and counts the cells it finished, for the metrics a failed
+    // command writes.
+    const std::uint64_t cells = counterValue("campaign.cells");
+    const std::uint64_t executed = counterValue("campaign.cells_executed");
+    campaign::CampaignOptions options;
+    campaign::CampaignReport failed;
+    campaign::CampaignReport killed;
+    setThreadCount(1);
+    EXPECT_THROW(campaign::runCells(
+                     5, 2, keyOf,
+                     [](std::size_t i) -> std::vector<double> {
+                         if (i == 3) {
+                             throw std::invalid_argument("bad input");
+                         }
+                         return payload(i);
+                     },
+                     options, &failed),
+                 std::runtime_error);
+    options.faultSpec = "task-kill:1@2";
+    EXPECT_THROW(campaign::runCells(
+                     5, 2, keyOf,
+                     [](std::size_t i) { return payload(i); }, options,
+                     &killed),
+                 campaign::TaskKilled);
+    setThreadCount(0);
+    EXPECT_EQ(failed.cells, 5u);
+    EXPECT_EQ(failed.executed, 3u);
+    EXPECT_EQ(killed.cells, 5u);
+    EXPECT_EQ(killed.executed, 2u);
+    EXPECT_EQ(counterValue("campaign.cells") - cells, 10u);
+    EXPECT_EQ(counterValue("campaign.cells_executed") - executed, 5u);
+}
 
 // ---------------------------------------------------------------------
 // Group-commit journal + batched cells.
@@ -690,11 +820,10 @@ TEST_F(CampaignRunCellsTest, BatchedCellsKillThenResumeIsByteIdentical)
     setThreadCount(4);
     EXPECT_THROW(
         campaign::runCells(kCells, 2, keyOf, slowPayload, options),
-        FatalTaskError);
+        campaign::TaskKilled);
 
     // Cells that completed before the kill — including ones queued in
     // the committer at unwind time — must be durable in the journal.
-    campaign::clearFaults();
     options.faultSpec.clear();
     options.resume = true;
     campaign::CampaignReport report;
@@ -713,30 +842,47 @@ TEST_F(CampaignRunCellsTest, BatchedCellsKillThenResumeIsByteIdentical)
     }
 }
 
-TEST_F(CampaignRunCellsTest, BatchedCellsKeepPerCellRetryAccounting)
+TEST_F(CampaignRunCellsTest, BatchedCellsFailWithTheFailingCellsIndex)
 {
-    const std::uint64_t before =
-        campaign::injectedCount(campaign::FaultSite::SolverBus);
+    // 320 cells on 4 lanes run in chunks of about 10. A throw inside a
+    // chunk names its own cell, and the journal holds only finished
+    // cells, each under its own key with its own payload.
+    constexpr std::size_t kCells = 320;
+    constexpr std::size_t kBad = 200;
     campaign::CampaignOptions options;
-    options.faultSpec = "solver-bus:2";
+    options.journalPath = freshPath("runcells_batched_fail.journal");
     campaign::CampaignReport report;
+    std::string message;
     setThreadCount(4);
-    const auto results = campaign::runCells(
-        320, 2, keyOf,
-        [](std::size_t i) {
-            campaign::checkFault(campaign::FaultSite::SolverBus);
-            return slowPayload(i);
-        },
-        options, &report);
+    try {
+        campaign::runCells(
+            kCells, 2, keyOf,
+            [](std::size_t i) {
+                if (i == kBad) {
+                    throw std::domain_error("payload diverged");
+                }
+                return slowPayload(i);
+            },
+            options, &report);
+        ADD_FAILURE() << "a throwing cell must fail the run";
+    } catch (const std::runtime_error &error) {
+        message = error.what();
+    }
     setThreadCount(0);
-    // A failing cell retries alone; the rest of its chunk completes
-    // normally and exactly once.
-    EXPECT_EQ(campaign::injectedCount(campaign::FaultSite::SolverBus),
-              before + 2);
-    EXPECT_EQ(report.retries, 2u);
-    EXPECT_EQ(report.poisoned, 0u);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        EXPECT_EQ(results[i], payload(i));
+    EXPECT_NE(message.find("campaign cell 200 (key "), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("payload diverged"), std::string::npos)
+        << message;
+
+    const auto journaled = campaign::Journal::load(options.journalPath);
+    EXPECT_EQ(journaled.count(keyOf(kBad)), 0u);
+    EXPECT_EQ(journaled.size(), report.executed);
+    EXPECT_LT(report.executed, kCells);
+    for (std::size_t i = 0; i < kCells; ++i) {
+        const auto it = journaled.find(keyOf(i));
+        if (it != journaled.end()) {
+            EXPECT_EQ(it->second, payload(i)) << "cell " << i;
+        }
     }
 }
 
@@ -758,9 +904,8 @@ TEST_F(CampaignRunCellsTest, SweepGridKillThenResumeIsByteIdentical)
     options.faultSpec = "task-kill:1@3";
     EXPECT_THROW(sweepPowerGrid(ParamId::Shd, false, values, base, 16,
                                 schemes, options),
-                 FatalTaskError);
+                 campaign::TaskKilled);
 
-    campaign::clearFaults();
     options.faultSpec.clear();
     options.resume = true;
     campaign::CampaignReport report;
@@ -790,9 +935,8 @@ TEST_F(CampaignRunCellsTest, SensitivityResumeMatchesBaseline)
     campaign::CampaignOptions options;
     options.journalPath = freshPath("sensitivity_kill.journal");
     options.faultSpec = "task-kill:1@10";
-    EXPECT_THROW(sensitivityTable(config, options), FatalTaskError);
+    EXPECT_THROW(sensitivityTable(config, options), campaign::TaskKilled);
 
-    campaign::clearFaults();
     options.faultSpec.clear();
     options.resume = true;
     campaign::CampaignReport report;

@@ -3,8 +3,9 @@
  * Tests for the solver memo cache and the curve kernels:
  * cold-vs-warm bitwise identity, curve-vs-per-point bitwise identity,
  * race-free concurrent insertion (the suite name starts with
- * "Parallel" so the tsan preset picks it up), the disable gate, the
- * fault-injection bypass, and the memo key builder's field coverage.
+ * "Parallel" so the tsan preset picks it up), the disable gate, a
+ * campaign's kill hook leaving the memo in use, and the memo key
+ * builder's field coverage.
  */
 
 #include <gtest/gtest.h>
@@ -17,12 +18,13 @@
 #include <vector>
 
 #include "core/bus_model.hh"
-#include "core/campaign/faults.hh"
+#include "core/campaign/campaign.hh"
 #include "core/cost_model.hh"
 #include "core/network_model.hh"
 #include "core/per_instruction.hh"
 #include "core/scheme_evaluator.hh"
 #include "core/solver_cache.hh"
+#include "core/sweep.hh"
 #include "core/workload.hh"
 
 namespace swcc
@@ -76,7 +78,6 @@ class ParallelSolverCacheTest : public ::testing::Test
     void
     SetUp() override
     {
-        campaign::clearFaults();
         setSolverCacheEnabled(true);
         clearSolverCache();
     }
@@ -84,7 +85,6 @@ class ParallelSolverCacheTest : public ::testing::Test
     void
     TearDown() override
     {
-        campaign::clearFaults();
         clearSolverCache();
         setSolverCacheEnabled(true);
     }
@@ -307,16 +307,34 @@ TEST_F(ParallelSolverCacheTest, ShardOverflowCountsEvictions)
     EXPECT_EQ(solverCacheStats().evictions, after.evictions);
 }
 
-TEST_F(ParallelSolverCacheTest, ArmedFaultInjectionBypassesTheMemo)
+TEST_F(ParallelSolverCacheTest, ArmedKillHookKeepsTheMemo)
 {
-    const WorkloadParams params = middleParams();
-    // Warm the exact point the fault should hit...
-    evaluateBus(Scheme::Base, params, 8);
-    // ...then arm a first-solve fault. A memo hit would swallow it.
-    campaign::configureFaults("solver-bus:1", 1);
-    EXPECT_THROW(evaluateBus(Scheme::Base, params, 8),
-                 campaign::SolverNonConvergence);
-    campaign::clearFaults();
+    // The kill hook is counted inside runCells() and leaves the memo
+    // alone: a sweep armed with a kill that never fires answers every
+    // point from the memo an unarmed sweep filled, bit for bit.
+    const std::vector<Scheme> schemes = {
+        Scheme::Base, Scheme::Dragon, Scheme::SoftwareFlush};
+    const std::vector<double> values = linspace(0.05, 0.5, 5);
+    const auto unarmed =
+        sweepPowerGrid(ParamId::Shd, false, values, middleParams(), 16,
+                       schemes, campaign::CampaignOptions{});
+
+    campaign::CampaignOptions armed;
+    armed.faultSpec = "task-kill:1@100";
+    const SolverCacheStats warm = solverCacheStats();
+    const auto rows = sweepPowerGrid(ParamId::Shd, false, values,
+                                     middleParams(), 16, schemes, armed);
+    EXPECT_EQ(solverCacheStats().hits - warm.hits,
+              values.size() * schemes.size());
+    EXPECT_EQ(solverCacheStats().misses, warm.misses);
+    ASSERT_EQ(rows.size(), unarmed.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_EQ(rows[i].power.size(), schemes.size());
+        for (std::size_t s = 0; s < schemes.size(); ++s) {
+            EXPECT_TRUE(sameBits(rows[i].power[s], unarmed[i].power[s]))
+                << "row " << i << " scheme " << s;
+        }
+    }
 }
 
 TEST_F(ParallelSolverCacheTest, ConcurrentMixedLookupsAreRaceFree)

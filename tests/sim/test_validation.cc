@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/campaign/cell_hash.hh"
-#include "core/campaign/faults.hh"
 #include "core/campaign/journal.hh"
 #include "core/obs/metrics.hh"
 #include "core/parallel.hh"
@@ -238,14 +237,13 @@ composedPoint(const ValidationConfig &config, CpuId cpus)
     return point;
 }
 
-/** Fresh, enabled memo and no fault plan around every test. */
+/** Fresh, enabled memo around every test. */
 class ValidationMemoTest : public ::testing::Test
 {
   protected:
     void
     SetUp() override
     {
-        campaign::clearFaults();
         setSolverCacheEnabled(true);
         clearSolverCache();
     }
@@ -253,7 +251,6 @@ class ValidationMemoTest : public ::testing::Test
     void
     TearDown() override
     {
-        campaign::clearFaults();
         setSolverCacheEnabled(true);
         clearSolverCache();
     }
@@ -378,41 +375,40 @@ TEST_F(ValidationMemoTest, EntriesFilledByOneSchemeServeTheOthers)
     }
 }
 
-TEST_F(ValidationMemoTest, ArmedFaultPlanNeitherReadsNorFillsTheMemo)
+TEST_F(ValidationMemoTest, ArmedKillHookReadsAndFillsTheMemo)
 {
-    // Warm every entry, then arm a plan whose site validation never
-    // reaches: the armed run must still extract every cell itself.
-    validateEveryScheme(AppProfile::ThorLike, 2);
-    campaign::configureFaults("trace-io:1", 1);
-    const SolverCacheStats armed = solverCacheStats();
+    // The kill hook is counted inside runCells() and leaves the memo
+    // alone. Warm, each MESI cell finds its extraction stored and
+    // simulates MESI alone: 2 runs for 2 CPU counts, where a cell that
+    // extracts costs 3.
+    const ValidationConfig config =
+        shortConfig(AppProfile::ThorLike, Scheme::Mesi, 2);
+    const auto unarmed = validate(config);
+    campaign::CampaignOptions armed;
+    armed.faultSpec = "task-kill:1@100"; // Never fires on 2 cells.
+    const SolverCacheStats warm = solverCacheStats();
     const std::uint64_t before = simRuns();
-    const auto faulted = validateEveryScheme(AppProfile::ThorLike, 2);
-    EXPECT_EQ(simRuns() - before, 44u); // The memo-off count, 2 * 22.
-    EXPECT_EQ(solverCacheStats().hits, armed.hits);
-    EXPECT_EQ(solverCacheStats().misses, armed.misses);
-
-    // From an empty memo, an armed run stores nothing: after the plan
-    // is cleared, only the cells sharing a trace with an earlier cell
-    // of the same run hit (6 of each CPU count's 8 extractions), and
-    // every bus point is new.
-    clearSolverCache();
-    validateEveryScheme(AppProfile::ThorLike, 2);
-    campaign::clearFaults();
-    const SolverCacheStats cleared = solverCacheStats();
-    const auto fresh = validateEveryScheme(AppProfile::ThorLike, 2);
-    EXPECT_EQ(solverCacheStats().hits, cleared.hits + 6u * 2u);
-    ASSERT_EQ(faulted.size(), fresh.size());
-    for (std::size_t s = 0; s < fresh.size(); ++s) {
-        for (std::size_t i = 0; i < fresh[s].size(); ++i) {
-            expectIdentical(faulted[s][i], fresh[s][i], "faulted");
-        }
+    const auto points = validate(config, armed);
+    EXPECT_EQ(simRuns() - before, 2u);
+    // Per cell: its extraction and its bus point.
+    EXPECT_EQ(solverCacheStats().hits - warm.hits, 4u);
+    ASSERT_EQ(points.size(), unarmed.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        expectIdentical(points[i], unarmed[i], "armed");
     }
+
+    // From an empty memo an armed run fills it: an unarmed run after
+    // it extracts nothing.
+    clearSolverCache();
+    validate(config, armed);
+    const std::uint64_t filled = simRuns();
+    validate(config);
+    EXPECT_EQ(simRuns() - filled, 2u);
 }
 
 TEST(ValidationLimitTest, RejectsMoreCpusThanTheGeneratorHolds)
 {
-    // The limit is checked before any cell runs, so no cell simulates
-    // and none is poisoned.
+    // The limit is checked before any cell runs, so no cell simulates.
     const std::uint64_t before = simRuns();
     EXPECT_THROW(
         validate(shortConfig(AppProfile::PopsLike, Scheme::Dragon,
@@ -435,7 +431,7 @@ validateCellKey(const ValidationConfig &config, CpuId cpus)
         .hash();
 }
 
-/** Same clean memo and fault state as ValidationMemoTest. */
+/** Same clean memo as ValidationMemoTest. */
 using ValidationJournalTest = ValidationMemoTest;
 
 TEST_F(ValidationJournalTest, KilledValidationResumesFromItsJournal)
@@ -453,14 +449,13 @@ TEST_F(ValidationJournalTest, KilledValidationResumesFromItsJournal)
     std::remove(options.journalPath.c_str());
     options.faultSpec = "task-kill:1@2";
     setThreadCount(1);
-    EXPECT_THROW(validate(config, options), FatalTaskError);
+    EXPECT_THROW(validate(config, options), campaign::TaskKilled);
 
     const auto journaled = campaign::Journal::load(options.journalPath);
     EXPECT_EQ(journaled.size(), 2u);
     EXPECT_EQ(journaled.count(validateCellKey(config, 1)), 1u);
     EXPECT_EQ(journaled.count(validateCellKey(config, 5)), 1u);
 
-    campaign::clearFaults();
     options.faultSpec.clear();
     options.resume = true;
     campaign::CampaignReport report;
@@ -495,7 +490,6 @@ TEST(ParallelValidationMemoTest, ConcurrentOverlappingValidationsAgree)
     // order, so lanes race to fill and read the same entries. Run
     // under tsan this is the memo's data-race gate; in any build the
     // points must equal a serial, memo-off reference bit for bit.
-    campaign::clearFaults();
     setSolverCacheEnabled(false);
     const auto reference = validateEveryScheme(AppProfile::PopsLike, 3);
     setSolverCacheEnabled(true);

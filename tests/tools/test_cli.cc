@@ -10,7 +10,6 @@
 #include <sstream>
 
 #include "cli/commands.hh"
-#include "core/campaign/faults.hh"
 #include "core/parallel.hh"
 #include "core/workload.hh"
 #include "cli/options.hh"
@@ -434,7 +433,6 @@ TEST(CliCampaignTest, InterruptedSweepResumesByteIdentically)
 
     // Resume: recomputes only the missing cells; the CSV (and stdout
     // table) must be byte-identical to the uninterrupted run.
-    campaign::clearFaults(); // The "new process" would start clean.
     std::string fresh_stdout;
     ASSERT_EQ(runCli({"sweep", "--param", "shd", "--points", "7",
                       "--cpus", "8"},
@@ -455,29 +453,108 @@ TEST(CliCampaignTest, InterruptedSweepResumesByteIdentically)
     std::remove(resumed_csv.c_str());
 }
 
-TEST(CliCampaignTest, FaultySolverIsRetriedToSuccess)
+TEST(CliCampaignTest, FailingCellFailsTheSweep)
 {
-    campaign::clearFaults();
-    const std::string dir = ::testing::TempDir();
-    const std::string journal = dir + "/cli_retry.journal";
-    std::remove(journal.c_str());
+    // shd 1.5 and 2.0 are out of range: the campaign stops at the
+    // first of them with exit 2, names the error, prints no table and
+    // writes no CSV.
+    const std::string csv = ::testing::TempDir() + "/cli_failing.csv";
+    std::remove(csv.c_str());
+    std::string output;
+    EXPECT_EQ(runCli({"sweep", "--param", "shd", "--from", "0.5", "--to",
+                      "2", "--points", "4", "--cpus", "8", "--threads",
+                      "1", "--csv-out", csv},
+                     &output),
+              2);
+    setThreadCount(0);
+    EXPECT_NE(output.find("campaign cell 2"), std::string::npos)
+        << output;
+    EXPECT_NE(output.find("shd must lie in [0, 1]"), std::string::npos)
+        << output;
+    EXPECT_EQ(output.find("nan"), std::string::npos) << output;
+    EXPECT_FALSE(std::ifstream(csv).good())
+        << "a failed campaign must not leave a CSV artifact";
+}
 
-    std::string faulty;
-    ASSERT_EQ(runCli({"sweep", "--param", "shd", "--points", "5",
-                      "--cpus", "8", "--journal", journal,
-                      "--fault-inject", "solver-bus:2"},
-                     &faulty),
-              0);
-    campaign::clearFaults();
-    std::string clean;
-    ASSERT_EQ(runCli({"sweep", "--param", "shd", "--points", "5",
-                      "--cpus", "8"},
-                     &clean),
-              0);
-    // Two injected solver failures, both absorbed by retries: the
-    // output table is unaffected.
-    EXPECT_EQ(faulty, clean);
+TEST(CliCampaignTest, FailedSweepResumesOnceTheRangeIsFixed)
+{
+    // The failing sweep journals its two in-range cells (shd 0.5 and
+    // 1.0) before shd 1.5 fails. The fixed range names the same two
+    // cells, so its resume computes nothing and prints the table of a
+    // fresh run.
+    const std::string dir = ::testing::TempDir();
+    const std::string journal = dir + "/cli_fixed.journal";
+    const std::string csv = dir + "/cli_fixed.csv";
     std::remove(journal.c_str());
+    std::remove(csv.c_str());
+    std::string output;
+    ASSERT_EQ(runCli({"sweep", "--param", "shd", "--from", "0.5", "--to",
+                      "2", "--points", "4", "--cpus", "8", "--threads",
+                      "1", "--journal", journal},
+                     &output),
+              2);
+    setThreadCount(0);
+
+    std::string fresh;
+    ASSERT_EQ(runCli({"sweep", "--param", "shd", "--from", "0.5", "--to",
+                      "1", "--points", "2", "--cpus", "8"},
+                     &fresh),
+              0);
+    std::string resumed;
+    ::testing::internal::CaptureStderr();
+    const int code = runCli({"sweep", "--param", "shd", "--from", "0.5",
+                             "--to", "1", "--points", "2", "--cpus", "8",
+                             "--journal", journal, "--resume",
+                             "--csv-out", csv},
+                            &resumed);
+    const std::string summary = ::testing::internal::GetCapturedStderr();
+    ASSERT_EQ(code, 0) << resumed;
+    EXPECT_NE(summary.find("2 cells (2 from journal, 0 executed)"),
+              std::string::npos)
+        << summary;
+    EXPECT_EQ(resumed, fresh);
+    EXPECT_FALSE(readFile(csv).empty());
+    std::remove(journal.c_str());
+    std::remove(csv.c_str());
+}
+
+TEST(CliCampaignTest, OtherFaultSitesExitTwoBeforeAnyCellRuns)
+{
+    // task-kill is the only fault site: any other spec is a usage
+    // error, reported before the journal is opened.
+    const std::string journal =
+        ::testing::TempDir() + "/cli_bad_spec.journal";
+    for (const char *spec : {"solver-bus:1", "trace-io:1", "task-timeout:1",
+                             "task-kill:50%"}) {
+        std::remove(journal.c_str());
+        std::string output;
+        EXPECT_EQ(runCli({"sweep", "--param", "shd", "--points", "2",
+                          "--journal", journal, "--fault-inject", spec},
+                         &output),
+                  2)
+            << spec;
+        EXPECT_NE(output.find(std::string("error: fault spec '") + spec),
+                  std::string::npos)
+            << output;
+        EXPECT_FALSE(std::ifstream(journal).good())
+            << spec << " opened the journal";
+    }
+}
+
+TEST(CliCampaignTest, RetryOptionsAreGone)
+{
+    for (const char *flag : {"--task-retries", "--task-timeout-ms",
+                             "--backoff-ms", "--campaign-seed"}) {
+        std::string output;
+        EXPECT_EQ(runCli({"sweep", "--param", "shd", "--points", "2",
+                          flag, "5"},
+                         &output),
+                  2)
+            << flag;
+        EXPECT_NE(output.find(std::string("unknown option ") + flag),
+                  std::string::npos)
+            << output;
+    }
 }
 
 } // namespace

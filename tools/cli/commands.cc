@@ -143,9 +143,7 @@ std::vector<std::string>
 withCampaign(std::vector<std::string> extra)
 {
     static const std::vector<std::string> kCampaignOptions = {
-        "journal", "resume", "csv-out", "task-retries",
-        "task-timeout-ms", "backoff-ms", "fault-inject",
-        "campaign-seed",
+        "journal", "resume", "csv-out", "fault-inject",
     };
     extra.insert(extra.end(), kCampaignOptions.begin(),
                  kCampaignOptions.end());
@@ -162,14 +160,6 @@ campaignFromOptions(const Options &options)
     if (campaign.resume && campaign.journalPath.empty()) {
         throw std::invalid_argument("--resume needs --journal FILE");
     }
-    campaign.policy.maxRetries = options.unsignedOr(
-        "task-retries", campaign.policy.maxRetries);
-    campaign.policy.timeoutMs =
-        options.unsignedOr("task-timeout-ms", 0);
-    campaign.policy.backoffBaseMs = options.unsignedOr(
-        "backoff-ms",
-        static_cast<unsigned>(campaign.policy.backoffBaseMs));
-    campaign.seed = options.unsignedOr("campaign-seed", 1);
     campaign.faultSpec = options.valueOr("fault-inject", "");
     return campaign;
 }
@@ -177,7 +167,7 @@ campaignFromOptions(const Options &options)
 /**
  * Post-campaign bookkeeping shared by the campaign commands: the
  * optional CSV artifact (atomic, so an interrupted write never leaves
- * a plausible-looking truncated file) and the resilience summary. The
+ * a plausible-looking truncated file) and the campaign summary. The
  * summary goes to stderr — stdout and the CSV must stay byte-identical
  * between a fresh run and a resumed one, and "N from journal" differs.
  */
@@ -253,18 +243,11 @@ printUsage(std::ostream &out)
         "            missing cells (requires --journal)\n"
         "  --csv-out FILE  also write the result table as CSV\n"
         "            (atomic: temp file + fsync + rename)\n"
-        "  --task-retries N  retries per failing cell before it is\n"
-        "            poisoned to NaNs (default 2)\n"
-        "  --task-timeout-ms N  per-cell time budget; overruns count\n"
-        "            as failures (default: unlimited)\n"
-        "  --backoff-ms N  base of the exponential retry backoff\n"
-        "            (default 1)\n"
-        "  --fault-inject SPEC  deterministic fault injection, e.g.\n"
-        "            'solver-bus:2' or 'trace-io:10%' (see also the\n"
-        "            SWCC_FAULT_INJECT env var); sites: trace-io,\n"
-        "            solver-bus, solver-net, task-kill, task-timeout\n"
-        "  --campaign-seed N  seed for probabilistic fault injection\n"
-        "            (default 1)\n";
+        "  --fault-inject task-kill:COUNT[@SKIP]  kill the campaign at\n"
+        "            COUNT cell starts after the first SKIP (exit 3),\n"
+        "            to test --resume\n"
+        "  A cell that fails stops the campaign with exit 2 and names\n"
+        "  the cell; cells finished before it stay in the journal.\n";
 }
 
 int
@@ -665,10 +648,10 @@ run(const std::vector<std::string> &args, std::ostream &out)
         const int rc = dispatch();
         obs::finalize();
         return rc;
-    } catch (const FatalTaskError &error) {
+    } catch (const campaign::TaskKilled &error) {
         // The campaign journaled every completed cell before dying,
-        // so the run is resumable; still flush metrics (fault and
-        // retry counters) for post-mortems.
+        // so the run is resumable; still flush metrics for
+        // post-mortems.
         obs::finalize();
         out << "fatal: " << error.what() << '\n'
             << "completed cells are journaled; rerun the same command "
