@@ -4,7 +4,8 @@
  *
  * This is the library's main entry point; it wires together the system
  * model (cost tables), workload model (operation frequencies), and the
- * appropriate contention model.
+ * appropriate contention model. Point evaluations are memoized
+ * (core/solver_cache.hh); curves are solved on every call.
  */
 
 #ifndef SWCC_CORE_SCHEME_EVALUATOR_HH
@@ -51,44 +52,29 @@ NetworkSolution evaluateNetwork(Scheme scheme,
 
 /**
  * Evaluates a scheme at every processor count 1..max_processors in one
- * pass of the MVA recursion (see solveBusCurve()). Element i is
- * bitwise identical to evaluateBus(scheme, params, i + 1).
+ * pass of the MVA recursion (see solveBusCurve()), on the Table 1 bus.
+ * Element i is bitwise identical to evaluateBus(scheme, params, i + 1).
+ * A curve is solved on every call: it neither reads nor fills the
+ * solver memo.
+ *
+ * @throws std::invalid_argument for max_processors == 0.
  */
 std::vector<BusSolution>
 evaluateBusCurve(Scheme scheme, const WorkloadParams &params,
                  unsigned max_processors);
 
-/** @copydoc evaluateBusCurve */
-std::vector<BusSolution>
-evaluateBusCurve(Scheme scheme, const WorkloadParams &params,
-                 unsigned max_processors, const BusCostModel &costs);
-
 /**
  * Evaluates a scheme on networks of 2, 4, ..., 2^max_stages processors,
  * one solveNetwork() call per stage count. Element i is bitwise
- * identical to evaluateNetwork(scheme, params, i + 1).
+ * identical to evaluateNetwork(scheme, params, i + 1). Like the bus
+ * curve, it neither reads nor fills the solver memo.
  *
- * @throws std::invalid_argument for schemes that need a snooping bus.
+ * @throws std::invalid_argument for schemes that need a snooping bus,
+ *         and for max_stages == 0.
  */
 std::vector<NetworkSolution>
 evaluateNetworkCurve(Scheme scheme, const WorkloadParams &params,
                      unsigned max_stages);
-
-/**
- * Processing power of a scheme over a range of processor counts on a
- * bus (one BusSolution per count in [1, max_processors]).
- */
-std::vector<BusSolution>
-busPowerCurve(Scheme scheme, const WorkloadParams &params,
-              unsigned max_processors);
-
-/**
- * Processing power of a scheme on networks of 2, 4, ..., 2^max_stages
- * processors (one NetworkSolution per stage count).
- */
-std::vector<NetworkSolution>
-networkPowerCurve(Scheme scheme, const WorkloadParams &params,
-                  unsigned max_stages);
 
 } // namespace swcc
 

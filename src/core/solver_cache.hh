@@ -3,14 +3,16 @@
  * Thread-safe memo cache for analytical solver results.
  *
  * Campaigns re-solve the same operating points constantly: the Table 8
- * companion grids revisit each base point per varied parameter, power
- * curves share their workload point across processor counts, and
- * resumed or repeated sweeps recompute identical cells. The memo cache
- * keys a solution by the *complete* canonical description of what the
- * solver computes — domain, scheme, every workload parameter, machine
- * size, and the full cost table — and returns the stored value on a
- * hit. Cached values are the bitwise output of the original solve, so
- * caching never changes a result, only skips recomputing it.
+ * companion grids revisit each base point per varied parameter,
+ * resumed or repeated sweeps recompute identical cells, and swccd's
+ * clients repeat one another's queries. The memo cache keys a point
+ * solution (evaluateBus(), evaluateNetwork()) by the *complete*
+ * canonical description of what the solver computes — domain, scheme,
+ * every workload parameter, the full cost table, and machine size —
+ * and returns the stored value on a hit. Cached values are the bitwise
+ * output of the original solve, so caching never changes a result,
+ * only skips recomputing it. Curves (evaluateBusCurve(),
+ * evaluateNetworkCurve()) are solved on every call and never stored.
  *
  * Keys are 128-bit (MemoKey below): a domain tag word, then every
  * field as 64-bit words, folded into two independent lanes by a
@@ -83,12 +85,8 @@ enum class MemoDomain : std::uint64_t
 {
     /** evaluateBus(): scheme, params, cost table, processors. */
     Bus = 1,
-    /** evaluateBusCurve(): scheme, params, cost table, max processors. */
-    BusCurve = 2,
     /** evaluateNetwork(): scheme, params, stages. */
     Network = 3,
-    /** evaluateNetworkCurve(): scheme, params, max stages. */
-    NetworkCurve = 4,
     /** swccd's batch groups: query domain, scheme, params. */
     ServiceGroup = 5,
     /** validatePoint()'s per-trace extraction: every trace input. */
@@ -99,14 +97,11 @@ enum class MemoDomain : std::uint64_t
  * Builder of solver memo keys (see file comment).
  *
  * Every field is one word: integers and enum values as themselves,
- * doubles by canonical bit pattern (campaign::canonicalBits). Put the
- * machine size last, so the point keys a curve seeds extend one
- * shared prefix by one word each:
+ * doubles by canonical bit pattern (campaign::canonicalBits):
  *
  * @code
- *   const MemoKey prefix = MemoKey(MemoDomain::Bus)
- *       .add(scheme).add(params).add(costs);
- *   const SolverCacheKey key = MemoKey(prefix).add(n).key();
+ *   const SolverCacheKey key = MemoKey(MemoDomain::Bus)
+ *       .add(scheme).add(params).add(costs).add(std::uint64_t{n}).key();
  * @endcode
  */
 class MemoKey

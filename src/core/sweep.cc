@@ -75,7 +75,7 @@ busPowerSeries(Scheme scheme, const WorkloadParams &params,
     Series series;
     series.label = std::string(schemeName(scheme));
     for (const BusSolution &sol :
-         busPowerCurve(scheme, params, max_processors)) {
+         evaluateBusCurve(scheme, params, max_processors)) {
         series.points.push_back(
             {static_cast<double>(sol.processors), sol.processingPower});
     }
@@ -116,7 +116,7 @@ networkPowerSeries(Scheme scheme, const WorkloadParams &params,
     Series series;
     series.label = std::string(schemeName(scheme)) + " (network)";
     for (const NetworkSolution &sol :
-         networkPowerCurve(scheme, params, max_stages)) {
+         evaluateNetworkCurve(scheme, params, max_stages)) {
         series.points.push_back(
             {static_cast<double>(sol.processors), sol.processingPower});
     }

@@ -12,10 +12,13 @@
 #ifndef SWCC_CORE_TYPES_HH
 #define SWCC_CORE_TYPES_HH
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string_view>
+#include <utility>
 
 namespace swcc
 {
@@ -90,6 +93,47 @@ schemeName(Scheme scheme)
       case Scheme::Hybrid:        return "Adaptive-Hybrid";
     }
     return "unknown";
+}
+
+/** True if @p a and @p b are equal up to the case of ASCII letters. */
+constexpr bool
+equalsIgnoringCase(std::string_view a, std::string_view b)
+{
+    const auto lower = [](char c) {
+        return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+    };
+    return std::ranges::equal(a, b, {}, lower, lower);
+}
+
+/**
+ * Parses a scheme name in any case: a schemeName(), or one of the
+ * aliases nocache, softwareflush, sw-flush, swflush, flush and hybrid.
+ * swcc, proto_check and swccd's JSON requests all parse with this.
+ *
+ * @return The scheme, or std::nullopt for any other name.
+ */
+constexpr std::optional<Scheme>
+parseScheme(std::string_view name)
+{
+    constexpr std::pair<std::string_view, Scheme> kAliases[] = {
+        {"nocache", Scheme::NoCache},
+        {"softwareflush", Scheme::SoftwareFlush},
+        {"sw-flush", Scheme::SoftwareFlush},
+        {"swflush", Scheme::SoftwareFlush},
+        {"flush", Scheme::SoftwareFlush},
+        {"hybrid", Scheme::Hybrid},
+    };
+    for (Scheme scheme : kAllSchemes) {
+        if (equalsIgnoringCase(name, schemeName(scheme))) {
+            return scheme;
+        }
+    }
+    for (const auto &[alias, scheme] : kAliases) {
+        if (equalsIgnoringCase(name, alias)) {
+            return scheme;
+        }
+    }
+    return std::nullopt;
 }
 
 /**

@@ -1,10 +1,10 @@
 #include "service/protocol.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "core/obs/json.hh"
@@ -121,44 +121,6 @@ getParams(const std::uint8_t *data, WorkloadParams &p)
     p.nshd = getF64(data + 10 * 8);
 }
 
-std::string
-lowercase(std::string_view text)
-{
-    std::string out(text);
-    for (char &c : out) {
-        c = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
-    }
-    return out;
-}
-
-bool
-schemeFromToken(std::string_view token, Scheme &scheme)
-{
-    const std::string name = lowercase(token);
-    if (name == "base") {
-        scheme = Scheme::Base;
-    } else if (name == "nocache" || name == "no-cache") {
-        scheme = Scheme::NoCache;
-    } else if (name == "softwareflush" || name == "software-flush" ||
-               name == "swflush") {
-        scheme = Scheme::SoftwareFlush;
-    } else if (name == "dragon") {
-        scheme = Scheme::Dragon;
-    } else if (name == "mesi") {
-        scheme = Scheme::Mesi;
-    } else if (name == "mesif") {
-        scheme = Scheme::Mesif;
-    } else if (name == "moesi") {
-        scheme = Scheme::Moesi;
-    } else if (name == "hybrid" || name == "adaptive-hybrid") {
-        scheme = Scheme::Hybrid;
-    } else {
-        return false;
-    }
-    return true;
-}
-
 /** Sets one workload parameter by its JSON key; false if unknown. */
 bool
 setParamByName(WorkloadParams &params, std::string_view key,
@@ -228,10 +190,9 @@ parseJsonRequest(std::string_view line, RequestFrame &frame)
                 frame.fieldError = "cmd must be a string";
                 return;
             }
-            const std::string cmd = lowercase(value.string);
-            if (cmd == "ping") {
+            if (equalsIgnoringCase(value.string, "ping")) {
                 frame.kind = RequestKind::Ping;
-            } else if (cmd == "scrape") {
+            } else if (equalsIgnoringCase(value.string, "scrape")) {
                 frame.kind = RequestKind::Scrape;
             } else {
                 frame.fieldError = "unknown cmd \"" + value.string +
@@ -243,10 +204,9 @@ parseJsonRequest(std::string_view line, RequestFrame &frame)
                 frame.fieldError = "domain must be a string";
                 return;
             }
-            const std::string domain = lowercase(value.string);
-            if (domain == "bus") {
+            if (equalsIgnoringCase(value.string, "bus")) {
                 frame.query.domain = QueryDomain::Bus;
-            } else if (domain == "network") {
+            } else if (equalsIgnoringCase(value.string, "network")) {
                 frame.query.domain = QueryDomain::Network;
             } else {
                 frame.fieldError = "unknown domain \"" + value.string +
@@ -254,14 +214,17 @@ parseJsonRequest(std::string_view line, RequestFrame &frame)
                 return;
             }
         } else if (key == "scheme") {
-            if (!value.isString() ||
-                !schemeFromToken(value.string, frame.query.scheme)) {
+            const std::optional<Scheme> scheme = value.isString()
+                ? parseScheme(value.string)
+                : std::nullopt;
+            if (!scheme) {
                 frame.fieldError =
                     "unknown scheme (expected base, nocache, "
                     "softwareflush, dragon, mesi, mesif, moesi, or "
                     "hybrid)";
                 return;
             }
+            frame.query.scheme = *scheme;
         } else if (key == "size" || key == "n" || key == "cpus" ||
                    key == "stages") {
             if (!jsonSize(&value, frame.query.size)) {

@@ -1,7 +1,6 @@
 #include "service/service_kernel.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <exception>
 #include <unordered_map>
@@ -215,23 +214,8 @@ ServiceKernel::evaluateBatch(const Query *queries, std::size_t count,
             max_size = std::max(max_size, queries[i].size);
             min_size = std::min(min_size, queries[i].size);
         }
-        // With the memo on, canonicalize the curve length to the next
-        // power of two (clamped to the admission limit) so successive
-        // batches of the same workload hit the curve memo instead of
-        // re-solving a fresh curve per distinct batch maximum. Safe:
-        // curve element i is bitwise identical to the point solve of
-        // size i+1 whatever the curve length.
-        unsigned solve_size = max_size;
-        if (solverCacheEnabled() && members.size() > 1 &&
-            max_size != min_size) {
-            const unsigned limit = head.domain == QueryDomain::Bus
-                ? limits_.maxBusProcessors
-                : limits_.maxNetworkStages;
-            solve_size = std::max(
-                max_size, std::min(std::bit_ceil(max_size), limit));
-        }
         try {
-            if (members.size() == 1 || max_size == min_size) {
+            if (max_size == min_size) {
                 // Nothing to coalesce: one point solve answers all
                 // (duplicates share it).
                 if (head.domain == QueryDomain::Bus) {
@@ -251,12 +235,12 @@ ServiceKernel::evaluateBatch(const Query *queries, std::size_t count,
                 }
                 continue;
             }
-            // Distinct sizes of one workload: one curve solve answers
-            // every member bitwise identically to its point solve (and
-            // seeds the point memo for future queries).
+            // Distinct sizes of one workload: one curve solve of the
+            // largest size answers every member bitwise identically to
+            // its point solve.
             if (head.domain == QueryDomain::Bus) {
                 const std::vector<BusSolution> curve = evaluateBusCurve(
-                    head.scheme, head.params, solve_size);
+                    head.scheme, head.params, max_size);
                 for (const std::size_t i : members) {
                     results[i].bus = curve[queries[i].size - 1];
                     results[i].ok = true;
@@ -264,7 +248,7 @@ ServiceKernel::evaluateBatch(const Query *queries, std::size_t count,
             } else {
                 const std::vector<NetworkSolution> curve =
                     evaluateNetworkCurve(head.scheme, head.params,
-                                         solve_size);
+                                         max_size);
                 for (const std::size_t i : members) {
                     results[i].network = curve[queries[i].size - 1];
                     results[i].ok = true;

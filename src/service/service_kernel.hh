@@ -11,14 +11,14 @@
  * The batch path is the daemon's amortization lever: evaluateBatch()
  * groups the in-flight queries that share (domain, scheme, workload)
  * and answers each group whose members ask for different machine
- * sizes with ONE evaluateBusCurve()/evaluateNetworkCurve() call — a
- * bus curve computes every size of the group in one O(N) prefix-MVA
- * pass, a network curve solves each stage count once, and both seed
- * the point memo for later single queries. Curve element i is
- * bitwise identical to the single-point solve by the solver-layer
- * contract, so batching never changes a result; duplicate queries
- * within a group are answered from the same solve. All paths share
- * the process-wide solver memo cache across clients.
+ * sizes with ONE evaluateBusCurve()/evaluateNetworkCurve() call of
+ * the group's largest size — a bus curve computes every size in one
+ * O(N) prefix-MVA pass, a network curve solves each stage count once.
+ * Curve element i is bitwise identical to the single-point solve by
+ * the solver-layer contract, so batching never changes a result;
+ * duplicate queries within a group are answered from the same solve.
+ * A group of one size takes one point solve through the process-wide
+ * solver memo, shared across clients; curves bypass the memo.
  *
  * The kernel holds no mutable state (limits only), so one instance
  * serves any number of threads concurrently.

@@ -1,6 +1,9 @@
 #include "sim/synth/app_profiles.hh"
 
 #include <stdexcept>
+#include <utility>
+
+#include "core/types.hh"
 
 namespace swcc
 {
@@ -14,6 +17,27 @@ profileName(AppProfile profile)
       case AppProfile::PeroLike: return "pero-like";
     }
     return "unknown";
+}
+
+std::optional<AppProfile>
+parseProfile(std::string_view name)
+{
+    constexpr std::pair<std::string_view, AppProfile> kAliases[] = {
+        {"pops", AppProfile::PopsLike},
+        {"thor", AppProfile::ThorLike},
+        {"pero", AppProfile::PeroLike},
+    };
+    for (AppProfile profile : kAllProfiles) {
+        if (equalsIgnoringCase(name, profileName(profile))) {
+            return profile;
+        }
+    }
+    for (const auto &[alias, profile] : kAliases) {
+        if (equalsIgnoringCase(name, alias)) {
+            return profile;
+        }
+    }
+    return std::nullopt;
 }
 
 SyntheticWorkloadConfig

@@ -19,7 +19,9 @@
 #ifndef SWCC_SIM_SYNTH_APP_PROFILES_HH
 #define SWCC_SIM_SYNTH_APP_PROFILES_HH
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/synth/workload_config.hh"
@@ -42,6 +44,15 @@ inline constexpr std::array<AppProfile, 3> kAllProfiles = {
 
 /** Name of a profile ("pops-like", ...). */
 std::string_view profileName(AppProfile profile);
+
+/**
+ * Parses a profile name in any case: a profileName(), or one of the
+ * aliases pops, thor and pero. swcc and proto_check both parse with
+ * this.
+ *
+ * @return The profile, or std::nullopt for any other name.
+ */
+std::optional<AppProfile> parseProfile(std::string_view name);
 
 /**
  * Builds the generator configuration for a profile.

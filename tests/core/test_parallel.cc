@@ -272,10 +272,10 @@ TEST(ParallelDeterminismTest, PowerCurveIsBitIdenticalAndOrdered)
     const WorkloadParams params = middleParams();
 
     setThreadCount(1);
-    const auto serial = busPowerCurve(Scheme::SoftwareFlush, params, 32);
+    const auto serial = evaluateBusCurve(Scheme::SoftwareFlush, params, 32);
     setThreadCount(4);
     const auto parallel =
-        busPowerCurve(Scheme::SoftwareFlush, params, 32);
+        evaluateBusCurve(Scheme::SoftwareFlush, params, 32);
     setThreadCount(0);
 
     ASSERT_EQ(serial.size(), 32u);

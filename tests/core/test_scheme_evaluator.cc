@@ -149,7 +149,7 @@ TEST(EvaluateNetworkTest, SoftwareFlushBeatsNoCacheOnTheNetwork)
 TEST(CurveTest, BusPowerCurveHasOnePointPerProcessorCount)
 {
     const auto curve =
-        busPowerCurve(Scheme::Dragon, middleParams(), 16);
+        evaluateBusCurve(Scheme::Dragon, middleParams(), 16);
     ASSERT_EQ(curve.size(), 16u);
     for (unsigned i = 0; i < curve.size(); ++i) {
         EXPECT_EQ(curve[i].processors, i + 1);
@@ -159,7 +159,7 @@ TEST(CurveTest, BusPowerCurveHasOnePointPerProcessorCount)
 TEST(CurveTest, NetworkPowerCurveDoublesProcessors)
 {
     const auto curve =
-        networkPowerCurve(Scheme::Base, middleParams(), 6);
+        evaluateNetworkCurve(Scheme::Base, middleParams(), 6);
     ASSERT_EQ(curve.size(), 6u);
     for (unsigned i = 0; i < curve.size(); ++i) {
         EXPECT_EQ(curve[i].processors, 2u << i);
@@ -168,7 +168,7 @@ TEST(CurveTest, NetworkPowerCurveDoublesProcessors)
 
 TEST(CurveTest, NetworkPowerCurveRejectsSnoopySchemes)
 {
-    EXPECT_THROW(networkPowerCurve(Scheme::Dragon, middleParams(), 4),
+    EXPECT_THROW(evaluateNetworkCurve(Scheme::Dragon, middleParams(), 4),
                  std::invalid_argument);
 }
 
@@ -177,7 +177,7 @@ TEST(CurveTest, NetworkPowerCurveSolvesUpToTheServiceStageCap)
     // swccd admits networks of up to 24 stages (16M processors); every
     // point of such a curve must be a finite, consistent solution.
     const auto curve =
-        networkPowerCurve(Scheme::SoftwareFlush, middleParams(), 24);
+        evaluateNetworkCurve(Scheme::SoftwareFlush, middleParams(), 24);
     ASSERT_EQ(curve.size(), 24u);
     for (unsigned i = 0; i < curve.size(); ++i) {
         const NetworkSolution &sol = curve[i];

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -148,15 +149,50 @@ TEST_F(ParallelSolverCacheTest, BusCurveMatchesPerPointSolvesBitwise)
     }
 }
 
-TEST_F(ParallelSolverCacheTest, EvaluatedBusCurveSeedsThePointMemo)
+TEST_F(ParallelSolverCacheTest, CurvesNeitherReadNorFillTheMemo)
 {
+    // A curve is solved on every call: it counts no lookup and stores
+    // nothing, so a point query after it still misses, and the point
+    // solve equals the curve's element bitwise.
     const WorkloadParams params = middleParams();
-    const auto curve = evaluateBusCurve(Scheme::Base, params, 24);
     const SolverCacheStats before = solverCacheStats();
-    const BusSolution point = evaluateBus(Scheme::Base, params, 17);
+    const auto bus = evaluateBusCurve(Scheme::Base, params, 24);
+    const auto network =
+        evaluateNetworkCurve(Scheme::SoftwareFlush, params, 12);
     const SolverCacheStats after = solverCacheStats();
-    EXPECT_EQ(after.hits, before.hits + 1);
-    expectIdentical(curve[16], point);
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.evictions, before.evictions);
+
+    const BusSolution busPoint = evaluateBus(Scheme::Base, params, 17);
+    const NetworkSolution networkPoint =
+        evaluateNetwork(Scheme::SoftwareFlush, params, 7);
+    const SolverCacheStats points = solverCacheStats();
+    EXPECT_EQ(points.hits, after.hits);
+    EXPECT_EQ(points.misses, after.misses + 2);
+    expectIdentical(bus[16], busPoint);
+    expectIdentical(network[6], networkPoint);
+}
+
+TEST_F(ParallelSolverCacheTest, ZeroSizedCurvesThrowLikePointSolves)
+{
+    // Size 0 is no machine: both curves reject it as their point
+    // solves do, in either memo state.
+    const WorkloadParams params = middleParams();
+    for (bool memo : {true, false}) {
+        SCOPED_TRACE(memo ? "memo on" : "memo off");
+        setSolverCacheEnabled(memo);
+        EXPECT_THROW(evaluateBus(Scheme::Base, params, 0),
+                     std::invalid_argument);
+        EXPECT_THROW(evaluateBusCurve(Scheme::Base, params, 0),
+                     std::invalid_argument);
+        EXPECT_THROW(evaluateNetwork(Scheme::SoftwareFlush, params, 0),
+                     std::invalid_argument);
+        EXPECT_THROW(
+            evaluateNetworkCurve(Scheme::SoftwareFlush, params, 0),
+            std::invalid_argument);
+    }
+    setSolverCacheEnabled(true);
 }
 
 TEST_F(ParallelSolverCacheTest,
@@ -200,20 +236,6 @@ TEST_F(ParallelSolverCacheTest,
     setSolverCacheEnabled(true);
 }
 
-TEST_F(ParallelSolverCacheTest, EvaluatedNetworkCurveSeedsThePointMemo)
-{
-    const WorkloadParams params = middleParams();
-    const auto curve =
-        evaluateNetworkCurve(Scheme::SoftwareFlush, params, 12);
-    const SolverCacheStats before = solverCacheStats();
-    const NetworkSolution point =
-        evaluateNetwork(Scheme::SoftwareFlush, params, 7);
-    const SolverCacheStats after = solverCacheStats();
-    EXPECT_EQ(after.hits, before.hits + 1);
-    EXPECT_EQ(after.misses, before.misses);
-    expectIdentical(curve[6], point);
-}
-
 TEST_F(ParallelSolverCacheTest, BusCurveMatchesPerPointSolvesForEveryScheme)
 {
     // Saturating schemes (No-Cache) and light ones (Base) both go
@@ -237,9 +259,9 @@ TEST_F(ParallelSolverCacheTest, BusCurveMatchesPerPointSolvesForEveryScheme)
 
 TEST_F(ParallelSolverCacheTest, ConcurrentNetworkCurvesStayBitIdentical)
 {
-    // Threads race to solve and memoize overlapping network curves of
-    // different lengths; every answer must equal a memo-free serial
-    // point solve.
+    // Threads solve overlapping network curves of different lengths
+    // at once, with the memo on; every answer must equal a memo-free
+    // serial point solve.
     const WorkloadParams params = middleParams();
     std::vector<NetworkSolution> serial;
     setSolverCacheEnabled(false);
@@ -483,9 +505,10 @@ TEST(SolverMemoKeyTest, SchemeSizeAndCostTableChangeTheKey)
 TEST(SolverMemoKeyTest, DomainsNeverShareAKey)
 {
     const MemoDomain domains[] = {
-        MemoDomain::Bus,          MemoDomain::BusCurve,
-        MemoDomain::Network,      MemoDomain::NetworkCurve,
-        MemoDomain::ServiceGroup, MemoDomain::Extraction,
+        MemoDomain::Bus,
+        MemoDomain::Network,
+        MemoDomain::ServiceGroup,
+        MemoDomain::Extraction,
     };
     const BusCostModel costs;
     const WorkloadParams params = middleParams();

@@ -177,7 +177,7 @@ TEST(Figure10Test, SoftwareSchemesScaleOnTheNetwork)
 {
     const WorkloadParams params = middleParams();
     for (Scheme scheme : {Scheme::SoftwareFlush, Scheme::NoCache}) {
-        const auto curve = networkPowerCurve(scheme, params, 8);
+        const auto curve = evaluateNetworkCurve(scheme, params, 8);
         // Power keeps growing through 256 processors...
         for (std::size_t i = 1; i < curve.size(); ++i) {
             EXPECT_GT(curve[i].processingPower,

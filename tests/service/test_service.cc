@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the ServiceKernel facade and the swccd wire protocol:
- * validation, batch coalescing bitwise identity (including the
- * memo-canonicalized curve length), binary/JSON frame round trips,
+ * validation, batch coalescing bitwise identity (one curve of the
+ * group's largest size), binary/JSON frame round trips,
  * and the robustness contract (truncated frames, oversized length
  * prefixes, NaN/Inf fields, garbage input).
  */
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "core/obs/metrics.hh"
 #include "core/scheme_evaluator.hh"
 #include "core/solver_cache.hh"
 #include "core/types.hh"
@@ -243,15 +244,14 @@ TEST_F(ServiceKernelTest, BatchIsBitwiseIdenticalToPointEvaluation)
     }
 }
 
-TEST_F(ServiceKernelTest,
-       CanonicalizedCurveLengthStaysBitwiseIdentical)
+TEST_F(ServiceKernelTest, MultiSizeBusGroupStaysBitwiseIdentical)
 {
-    // With the memo on, a multi-size group solves a curve of length
-    // bit_ceil(max) rather than max. The curve prefix contract makes
-    // that invisible; compare against memo-DISABLED point solves so
-    // nothing is answered from a cache.
+    // With the memo on, a multi-size group is answered from one curve;
+    // by the curve prefix contract each member equals its point solve.
+    // Compare against memo-DISABLED point solves so nothing is
+    // answered from a cache.
     std::vector<Query> queries;
-    for (unsigned n : {5u, 23u, 41u}) { // bit_ceil(41) = 64
+    for (unsigned n : {5u, 23u, 41u}) {
         queries.push_back(busQuery(Scheme::SoftwareFlush, n));
     }
     std::vector<QueryResult> batched(queries.size());
@@ -266,11 +266,11 @@ TEST_F(ServiceKernelTest,
     setSolverCacheEnabled(true);
 }
 
-TEST_F(ServiceKernelTest, NetworkGroupClampsItsCurveToTheStageLimit)
+TEST_F(ServiceKernelTest, NetworkGroupUpToTheStageLimitStaysBitwiseIdentical)
 {
-    // bit_ceil(17) = 32 exceeds the 24-stage admission limit, so the
-    // group solves a 24-stage curve. Every member, and the limit
-    // itself, must still equal a memo-free point solve.
+    // A group reaching the 24-stage admission limit solves a 24-stage
+    // curve. Every member, and the limit itself, must equal a
+    // memo-free point solve.
     std::vector<Query> queries;
     for (unsigned stages : {1u, 3u, 17u, 24u, 3u}) {
         queries.push_back(networkQuery(Scheme::SoftwareFlush, stages));
@@ -286,6 +286,39 @@ TEST_F(ServiceKernelTest, NetworkGroupClampsItsCurveToTheStageLimit)
         expectIdentical(batched[i], kernel_.evaluate(queries[i]));
     }
     setSolverCacheEnabled(true);
+}
+
+std::uint64_t
+counterValue(const std::string &name)
+{
+    for (const obs::MetricSnapshot &snap : obs::metrics().snapshot()) {
+        if (snap.name == name) {
+            return static_cast<std::uint64_t>(snap.value);
+        }
+    }
+    return 0;
+}
+
+TEST_F(ServiceKernelTest, MultiSizeGroupSolvesOneCurveOfItsLargestSize)
+{
+    // Sizes {5, 23, 41} of one workload: one bus recursion of 41
+    // populations answers all three, whatever the memo holds.
+    std::vector<Query> queries;
+    for (unsigned n : {5u, 23u, 41u}) {
+        queries.push_back(busQuery(Scheme::SoftwareFlush, n));
+    }
+    std::vector<QueryResult> batched(queries.size());
+    for (int round = 0; round < 2; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        const std::uint64_t solves = counterValue("solver.bus.solves");
+        const std::uint64_t iterations =
+            counterValue("solver.bus.iterations");
+        kernel_.evaluateBatch(queries.data(), queries.size(),
+                              batched.data());
+        EXPECT_EQ(counterValue("solver.bus.solves") - solves, 1u);
+        EXPECT_EQ(counterValue("solver.bus.iterations") - iterations,
+                  41u);
+    }
 }
 
 TEST_F(ServiceKernelTest, BatchRejectsInvalidMembersIndividually)

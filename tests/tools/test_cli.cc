@@ -1,18 +1,26 @@
 /**
  * @file
- * Unit tests for the swcc command-line tool.
+ * Unit tests for the swcc command-line tool, and for the scheme and
+ * profile names it shares with proto_check and swccd.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <utility>
+
+#include <sys/wait.h>
 
 #include "cli/commands.hh"
+#include "core/obs/metrics.hh"
 #include "core/parallel.hh"
 #include "core/workload.hh"
 #include "cli/options.hh"
+#include "service/protocol.hh"
+#include "sim/synth/app_profiles.hh"
 #include "sim/trace/trace_io.hh"
 
 namespace swcc::cli
@@ -20,13 +28,19 @@ namespace swcc::cli
 namespace
 {
 
+/** Runs swcc in-process; stdout goes to @p output, stderr to @p errors. */
 int
-runCli(std::initializer_list<std::string> args, std::string *output)
+runCli(std::initializer_list<std::string> args, std::string *output,
+       std::string *errors = nullptr)
 {
     std::ostringstream out;
-    const int code = run(std::vector<std::string>(args), out);
+    std::ostringstream err;
+    const int code = run(std::vector<std::string>(args), out, err);
     if (output != nullptr) {
         *output = out.str();
+    }
+    if (errors != nullptr) {
+        *errors = err.str();
     }
     return code;
 }
@@ -87,8 +101,10 @@ TEST(OptionsTest, RejectsEmptyAndUnknownOptions)
 TEST(CliTest, NoArgsPrintsUsage)
 {
     std::string output;
-    EXPECT_EQ(runCli({}, &output), 2);
-    EXPECT_NE(output.find("usage:"), std::string::npos);
+    std::string errors;
+    EXPECT_EQ(runCli({}, &output, &errors), 2);
+    EXPECT_NE(errors.find("usage:"), std::string::npos);
+    EXPECT_TRUE(output.empty()) << output;
 }
 
 TEST(CliTest, HelpSucceeds)
@@ -101,8 +117,11 @@ TEST(CliTest, HelpSucceeds)
 TEST(CliTest, UnknownCommandFails)
 {
     std::string output;
-    EXPECT_EQ(runCli({"frobnicate"}, &output), 2);
-    EXPECT_NE(output.find("unknown command"), std::string::npos);
+    std::string errors;
+    EXPECT_EQ(runCli({"frobnicate"}, &output, &errors), 2);
+    EXPECT_NE(errors.find("unknown command"), std::string::npos);
+    EXPECT_NE(errors.find("usage:"), std::string::npos);
+    EXPECT_TRUE(output.empty()) << output;
 }
 
 TEST(CliTest, ThreadsOptionIsAcceptedEverywhereAndDeterministic)
@@ -122,12 +141,13 @@ TEST(CliTest, ThreadsOptionIsAcceptedEverywhereAndDeterministic)
                      &output),
               0);
 
-    EXPECT_EQ(runCli({"eval", "--threads", "0"}, &output), 2);
-    EXPECT_NE(output.find("positive"), std::string::npos);
+    std::string errors;
+    EXPECT_EQ(runCli({"eval", "--threads", "0"}, &output, &errors), 2);
+    EXPECT_NE(errors.find("positive"), std::string::npos);
     // Above the bound: rejected before the lane count changes, so no
     // pool of that size exists; the --threads 2 above still holds.
-    EXPECT_EQ(runCli({"eval", "--threads", "4097"}, &output), 2);
-    EXPECT_NE(output.find("at most 4096"), std::string::npos);
+    EXPECT_EQ(runCli({"eval", "--threads", "4097"}, &output, &errors), 2);
+    EXPECT_NE(errors.find("at most 4096"), std::string::npos);
     EXPECT_EQ(configuredThreads(), 2u);
 
     setThreadCount(0); // Back to the default for the other tests.
@@ -179,15 +199,17 @@ TEST(CliTest, EvalNetworkIncludesDirectoryExtension)
 TEST(CliTest, EvalRejectsBadParameterValue)
 {
     std::string output;
-    EXPECT_EQ(runCli({"eval", "--shd", "1.7"}, &output), 2);
-    EXPECT_NE(output.find("error:"), std::string::npos);
+    std::string errors;
+    EXPECT_EQ(runCli({"eval", "--shd", "1.7"}, &output, &errors), 2);
+    EXPECT_NE(errors.find("error:"), std::string::npos);
 }
 
 TEST(CliTest, EvalRejectsUnknownOption)
 {
     std::string output;
-    EXPECT_EQ(runCli({"eval", "--nonsense", "1"}, &output), 2);
-    EXPECT_NE(output.find("unknown option"), std::string::npos);
+    std::string errors;
+    EXPECT_EQ(runCli({"eval", "--nonsense", "1"}, &output, &errors), 2);
+    EXPECT_NE(errors.find("unknown option"), std::string::npos);
 }
 
 TEST(CliTest, GenStatSimRoundTrip)
@@ -239,10 +261,13 @@ TEST(CliTest, Cpu65535TracesAreRejectedNotSimulated)
     for (const auto &[path, where] :
          {std::pair{text, "line 2"}, std::pair{binary, "event 1"}}) {
         std::string output;
-        EXPECT_EQ(runCli({"stat", path}, &output), 2);
-        EXPECT_NE(output.find(where), std::string::npos) << output;
-        EXPECT_EQ(runCli({"sim", path, "--scheme", "dragon"}, &output), 2);
-        EXPECT_NE(output.find(where), std::string::npos) << output;
+        std::string errors;
+        EXPECT_EQ(runCli({"stat", path}, &output, &errors), 2);
+        EXPECT_NE(errors.find(where), std::string::npos) << errors;
+        EXPECT_EQ(
+            runCli({"sim", path, "--scheme", "dragon"}, &output, &errors),
+            2);
+        EXPECT_NE(errors.find(where), std::string::npos) << errors;
         std::remove(path.c_str());
     }
 }
@@ -253,24 +278,25 @@ TEST(CliTest, GenAndValidateRejectMoreCpusThanTheGeneratorHolds)
     const std::string path = ::testing::TempDir() + "/cli_cpus65.swcc";
     std::remove(path.c_str());
     std::string output;
+    std::string errors;
     EXPECT_EQ(runCli({"gen", "--cpus", "65", "--instructions", "100",
                       "--out", path},
-                     &output),
+                     &output, &errors),
               2);
-    EXPECT_NE(output.find("numCpus must be at most 64"),
+    EXPECT_NE(errors.find("numCpus must be at most 64"),
               std::string::npos)
-        << output;
+        << errors;
     EXPECT_FALSE(std::ifstream(path).good());
 
     // 65537 would wrap to 1 as a CpuId.
     for (const char *cpus : {"65", "65537"}) {
         EXPECT_EQ(runCli({"validate", "--cpus", cpus, "--instructions",
                           "100"},
-                         &output),
+                         &output, &errors),
                   2);
-        EXPECT_NE(output.find("--cpus must be at most 64"),
+        EXPECT_NE(errors.find("--cpus must be at most 64"),
                   std::string::npos)
-            << output;
+            << errors;
     }
 }
 
@@ -286,14 +312,15 @@ TEST(CliTest, SimRejectsOneByteBlocks)
     }
     for (const char *scheme : {"base", "dragon", "mesi"}) {
         std::string output;
+        std::string errors;
         EXPECT_EQ(runCli({"sim", path, "--scheme", scheme, "--block",
                           "1", "--cache", "1024"},
-                         &output),
+                         &output, &errors),
                   2)
             << scheme;
-        EXPECT_NE(output.find("block size must be at least 2 bytes"),
+        EXPECT_NE(errors.find("block size must be at least 2 bytes"),
                   std::string::npos)
-            << output;
+            << errors;
     }
     std::remove(path.c_str());
 }
@@ -301,15 +328,19 @@ TEST(CliTest, SimRejectsOneByteBlocks)
 TEST(CliTest, StatWithoutFileFails)
 {
     std::string output;
-    EXPECT_EQ(runCli({"stat"}, &output), 2);
-    EXPECT_NE(output.find("trace file"), std::string::npos);
+    std::string errors;
+    EXPECT_EQ(runCli({"stat"}, &output, &errors), 2);
+    EXPECT_NE(errors.find("trace file"), std::string::npos);
 }
 
 TEST(CliTest, SimUnknownSchemeFails)
 {
     std::string output;
-    EXPECT_EQ(runCli({"sim", "x.swcc", "--scheme", "mosi"}, &output), 2);
-    EXPECT_NE(output.find("unknown scheme"), std::string::npos);
+    std::string errors;
+    EXPECT_EQ(
+        runCli({"sim", "x.swcc", "--scheme", "mosi"}, &output, &errors),
+        2);
+    EXPECT_NE(errors.find("unknown scheme"), std::string::npos);
 }
 
 TEST(CliTest, ValidateRunsEndToEnd)
@@ -379,8 +410,11 @@ TEST(CliTest, SensitivityPrintsEveryParameter)
 TEST(CliTest, SweepNeedsParam)
 {
     std::string output;
-    EXPECT_EQ(runCli({"sweep", "--from", "0", "--to", "1"}, &output), 2);
-    EXPECT_NE(output.find("--param"), std::string::npos);
+    std::string errors;
+    EXPECT_EQ(
+        runCli({"sweep", "--from", "0", "--to", "1"}, &output, &errors),
+        2);
+    EXPECT_NE(errors.find("--param"), std::string::npos);
 }
 
 std::string
@@ -395,9 +429,11 @@ readFile(const std::string &path)
 TEST(CliCampaignTest, ResumeNeedsJournal)
 {
     std::string output;
-    EXPECT_EQ(runCli({"sweep", "--param", "shd", "--resume"}, &output),
+    std::string errors;
+    EXPECT_EQ(runCli({"sweep", "--param", "shd", "--resume"}, &output,
+                     &errors),
               2);
-    EXPECT_NE(output.find("--journal"), std::string::npos);
+    EXPECT_NE(errors.find("--journal"), std::string::npos);
 }
 
 TEST(CliCampaignTest, InterruptedSweepResumesByteIdentically)
@@ -421,13 +457,14 @@ TEST(CliCampaignTest, InterruptedSweepResumesByteIdentically)
     // exit code 3, a journal with the completed cells, and no CSV.
     const std::string partial_csv = dir + "/cli_partial.csv";
     std::remove(partial_csv.c_str());
+    std::string errors;
     ASSERT_EQ(runCli({"sweep", "--param", "shd", "--points", "7",
                       "--cpus", "8", "--journal", journal,
                       "--csv-out", partial_csv, "--fault-inject",
                       "task-kill:1@2"},
-                     &output),
+                     &output, &errors),
               3);
-    EXPECT_NE(output.find("--resume"), std::string::npos);
+    EXPECT_NE(errors.find("--resume"), std::string::npos);
     EXPECT_FALSE(std::ifstream(partial_csv).good())
         << "an interrupted campaign must not leave a CSV artifact";
 
@@ -456,24 +493,49 @@ TEST(CliCampaignTest, InterruptedSweepResumesByteIdentically)
 TEST(CliCampaignTest, FailingCellFailsTheSweep)
 {
     // shd 1.5 and 2.0 are out of range: the campaign stops at the
-    // first of them with exit 2, names the error, prints no table and
-    // writes no CSV.
+    // first of them with exit 2, names the error on the error stream,
+    // prints nothing on stdout and writes no CSV.
     const std::string csv = ::testing::TempDir() + "/cli_failing.csv";
     std::remove(csv.c_str());
     std::string output;
+    std::string errors;
     EXPECT_EQ(runCli({"sweep", "--param", "shd", "--from", "0.5", "--to",
                       "2", "--points", "4", "--cpus", "8", "--threads",
                       "1", "--csv-out", csv},
+                     &output, &errors),
+              2);
+    setThreadCount(0);
+    EXPECT_NE(errors.find("error: campaign cell 2"), std::string::npos)
+        << errors;
+    EXPECT_NE(errors.find("shd must lie in [0, 1]"), std::string::npos)
+        << errors;
+    EXPECT_EQ(errors.find("nan"), std::string::npos) << errors;
+    EXPECT_TRUE(output.empty()) << output;
+    EXPECT_FALSE(std::ifstream(csv).good())
+        << "a failed campaign must not leave a CSV artifact";
+}
+
+TEST(CliCampaignTest, FailedSweepStillWritesItsMetrics)
+{
+    // The run that fails at cell 2 on one thread has executed cells 0
+    // and 1; its --metrics-out file says so.
+    const std::string path =
+        ::testing::TempDir() + "/cli_failing.metrics.json";
+    std::remove(path.c_str());
+    obs::metrics().resetForTest();
+    std::string output;
+    EXPECT_EQ(runCli({"sweep", "--param", "shd", "--from", "0.5", "--to",
+                      "2", "--points", "4", "--cpus", "8", "--threads",
+                      "1", "--metrics-out", path},
                      &output),
               2);
     setThreadCount(0);
-    EXPECT_NE(output.find("campaign cell 2"), std::string::npos)
-        << output;
-    EXPECT_NE(output.find("shd must lie in [0, 1]"), std::string::npos)
-        << output;
-    EXPECT_EQ(output.find("nan"), std::string::npos) << output;
-    EXPECT_FALSE(std::ifstream(csv).good())
-        << "a failed campaign must not leave a CSV artifact";
+    const std::string metrics = readFile(path);
+    EXPECT_NE(metrics.find("{\"name\":\"campaign.cells_executed\","
+                           "\"kind\":\"counter\",\"value\":2}"),
+              std::string::npos)
+        << metrics;
+    std::remove(path.c_str());
 }
 
 TEST(CliCampaignTest, FailedSweepResumesOnceTheRangeIsFixed)
@@ -501,13 +563,12 @@ TEST(CliCampaignTest, FailedSweepResumesOnceTheRangeIsFixed)
                      &fresh),
               0);
     std::string resumed;
-    ::testing::internal::CaptureStderr();
+    std::string summary;
     const int code = runCli({"sweep", "--param", "shd", "--from", "0.5",
                              "--to", "1", "--points", "2", "--cpus", "8",
                              "--journal", journal, "--resume",
                              "--csv-out", csv},
-                            &resumed);
-    const std::string summary = ::testing::internal::GetCapturedStderr();
+                            &resumed, &summary);
     ASSERT_EQ(code, 0) << resumed;
     EXPECT_NE(summary.find("2 cells (2 from journal, 0 executed)"),
               std::string::npos)
@@ -528,14 +589,15 @@ TEST(CliCampaignTest, OtherFaultSitesExitTwoBeforeAnyCellRuns)
                              "task-kill:50%"}) {
         std::remove(journal.c_str());
         std::string output;
+        std::string errors;
         EXPECT_EQ(runCli({"sweep", "--param", "shd", "--points", "2",
                           "--journal", journal, "--fault-inject", spec},
-                         &output),
+                         &output, &errors),
                   2)
             << spec;
-        EXPECT_NE(output.find(std::string("error: fault spec '") + spec),
+        EXPECT_NE(errors.find(std::string("error: fault spec '") + spec),
                   std::string::npos)
-            << output;
+            << errors;
         EXPECT_FALSE(std::ifstream(journal).good())
             << spec << " opened the journal";
     }
@@ -546,14 +608,188 @@ TEST(CliCampaignTest, RetryOptionsAreGone)
     for (const char *flag : {"--task-retries", "--task-timeout-ms",
                              "--backoff-ms", "--campaign-seed"}) {
         std::string output;
+        std::string errors;
         EXPECT_EQ(runCli({"sweep", "--param", "shd", "--points", "2",
                           flag, "5"},
-                         &output),
+                         &output, &errors),
                   2)
             << flag;
-        EXPECT_NE(output.find(std::string("unknown option ") + flag),
+        EXPECT_NE(errors.find(std::string("unknown option ") + flag),
                   std::string::npos)
+            << errors;
+    }
+}
+
+/** Runs the proto_check binary; returns its exit code and stdout. */
+int
+runProtoCheck(const std::string &args, std::string *output)
+{
+    const std::string command =
+        std::string(SWCC_PROTO_CHECK) + " " + args + " 2>/dev/null";
+    FILE *pipe = ::popen(command.c_str(), "r");
+    if (pipe == nullptr) {
+        return -1;
+    }
+    output->clear();
+    char buffer[256];
+    while (std::fgets(buffer, sizeof buffer, pipe) != nullptr) {
+        *output += buffer;
+    }
+    const int status = ::pclose(pipe);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/** The scheme a JSON query naming @p name decodes to, if any. */
+std::optional<Scheme>
+decodeJsonScheme(const std::string &name)
+{
+    const std::string line =
+        "{\"domain\":\"bus\",\"scheme\":\"" + name + "\",\"cpus\":4}\n";
+    service::RequestFrame frame;
+    std::string error;
+    std::size_t consumed = 0;
+    const auto status = service::decodeRequest(
+        reinterpret_cast<const std::uint8_t *>(line.data()), line.size(),
+        consumed, frame, error);
+    if (status != service::DecodeStatus::Frame ||
+        !frame.fieldError.empty()) {
+        return std::nullopt;
+    }
+    return frame.query.scheme;
+}
+
+TEST(NameAliasTest, EverySchemeAliasParsesAlikeInEveryFrontEnd)
+{
+    // swcc (sim), proto_check and swccd's JSON decoder share one
+    // case-insensitive parser, so each name means the same scheme in
+    // all three, and a name none accepts is rejected by all three.
+    const std::string trace = ::testing::TempDir() + "/cli_alias.swcc";
+    std::string output;
+    ASSERT_EQ(runCli({"gen", "--profile", "pops-like", "--cpus", "2",
+                      "--instructions", "200", "--out", trace},
+                     &output),
+              0);
+    const std::pair<const char *, Scheme> aliases[] = {
+        {"base", Scheme::Base},
+        {"BASE", Scheme::Base},
+        {"no-cache", Scheme::NoCache},
+        {"nocache", Scheme::NoCache},
+        {"software-flush", Scheme::SoftwareFlush},
+        {"softwareflush", Scheme::SoftwareFlush},
+        {"sw-flush", Scheme::SoftwareFlush},
+        {"swflush", Scheme::SoftwareFlush},
+        {"flush", Scheme::SoftwareFlush},
+        {"Flush", Scheme::SoftwareFlush},
+        {"dragon", Scheme::Dragon},
+        {"Dragon", Scheme::Dragon},
+        {"mesi", Scheme::Mesi},
+        {"MESIF", Scheme::Mesif},
+        {"moesi", Scheme::Moesi},
+        {"adaptive-hybrid", Scheme::Hybrid},
+        {"hybrid", Scheme::Hybrid},
+        {"Hybrid", Scheme::Hybrid},
+    };
+    for (const auto &[alias, scheme] : aliases) {
+        SCOPED_TRACE(alias);
+        const std::string name(schemeName(scheme));
+        EXPECT_EQ(parseScheme(alias), scheme);
+
+        std::string want;
+        ASSERT_EQ(runCli({"sim", trace, "--scheme", name}, &want), 0);
+        ASSERT_EQ(runCli({"sim", trace, "--scheme", alias}, &output), 0);
+        EXPECT_EQ(output, want);
+
+        EXPECT_EQ(runProtoCheck(std::string("--scheme-a ") + alias +
+                                    " --scheme-b base --cpus 1 "
+                                    "--instructions 100",
+                                &output),
+                  0);
+        EXPECT_EQ(output.rfind("proto_check: " + name + " vs Base on ", 0),
+                  0u)
             << output;
+
+        EXPECT_EQ(decodeJsonScheme(alias), scheme);
+    }
+    EXPECT_EQ(parseScheme(""), std::nullopt);
+    for (const char *unknown : {"mosi", "flushed", "sw_flush"}) {
+        SCOPED_TRACE(unknown);
+        EXPECT_EQ(parseScheme(unknown), std::nullopt);
+        std::string errors;
+        EXPECT_EQ(runCli({"sim", trace, "--scheme", unknown}, &output,
+                         &errors),
+                  2);
+        EXPECT_NE(errors.find("unknown scheme"), std::string::npos);
+        EXPECT_EQ(runProtoCheck(std::string("--scheme-a ") + unknown +
+                                    " --scheme-b base",
+                                &output),
+                  2);
+        EXPECT_EQ(decodeJsonScheme(unknown), std::nullopt);
+    }
+    std::remove(trace.c_str());
+}
+
+TEST(NameAliasTest, EveryProfileAliasParsesAlikeInEveryFrontEnd)
+{
+    // swcc gen and proto_check share one case-insensitive profile
+    // parser: an alias writes the same trace, and checks the same
+    // events, as the full name.
+    const std::string dir = ::testing::TempDir();
+    const std::pair<const char *, AppProfile> aliases[] = {
+        {"pops-like", AppProfile::PopsLike},
+        {"pops", AppProfile::PopsLike},
+        {"POPS-Like", AppProfile::PopsLike},
+        {"thor-like", AppProfile::ThorLike},
+        {"thor", AppProfile::ThorLike},
+        {"pero-like", AppProfile::PeroLike},
+        {"pero", AppProfile::PeroLike},
+        {"Pero", AppProfile::PeroLike},
+    };
+    for (const auto &[alias, profile] : aliases) {
+        SCOPED_TRACE(alias);
+        const std::string name(profileName(profile));
+        EXPECT_EQ(parseProfile(alias), profile);
+
+        const std::string want_path = dir + "/cli_profile_want.swcc";
+        const std::string got_path = dir + "/cli_profile_got.swcc";
+        std::string output;
+        ASSERT_EQ(runCli({"gen", "--profile", name, "--cpus", "2",
+                          "--instructions", "200", "--out", want_path},
+                         &output),
+                  0);
+        ASSERT_EQ(runCli({"gen", "--profile", alias, "--cpus", "2",
+                          "--instructions", "200", "--out", got_path},
+                         &output),
+                  0);
+        EXPECT_EQ(readFile(got_path), readFile(want_path));
+        std::remove(want_path.c_str());
+        std::remove(got_path.c_str());
+
+        const std::string check =
+            " --scheme-a base --scheme-b dragon --cpus 2 "
+            "--instructions 200";
+        std::string want;
+        EXPECT_EQ(runProtoCheck("--profile " + name + check, &want), 0);
+        EXPECT_EQ(
+            runProtoCheck(std::string("--profile ") + alias + check,
+                          &output),
+            0);
+        EXPECT_EQ(output, want);
+    }
+    EXPECT_EQ(parseProfile(""), std::nullopt);
+    for (const char *unknown : {"pops-lik", "popslike"}) {
+        SCOPED_TRACE(unknown);
+        EXPECT_EQ(parseProfile(unknown), std::nullopt);
+        std::string output;
+        std::string errors;
+        EXPECT_EQ(runCli({"gen", "--profile", unknown, "--out",
+                          dir + "/cli_profile_unknown.swcc"},
+                         &output, &errors),
+                  2);
+        EXPECT_NE(errors.find("unknown profile"), std::string::npos);
+        EXPECT_EQ(runProtoCheck(std::string("--profile ") + unknown +
+                                    " --scheme-a base --scheme-b base",
+                                &output),
+                  2);
     }
 }
 

@@ -1,6 +1,5 @@
 #include "cli/commands.hh"
 
-#include <iostream>
 #include <ostream>
 #include <stdexcept>
 
@@ -25,20 +24,8 @@ namespace
 Scheme
 schemeFromName(const std::string &name)
 {
-    for (Scheme scheme : kAllSchemes) {
-        std::string candidate(schemeName(scheme));
-        for (char &c : candidate) {
-            c = static_cast<char>(std::tolower(c));
-        }
-        if (candidate == name) {
-            return scheme;
-        }
-    }
-    if (name == "sw-flush" || name == "swflush" || name == "flush") {
-        return Scheme::SoftwareFlush;
-    }
-    if (name == "nocache") {
-        return Scheme::NoCache;
+    if (const auto scheme = parseScheme(name)) {
+        return *scheme;
     }
     throw std::invalid_argument(
         "unknown scheme '" + name +
@@ -49,19 +36,8 @@ schemeFromName(const std::string &name)
 AppProfile
 profileFromName(const std::string &name)
 {
-    for (AppProfile profile : kAllProfiles) {
-        if (name == profileName(profile)) {
-            return profile;
-        }
-    }
-    if (name == "pops") {
-        return AppProfile::PopsLike;
-    }
-    if (name == "thor") {
-        return AppProfile::ThorLike;
-    }
-    if (name == "pero") {
-        return AppProfile::PeroLike;
+    if (const auto profile = parseProfile(name)) {
+        return *profile;
     }
     throw std::invalid_argument(
         "unknown profile '" + name +
@@ -168,22 +144,38 @@ campaignFromOptions(const Options &options)
  * Post-campaign bookkeeping shared by the campaign commands: the
  * optional CSV artifact (atomic, so an interrupted write never leaves
  * a plausible-looking truncated file) and the campaign summary. The
- * summary goes to stderr — stdout and the CSV must stay byte-identical
+ * summary goes to @p err — stdout and the CSV must stay byte-identical
  * between a fresh run and a resumed one, and "N from journal" differs.
  */
 void
 finishCampaign(const Options &options, const TextTable &table,
                const campaign::CampaignOptions &campaign,
-               const campaign::CampaignReport &report)
+               const campaign::CampaignReport &report, std::ostream &err)
 {
     if (const auto path = options.value("csv-out")) {
         campaign::atomicWriteFile(
             *path, [&](std::ostream &os) { table.printCsv(os); });
     }
     if (!campaign.journalPath.empty()) {
-        std::cerr << "campaign: " << report.summary()
-                  << " (journal: " << campaign.journalPath << ")\n";
+        err << "campaign: " << report.summary()
+            << " (journal: " << campaign.journalPath << ")\n";
     }
+}
+
+/**
+ * Ends a failed run with exit @p code: writes the pending metrics and
+ * trace (a failed run keeps its post-mortem artifacts) and reports a
+ * failure to write them without changing the code.
+ */
+int
+failRun(std::ostream &err, int code)
+{
+    try {
+        obs::finalize();
+    } catch (const std::exception &error) {
+        err << "error: " << error.what() << '\n';
+    }
+    return code;
 }
 
 } // namespace
@@ -398,7 +390,8 @@ cmdSim(const Options &options, std::ostream &out)
 }
 
 int
-cmdValidate(const Options &options, std::ostream &out)
+cmdValidate(const Options &options, std::ostream &out,
+            std::ostream &err)
 {
     options.requireKnown(withCampaign(withGlobals(
         {"profile", "scheme", "cpus", "instructions", "cache",
@@ -434,12 +427,12 @@ cmdValidate(const Options &options, std::ostream &out)
                       formatNumber(point.errorPercent(), 1)});
     }
     table.print(out);
-    finishCampaign(options, table, campaign, report);
+    finishCampaign(options, table, campaign, report, err);
     return 0;
 }
 
 int
-cmdSweep(const Options &options, std::ostream &out)
+cmdSweep(const Options &options, std::ostream &out, std::ostream &err)
 {
     options.requireKnown(withWorkload(withCampaign(
         withGlobals({"param", "from", "to", "points", "cpus"}))));
@@ -479,7 +472,7 @@ cmdSweep(const Options &options, std::ostream &out)
         table.addRow(std::move(row));
     }
     table.print(out);
-    finishCampaign(options, table, campaign, report);
+    finishCampaign(options, table, campaign, report, err);
     return 0;
 }
 
@@ -538,7 +531,8 @@ cmdNetwork(const Options &options, std::ostream &out)
 }
 
 int
-cmdSensitivity(const Options &options, std::ostream &out)
+cmdSensitivity(const Options &options, std::ostream &out,
+               std::ostream &err)
 {
     options.requireKnown(withCampaign(withGlobals({"cpus", "grid"})));
     SensitivityConfig config;
@@ -570,15 +564,16 @@ cmdSensitivity(const Options &options, std::ostream &out)
         report.addRow(std::move(row));
     }
     report.print(out);
-    finishCampaign(options, report, campaign, campaign_report);
+    finishCampaign(options, report, campaign, campaign_report, err);
     return 0;
 }
 
 int
-run(const std::vector<std::string> &args, std::ostream &out)
+run(const std::vector<std::string> &args, std::ostream &out,
+    std::ostream &err)
 {
     if (args.empty()) {
-        printUsage(out);
+        printUsage(err);
         return 2;
     }
     const std::string &command = args.front();
@@ -626,23 +621,23 @@ run(const std::vector<std::string> &args, std::ostream &out)
                 return cmdSim(options, out);
             }
             if (command == "validate") {
-                return cmdValidate(options, out);
+                return cmdValidate(options, out, err);
             }
             if (command == "sweep") {
-                return cmdSweep(options, out);
+                return cmdSweep(options, out, err);
             }
             if (command == "network") {
                 return cmdNetwork(options, out);
             }
             if (command == "sensitivity") {
-                return cmdSensitivity(options, out);
+                return cmdSensitivity(options, out, err);
             }
             if (command == "help" || command == "--help") {
                 printUsage(out);
                 return 0;
             }
-            out << "unknown command '" << command << "'\n\n";
-            printUsage(out);
+            err << "unknown command '" << command << "'\n\n";
+            printUsage(err);
             return 2;
         };
         const int rc = dispatch();
@@ -650,16 +645,14 @@ run(const std::vector<std::string> &args, std::ostream &out)
         return rc;
     } catch (const campaign::TaskKilled &error) {
         // The campaign journaled every completed cell before dying,
-        // so the run is resumable; still flush metrics for
-        // post-mortems.
-        obs::finalize();
-        out << "fatal: " << error.what() << '\n'
+        // so the run is resumable.
+        err << "fatal: " << error.what() << '\n'
             << "completed cells are journaled; rerun the same command "
                "with --resume to continue\n";
-        return 3;
+        return failRun(err, 3);
     } catch (const std::exception &error) {
-        out << "error: " << error.what() << '\n';
-        return 2;
+        err << "error: " << error.what() << '\n';
+        return failRun(err, 2);
     }
 }
 

@@ -24,13 +24,18 @@ namespace swcc::cli
  *
  * @param args argv-style tokens *excluding* the program name; the
  *        first token selects the subcommand.
- * @param out Stream for normal output.
- * @return Process exit code (0 on success).
+ * @param out Stream for normal output (and `help`).
+ * @param err Stream for diagnostics: `error:` and `fatal:` lines, a
+ *        campaign's `--journal` summary, and the usage text after a
+ *        missing or unknown command.
+ * @return Process exit code (0 on success, 2 on an error, 3 when a
+ *         campaign is killed).
  *
- * Unknown commands and malformed options print usage to @p out and
- * return 2.
+ * A failed run still writes its `--metrics-out` and `--trace-json`
+ * artifacts.
  */
-int run(const std::vector<std::string> &args, std::ostream &out);
+int run(const std::vector<std::string> &args, std::ostream &out,
+        std::ostream &err);
 
 /** `swcc eval`: evaluate schemes analytically (bus or network). */
 int cmdEval(const Options &options, std::ostream &out);
@@ -44,17 +49,23 @@ int cmdStat(const Options &options, std::ostream &out);
 /** `swcc sim`: simulate a trace under a coherence scheme. */
 int cmdSim(const Options &options, std::ostream &out);
 
-/** `swcc validate`: model-vs-simulation on a synthetic profile. */
-int cmdValidate(const Options &options, std::ostream &out);
+/**
+ * `swcc validate`: model-vs-simulation on a synthetic profile. The
+ * campaign commands print their `--journal` summary on @p err.
+ */
+int cmdValidate(const Options &options, std::ostream &out,
+                std::ostream &err);
 
 /** `swcc sweep`: sweep one workload parameter for every scheme. */
-int cmdSweep(const Options &options, std::ostream &out);
+int cmdSweep(const Options &options, std::ostream &out,
+             std::ostream &err);
 
 /** `swcc network`: compare network disciplines for one workload. */
 int cmdNetwork(const Options &options, std::ostream &out);
 
 /** `swcc sensitivity`: print the Table 8 sensitivity analysis. */
-int cmdSensitivity(const Options &options, std::ostream &out);
+int cmdSensitivity(const Options &options, std::ostream &out,
+                   std::ostream &err);
 
 /** Prints the global usage text. */
 void printUsage(std::ostream &out);

@@ -17,5 +17,5 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         args.emplace_back(argv[i]);
     }
-    return swcc::cli::run(args, std::cout);
+    return swcc::cli::run(args, std::cout, std::cerr);
 }

@@ -24,7 +24,6 @@
  * errors — so a CI job can run scheme pairs and gate on the result.
  */
 
-#include <cctype>
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -56,15 +55,8 @@ struct CheckOptions
 Scheme
 schemeFromName(const std::string &name)
 {
-    for (Scheme scheme : kAllSchemes) {
-        std::string candidate(schemeName(scheme));
-        for (char &c : candidate) {
-            c = static_cast<char>(
-                std::tolower(static_cast<unsigned char>(c)));
-        }
-        if (candidate == name) {
-            return scheme;
-        }
+    if (const auto scheme = parseScheme(name)) {
+        return *scheme;
     }
     throw std::invalid_argument(
         "unknown scheme '" + name +
@@ -75,10 +67,8 @@ schemeFromName(const std::string &name)
 AppProfile
 profileFromName(const std::string &name)
 {
-    for (AppProfile profile : kAllProfiles) {
-        if (name == profileName(profile)) {
-            return profile;
-        }
+    if (const auto profile = parseProfile(name)) {
+        return *profile;
     }
     throw std::invalid_argument(
         "unknown profile '" + name +
