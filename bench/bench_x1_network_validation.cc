@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,7 +53,7 @@ main()
     const std::vector<double> wide_rates = {0.01, 0.02, 0.05};
 
     // Every point seeds its own network, so the points run in
-    // parallel and come back in the serial order printed below.
+    // parallel and land in the serial order printed below.
     std::vector<Job> jobs;
     for (const auto &[stages, size] : sizes) {
         for (double rate : rates) {
@@ -66,14 +67,29 @@ main()
     for (double rate : wide_rates) {
         jobs.push_back({rate, 10.0, 3, NetMode::Circuit, 4});
     }
-    const std::vector<NetworkValidationPoint> points =
-        parallelMap(jobs.size(), [&](std::size_t i) {
-            const Job &job = jobs[i];
-            return validateNetworkPoint(job.rate, job.size, job.stages,
-                                        job.mode, 120'000, 42,
-                                        job.switchDim);
-        });
-    auto next = points.begin();
+    // A point's cost grows with processors x message cycles, so the
+    // heaviest start first and the lanes finish together.
+    const auto weight = [&jobs](std::size_t i) {
+        double processors = 1.0;
+        for (unsigned s = 0; s < jobs[i].stages; ++s) {
+            processors *= jobs[i].switchDim;
+        }
+        return processors * jobs[i].size;
+    };
+    std::vector<std::size_t> order(jobs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return weight(a) > weight(b);
+                     });
+    std::vector<NetworkValidationPoint> points(jobs.size());
+    parallelFor(order.size(), [&](std::size_t k) {
+        const Job &job = jobs[order[k]];
+        points[order[k]] = validateNetworkPoint(
+            job.rate, job.size, job.stages, job.mode, 120'000, 42,
+            job.switchDim);
+    });
+    auto next = points.cbegin();
 
     std::vector<WorstError> worst;
     for (const auto &[stages, size] : sizes) {
@@ -159,10 +175,8 @@ main()
         std::all_of(worst.begin(), worst.end(), [](const WorstError &w) {
             return w.circuit < w.unit;
         });
-    std::cout << (circuit_closer
-                      ? "The model tracks circuit switching more closely "
-                        "than unit requests at every size.\n"
-                      : "The model tracks unit requests more closely "
-                        "than circuit switching at some size.\n");
-    return 0;
+    std::cout << "  [" << (circuit_closer ? "holds" : "FAILS")
+              << "] the model tracks circuit switching more closely "
+                 "than unit requests at every size\n";
+    return circuit_closer ? 0 : 1;
 }

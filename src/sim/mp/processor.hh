@@ -7,7 +7,8 @@
 #define SWCC_SIM_MP_PROCESSOR_HH
 
 #include <cstddef>
-#include <vector>
+#include <cstdint>
+#include <span>
 
 #include "sim/mp/sim_stats.hh"
 #include "sim/trace/trace_event.hh"
@@ -24,26 +25,34 @@ namespace swcc
  * except the fetch of a flush instruction, whose execution cost is the
  * flush operation itself (paper Table 1 prices "instruction execution
  * (except flush)").
+ *
+ * It reads its events in place: a slice of trace positions, in
+ * program order, into the caller's interleaved trace.
  */
 class TraceProcessor
 {
   public:
     explicit TraceProcessor(CpuId id) : id_(id) {}
 
-    /** Assigns this processor's program-order event stream. */
+    /**
+     * Assigns this processor's program order: @p positions index
+     * @p trace. Both must outlive the run that reads them.
+     */
     void
-    setEvents(std::vector<TraceEvent> events)
+    setEvents(const TraceEvent *trace,
+              std::span<const std::uint32_t> positions)
     {
-        events_ = std::move(events);
-        next_ = 0;
+        trace_ = trace;
+        next_ = positions.data();
+        end_ = positions.data() + positions.size();
     }
 
     CpuId id() const { return id_; }
 
-    bool done() const { return next_ >= events_.size(); }
+    bool done() const { return next_ == end_; }
 
     /** Next event to execute. @pre !done() */
-    const TraceEvent &current() const { return events_[next_]; }
+    const TraceEvent &current() const { return trace_[*next_]; }
 
     /**
      * True if the next event after the current one is a flush by this
@@ -52,12 +61,22 @@ class TraceProcessor
     bool
     currentFetchesFlush() const
     {
-        return next_ + 1 < events_.size() &&
-            events_[next_ + 1].type == RefType::Flush;
+        return end_ - next_ > 1 && trace_[next_[1]].type == RefType::Flush;
     }
 
-    /** Consumes the current event. */
-    void advance() { ++next_; }
+    /**
+     * Consumes the current event and prefetches the one kPrefetch
+     * events on: program order hops through the interleaved trace,
+     * where no hardware prefetcher follows it.
+     */
+    void
+    advance()
+    {
+        ++next_;
+        if (end_ - next_ > kPrefetch) {
+            __builtin_prefetch(&trace_[next_[kPrefetch]]);
+        }
+    }
 
     /** Local clock: cycle at which this processor can issue next. */
     Cycles readyAt = 0.0;
@@ -77,9 +96,13 @@ class TraceProcessor
     }
 
   private:
+    /** How many events ahead advance() prefetches. */
+    static constexpr std::ptrdiff_t kPrefetch = 4;
+
     CpuId id_;
-    std::vector<TraceEvent> events_;
-    std::size_t next_ = 0;
+    const TraceEvent *trace_ = nullptr;
+    const std::uint32_t *next_ = nullptr;
+    const std::uint32_t *end_ = nullptr;
 };
 
 } // namespace swcc

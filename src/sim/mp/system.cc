@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/obs/metrics.hh"
 #include "sim/cache/base_protocol.hh"
@@ -50,6 +54,150 @@ makeProtocol(Scheme scheme, const CacheConfig &cache_config,
     throw std::invalid_argument("unknown Scheme");
 }
 
+/**
+ * The processors waiting to run, filed by the whole cycle their clock
+ * reads: a ring of one-cycle buckets, each a bitset over processor
+ * ids, and a bitmap of the buckets that hold anyone. The earliest
+ * waiting processor is the lowest id in the first occupied bucket at
+ * or after base_, the cycle last taken; every waiting cycle lies in
+ * [base_, base_ + ring size), and a cycle beyond that doubles the
+ * ring.
+ */
+class Calendar
+{
+  public:
+    /** A waiting processor and the cycle it waits at. */
+    struct Entry
+    {
+        std::uint64_t cycle;
+        std::uint32_t cpu;
+    };
+
+    explicit Calendar(std::size_t cpus) : words_((cpus + 63) / 64)
+    {
+        resize(kInitialCycles);
+    }
+
+    bool empty() const { return waiting_ == 0; }
+
+    /** Files @p cpu at @p cycle, not below the cycle last taken. */
+    void
+    insert(std::uint32_t cpu, std::uint64_t cycle)
+    {
+        if (cycle - base_ > mask_) {
+            grow(cycle);
+        }
+        const std::uint64_t slot = cycle & mask_;
+        buckets_[slot * words_ + cpu / 64] |= std::uint64_t{1} << (cpu % 64);
+        occupied_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+        ++waiting_;
+    }
+
+    /** Moves @p cpu, waiting at @p cycle, one cycle later. */
+    void
+    delay(std::uint32_t cpu, std::uint64_t cycle)
+    {
+        erase(cpu, cycle);
+        insert(cpu, cycle + 1);
+    }
+
+    /** The earliest waiting processor, lowest id on ties. @pre !empty() */
+    Entry
+    peek() const
+    {
+        const std::uint64_t start = base_ & mask_;
+        std::size_t word = start / 64;
+        std::uint64_t bits =
+            occupied_[word] & (~std::uint64_t{0} << (start % 64));
+        while (bits == 0) {
+            word = (word + 1) & (occupied_.size() - 1);
+            bits = occupied_[word];
+        }
+        const std::uint64_t slot =
+            word * 64 + static_cast<unsigned>(std::countr_zero(bits));
+        const std::uint64_t *bucket = &buckets_[slot * words_];
+        std::size_t w = 0;
+        while (bucket[w] == 0) {
+            ++w;
+        }
+        return {base_ + ((slot - start) & mask_),
+                static_cast<std::uint32_t>(
+                    w * 64 + static_cast<unsigned>(
+                                 std::countr_zero(bucket[w])))};
+    }
+
+    /** Removes @p earliest, which peek() returned, to run it. */
+    void
+    take(Entry earliest)
+    {
+        erase(earliest.cpu, earliest.cycle);
+        base_ = earliest.cycle;
+    }
+
+  private:
+    /** Buckets before the first doubling; a multiple of 64. */
+    static constexpr std::uint64_t kInitialCycles = 256;
+
+    void
+    erase(std::uint32_t cpu, std::uint64_t cycle)
+    {
+        const std::uint64_t slot = cycle & mask_;
+        std::uint64_t *bucket = &buckets_[slot * words_];
+        bucket[cpu / 64] &= ~(std::uint64_t{1} << (cpu % 64));
+        if (bucket[cpu / 64] == 0 &&
+            std::all_of(bucket, bucket + words_,
+                        [](std::uint64_t w) { return w == 0; })) {
+            occupied_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+        }
+        --waiting_;
+    }
+
+    void
+    resize(std::uint64_t cycles)
+    {
+        mask_ = cycles - 1;
+        buckets_.assign(cycles * words_, 0);
+        occupied_.assign(cycles / 64, 0);
+        waiting_ = 0;
+    }
+
+    /** Doubles the ring until @p cycle fits, refiling everyone. */
+    void
+    grow(std::uint64_t cycle)
+    {
+        const std::uint64_t base = base_;
+        std::vector<Entry> entries;
+        entries.reserve(waiting_);
+        while (!empty()) {
+            entries.push_back(peek());
+            take(entries.back());
+        }
+        base_ = base;
+        std::uint64_t cycles = mask_ + 1;
+        while (cycle - base_ >= cycles) {
+            cycles *= 2;
+        }
+        resize(cycles);
+        for (const Entry &entry : entries) {
+            insert(entry.cpu, entry.cycle);
+        }
+    }
+
+    std::size_t words_;
+    std::uint64_t mask_ = 0;
+    std::uint64_t base_ = 0;
+    std::size_t waiting_ = 0;
+    std::vector<std::uint64_t> buckets_;
+    std::vector<std::uint64_t> occupied_;
+};
+
+/** A clock as the whole cycle it reads. */
+std::uint64_t
+cycleOf(Cycles clock)
+{
+    return static_cast<std::uint64_t>(clock);
+}
+
 } // namespace
 
 MultiprocessorSystem::MultiprocessorSystem(Scheme scheme,
@@ -70,6 +218,16 @@ MultiprocessorSystem::MultiprocessorSystem(
 {
     if (!protocol_) {
         throw std::invalid_argument("need a protocol");
+    }
+    for (const Operation op : kAllOperations) {
+        const OpCost cost = costs_.cost(op);
+        for (const Cycles part : {cost.cpu, cost.channel}) {
+            if (!std::isfinite(part) || std::floor(part) != part) {
+                throw std::invalid_argument(
+                    "bus cost of " + std::string(operationName(op)) +
+                    " is not a whole number of cycles");
+            }
+        }
     }
     const CpuId num_cpus = protocol_->numCpus();
     processors_.reserve(num_cpus);
@@ -210,26 +368,42 @@ MultiprocessorSystem::beginRunTrace()
 SimStats
 MultiprocessorSystem::run(const TraceBuffer &trace)
 {
-    if (trace.numCpus() > processors_.size()) {
+    const std::size_t cpus = processors_.size();
+    if (trace.numCpus() > cpus) {
         throw std::invalid_argument(
             "trace uses more processors than the system has");
     }
+    if (trace.size() > std::numeric_limits<std::uint32_t>::max()) {
+        throw std::invalid_argument(
+            "trace of " + std::to_string(trace.size()) +
+            " events is too long to simulate (at most " +
+            std::to_string(std::numeric_limits<std::uint32_t>::max()) +
+            ")");
+    }
 
-    // Distribute the interleaved trace into program-order streams,
-    // counting first so every stream is allocated exactly once.
-    std::vector<std::size_t> stream_sizes(processors_.size(), 0);
+    // Program order without copying an event: the trace's positions
+    // grouped by processor, counted first so each group's start is
+    // known, then scattered in trace order. Processor i replays
+    // positions [start[i], start[i + 1]).
+    std::vector<std::uint32_t> start(cpus + 1, 0);
     for (const TraceEvent &event : trace) {
-        ++stream_sizes[event.cpu];
+        ++start[event.cpu + 1];
     }
-    std::vector<std::vector<TraceEvent>> streams(processors_.size());
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-        streams[i].reserve(stream_sizes[i]);
+    for (std::size_t i = 0; i < cpus; ++i) {
+        start[i + 1] += start[i];
     }
-    for (const TraceEvent &event : trace) {
-        streams[event.cpu].push_back(event);
+    std::vector<std::uint32_t> positions(trace.size());
+    {
+        std::vector<std::uint32_t> fill(start.begin(), start.end() - 1);
+        for (std::uint32_t i = 0; i < positions.size(); ++i) {
+            positions[fill[trace[i].cpu]++] = i;
+        }
     }
-    for (std::size_t i = 0; i < processors_.size(); ++i) {
-        processors_[i].setEvents(std::move(streams[i]));
+    for (std::size_t i = 0; i < cpus; ++i) {
+        processors_[i].setEvents(
+            trace.events().data(),
+            std::span<const std::uint32_t>(positions).subspan(
+                start[i], start[i + 1] - start[i]));
         processors_[i].readyAt = 0.0;
         processors_[i].stats = CpuStats{};
     }
@@ -245,54 +419,66 @@ MultiprocessorSystem::run(const TraceBuffer &trace)
     SimStats stats;
     stats.scheme = protocol_->scheme();
     stats.protocolName = std::string(protocol_->name());
-    stats.cpus = static_cast<CpuId>(processors_.size());
+    stats.cpus = static_cast<CpuId>(cpus);
 
     // Global-time event loop: always advance the processor with the
-    // smallest local clock, lowest id on ties. A tournament tree over
-    // the processor clocks replays one leaf-to-root path (O(log P)
-    // compares, branch-light) per event; the binary heap it replaces
-    // profiled as the hottest function in the whole simulator, and
-    // unlike a heap the tree re-reads clocks on every compare, so
-    // clocks bumped by stolen cycles need no stale-entry repair —
-    // just a refresh of the victim's path. Retired processors park at
-    // +inf; ties resolve leftward, i.e. to the lowest processor id,
-    // exactly as the heap's comparator ordered them.
-    constexpr double kIdle = std::numeric_limits<double>::infinity();
-    const std::size_t leaves = std::bit_ceil(processors_.size());
-    std::vector<double> clocks(leaves, kIdle);
-    std::vector<std::uint32_t> winner(2 * leaves);
-    for (std::size_t i = 0; i < leaves; ++i) {
-        winner[leaves + i] = static_cast<std::uint32_t>(i);
-    }
-    for (std::size_t i = 0; i < processors_.size(); ++i) {
+    // smallest local clock, lowest id on ties. Every cost is a whole
+    // number of cycles, so every clock is one too, and the waiting
+    // processors sit in a calendar of one-cycle buckets. The one
+    // taken keeps stepping while it is still the earliest (clock
+    // below its rival's, or equal with the lower id), so a lone
+    // processor and a run of zero-cost data hits touch no bucket. A
+    // Dragon steal moves its waiting victim one bucket later; a
+    // retired processor leaves the calendar.
+    Calendar waiting(cpus);
+    for (std::uint32_t i = 0; i < cpus; ++i) {
         if (!processors_[i].done()) {
-            clocks[i] = processors_[i].readyAt;
+            waiting.insert(i, 0);
         }
     }
-    for (std::size_t n = leaves - 1; n >= 1; --n) {
-        winner[n] = clocks[winner[2 * n]] <= clocks[winner[2 * n + 1]]
-            ? winner[2 * n] : winner[2 * n + 1];
-    }
-    const auto refresh = [&](std::size_t i) {
-        const TraceProcessor &proc = processors_[i];
-        clocks[i] = proc.done() ? kIdle : proc.readyAt;
-        for (std::size_t n = (leaves + i) >> 1; n >= 1; n >>= 1) {
-            const std::uint32_t left = winner[2 * n];
-            const std::uint32_t right = winner[2 * n + 1];
-            winner[n] = clocks[left] <= clocks[right] ? left : right;
+    constexpr Cycles kNever = std::numeric_limits<Cycles>::infinity();
+    Calendar::Entry rival{0, 0};
+    Cycles rivalAt = kNever;
+    const auto findRival = [&] {
+        if (waiting.empty()) {
+            rivalAt = kNever;
+        } else {
+            rival = waiting.peek();
+            rivalAt = static_cast<Cycles>(rival.cycle);
         }
     };
-
-    while (clocks[winner[1]] != kIdle) {
-        const std::uint32_t cpu = winner[1];
-        step(processors_[cpu], stats);
-        refresh(cpu);
-        for (CpuId victim : result_.steals) {
-            refresh(victim);
+    findRival();
+    while (rivalAt != kNever) {
+        // The earliest waiting processor runs; a processor filed back
+        // is never earlier than the next rival, so that rival runs next.
+        waiting.take(rival);
+        const std::uint32_t cpu = rival.cpu;
+        TraceProcessor &proc = processors_[cpu];
+        findRival();
+        for (;;) {
+            step(proc, stats);
+            if (!result_.steals.empty()) {
+                for (CpuId victim : result_.steals) {
+                    const TraceProcessor &robbed = processors_[victim];
+                    if (!robbed.done()) {
+                        waiting.delay(victim, cycleOf(robbed.readyAt) - 1);
+                    }
+                }
+                findRival();
+            }
+            if (proc.done()) {
+                break;
+            }
+            if (proc.readyAt < rivalAt ||
+                (proc.readyAt == rivalAt && cpu < rival.cpu)) {
+                continue;
+            }
+            waiting.insert(cpu, cycleOf(proc.readyAt));
+            break;
         }
     }
 
-    stats.perCpu.reserve(processors_.size());
+    stats.perCpu.reserve(cpus);
     for (const TraceProcessor &proc : processors_) {
         stats.perCpu.push_back(proc.stats);
         stats.makespan = std::max(stats.makespan, proc.stats.finishTime);

@@ -32,9 +32,10 @@ namespace swcc
  * the selected protocol; cache activity is priced with the Table 1
  * system model and serialised through a FCFS bus with deterministic
  * service times. Events are processed in global-time order (the
- * processor with the smallest local clock goes next), which both
- * orders bus grants fairly and lets processor timing — not the traced
- * machine's timing — determine the interleaving, as in the paper.
+ * processor with the smallest local clock goes next, the lowest id on
+ * ties), which both orders bus grants fairly and lets processor
+ * timing — not the traced machine's timing — determine the
+ * interleaving, as in the paper.
  */
 class MultiprocessorSystem
 {
@@ -47,6 +48,8 @@ class MultiprocessorSystem
      *        used by Dragon for parameter measurement, ignored by the
      *        others.
      * @param costs Bus system model (defaults to paper Table 1).
+     * @throws std::invalid_argument if a cost in @p costs is not a
+     *         whole number of cycles.
      */
     MultiprocessorSystem(Scheme scheme, const CacheConfig &cache_config,
                          CpuId num_cpus,
@@ -57,6 +60,10 @@ class MultiprocessorSystem
      * Builds a system around a caller-supplied protocol, e.g. one
      * whose measurements() the caller reads after run(). Statistics
      * carry the protocol's scheme() and name().
+     *
+     * @throws std::invalid_argument if a cost in @p costs is not a
+     *         whole number of cycles: Table 1 prices every operation
+     *         in whole cycles, and the event loop schedules by them.
      */
     MultiprocessorSystem(std::unique_ptr<CoherenceProtocol> protocol,
                          const BusCostModel &costs = BusCostModel());
@@ -67,8 +74,12 @@ class MultiprocessorSystem
      * May be called once per system (caches stay warm otherwise);
      * construct a fresh system for an independent run.
      *
+     * The processors read @p trace in place, each through its slice
+     * of one 4-byte index of trace positions built per run.
+     *
      * @throws std::invalid_argument if the trace uses more processors
-     *         than the system has.
+     *         than the system has, or holds more events than a 4-byte
+     *         position can index.
      */
     SimStats run(const TraceBuffer &trace);
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string_view>
@@ -68,6 +69,31 @@ loadU64(const char *in)
     };
     return byte(0) | byte(1) | byte(2) | byte(3) | byte(4) | byte(5) |
         byte(6) | byte(7);
+}
+
+/**
+ * Lines from the read position of @p is to its end (its newlines plus
+ * one, as the last line needs none), read through once and rewound;
+ * nullopt when the stream cannot report its position.
+ */
+std::optional<std::size_t>
+remainingLines(std::istream &is)
+{
+    const auto here = is.tellg();
+    if (here == std::istream::pos_type(-1)) {
+        is.clear();
+        return std::nullopt;
+    }
+    std::vector<char> block(kBlockBytes);
+    std::size_t lines = 1;
+    do {
+        is.read(block.data(), static_cast<std::streamsize>(block.size()));
+        lines += static_cast<std::size_t>(
+            std::count(block.data(), block.data() + is.gcount(), '\n'));
+    } while (is);
+    is.clear();
+    is.seekg(here);
+    return lines;
 }
 
 /** Writes the filled head of @p block; returns the block's start. */
@@ -325,6 +351,17 @@ TraceBuffer
 readTextTrace(std::istream &is)
 {
     TraceBuffer trace;
+    // Every event has a line of its own, so the lines left bound the
+    // events, and one reserve replaces the doublings and their copies.
+    // Counting costs one more read of the stream. A bound from the
+    // byte count alone (6 bytes for "0 i 0\n") reserves 2.2 times a
+    // generated trace's events, and raised the replay benchmark's peak
+    // RSS from 49 to 63 MiB though the extra pages were never touched.
+    if (is) {
+        if (const auto lines = remainingLines(is)) {
+            trace.reserve(*lines);
+        }
+    }
     std::vector<char> block(kBlockBytes);
     // The head of a line cut by the end of a block; a line longer
     // than a block is assembled here whole.

@@ -21,6 +21,15 @@
  * invalidation counters would read 0 there. The counters come from the
  * snoopy fill's and broadcast's holder walk, which branches on the
  * snoop path, so the same digests are checked on both paths.
+ *
+ * The event loop's order is pinned apart from the protocols: the same
+ * serialized SimStats at 1, 8, 48 and 68 CPUs on pero-like, with
+ * Dragon (whose broadcasts steal cycles from other processors' clocks),
+ * MESI, Software-Flush (zero-cost fetches of flush instructions) and a
+ * bus-saturated No-Cache run on 4 KiB 2-way caches, whose processors'
+ * clocks spread over hundreds of cycles. Every processor's finish time
+ * and bus wait depends on which processor goes next, so a reordered
+ * event loop moves these digests on either snoop path.
  */
 
 #include <gtest/gtest.h>
@@ -284,6 +293,91 @@ TEST_P(MeasurementGoldenTest, CountersDigestIsPinnedOnTheReferenceScan)
 INSTANTIATE_TEST_SUITE_P(
     Grid, MeasurementGoldenTest, ::testing::ValuesIn(measurementRuns()),
     [](const ::testing::TestParamInfo<GoldenRun> &test) {
+        return test.param.name;
+    });
+
+/** One event-loop run: scheme, processor count and cache geometry. */
+struct ScheduleRun
+{
+    std::string name;
+    Scheme scheme;
+    CpuId cpus;
+    /** 4 KiB 2-way caches, which saturate the bus, not 64 KiB. */
+    bool smallCaches;
+    std::uint64_t digest;
+};
+
+void
+PrintTo(const ScheduleRun &golden, std::ostream *os)
+{
+    *os << golden.name;
+}
+
+std::vector<ScheduleRun>
+scheduleRuns()
+{
+    using enum Scheme;
+    return {
+        {"Base_1", Base, 1, false, 0x5a9e54e62c5158e1ull},
+        {"Dragon_1", Dragon, 1, false, 0xd0ba4338870c654aull},
+        {"Mesi_1", Mesi, 1, false, 0x6ba2afc3269fe59cull},
+        {"Dragon_8", Dragon, 8, false, 0xed9d78be7d816334ull},
+        {"Mesi_8", Mesi, 8, false, 0x681ef0f796565842ull},
+        {"SoftwareFlush_8", SoftwareFlush, 8, false, 0x9e43d2d0101632ecull},
+        {"NoCache_8", NoCache, 8, true, 0x0f3dba9182df0b21ull},
+        {"Dragon_48", Dragon, 48, false, 0xef538636a7029317ull},
+        {"Mesi_48", Mesi, 48, false, 0x0a0c679a433541afull},
+        {"NoCache_48", NoCache, 48, true, 0xd131616abb5db847ull},
+        {"Dragon_68", Dragon, 68, false, 0xf121471331ce58e2ull},
+        {"Mesi_68", Mesi, 68, false, 0xaac92a1c726c642eull},
+        {"NoCache_68", NoCache, 68, true, 0x37534a9eb8ba910bull},
+    };
+}
+
+class SchedulerGoldenTest : public ::testing::TestWithParam<ScheduleRun>
+{
+};
+
+TEST_P(SchedulerGoldenTest, StatsDigestIsPinned)
+{
+    const ScheduleRun &golden = GetParam();
+    // The generator stops at 64 processors, so 68 CPUs replay a
+    // 34-CPU trace twice, event by event: the second copy runs as
+    // CPUs 34-67 and shares every block of the first.
+    const CpuId generated = golden.cpus > 64
+        ? static_cast<CpuId>(golden.cpus / 2) : golden.cpus;
+    const SyntheticWorkloadConfig workload = profileConfig(
+        AppProfile::PeroLike, generated,
+        std::size_t{48'000} / golden.cpus + 500, 29,
+        golden.scheme == Scheme::SoftwareFlush);
+    TraceBuffer trace = generateTrace(workload);
+    if (generated != golden.cpus) {
+        TraceBuffer doubled;
+        doubled.reserve(2 * trace.size());
+        for (const TraceEvent &event : trace) {
+            doubled.append(event);
+            doubled.append(static_cast<CpuId>(event.cpu + generated),
+                           event.type, event.addr);
+        }
+        trace = std::move(doubled);
+    }
+    CacheConfig cache;
+    cache.sizeBytes = golden.smallCaches ? 4 * 1024 : 64 * 1024;
+    cache.blockBytes = 16;
+    cache.associativity = golden.smallCaches ? 2 : 1;
+    MultiprocessorSystem system(golden.scheme, cache, golden.cpus,
+                                workload.sharedClassifier());
+    const std::string stats = system.run(trace).serialize();
+
+    const std::uint64_t digest =
+        campaign::fnv1a64(stats.data(), stats.size(), kFnvOffset);
+    EXPECT_EQ(digest, golden.digest)
+        << std::hex << "0x" << digest << "ull";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, SchedulerGoldenTest, ::testing::ValuesIn(scheduleRuns()),
+    [](const ::testing::TestParamInfo<ScheduleRun> &test) {
         return test.param.name;
     });
 

@@ -174,6 +174,29 @@ TEST(SystemTimingTest, StolenCyclesReachARetiredVictimsFinishTime)
     EXPECT_GE(with.makespan, with.perCpu[1].finishTime);
 }
 
+TEST(SystemTimingTest, ClocksFarApartRunInTimeOrder)
+{
+    // A 1000-cycle miss puts the two clocks ~1000 cycles apart, past
+    // the event loop's starting calendar, so each processor is filed
+    // well ahead of the other and still runs in clock order.
+    BusCostModel costs;
+    costs.setCost(Operation::CleanMissMem, {1000.0, 997.0});
+    TraceBuffer trace;
+    trace.append(0, RefType::IFetch, kCode);
+    trace.append(1, RefType::IFetch, kCode + 0x0010'0000);
+    trace.append(0, RefType::IFetch, kCode + 4);
+    trace.append(1, RefType::IFetch, kCode + 0x0010'0004);
+
+    MultiprocessorSystem system(Scheme::Base, config(), 2, nullptr, costs);
+    const SimStats stats = system.run(trace);
+    // cpu0: 1 + 3, bus 4..1001, then a 1-cycle hit. cpu1: 1 + 3,
+    // waits for the bus until 1001, holds it to 1998, then a hit.
+    EXPECT_DOUBLE_EQ(stats.perCpu[0].finishTime, 1002.0);
+    EXPECT_DOUBLE_EQ(stats.perCpu[1].finishTime, 1999.0);
+    EXPECT_DOUBLE_EQ(stats.perCpu[1].busWaiting, 997.0);
+    EXPECT_DOUBLE_EQ(stats.makespan, 1999.0);
+}
+
 TEST(SystemTimingTest, ReadThroughAndWriteThroughTimings)
 {
     TraceBuffer trace;
@@ -194,6 +217,35 @@ TEST(SystemTest, RejectsTracesWithTooManyCpus)
     trace.append(3, RefType::IFetch, kCode);
     MultiprocessorSystem system(Scheme::Base, config(), 2);
     EXPECT_THROW(system.run(trace), std::invalid_argument);
+}
+
+TEST(SystemTest, RejectsBusCostsOfPartCycles)
+{
+    // Table 1 prices every operation in whole cycles, and the event
+    // loop files processors by whole cycles.
+    BusCostModel cpu;
+    cpu.setCost(Operation::DirtyFlush, {6.5, 4.0});
+    try {
+        MultiprocessorSystem system(Scheme::Base, config(), 2, nullptr,
+                                    cpu);
+        ADD_FAILURE() << "a 6.5-cycle dirty flush was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      operationName(Operation::DirtyFlush)),
+                  std::string::npos)
+            << e.what();
+    }
+
+    BusCostModel channel;
+    channel.setCost(Operation::CleanMissMem, {10.0, 6.5});
+    EXPECT_THROW(MultiprocessorSystem(Scheme::Base, config(), 2, nullptr,
+                                      channel),
+                 std::invalid_argument);
+
+    MachineParams wide;
+    wide.blockWords = 8;
+    EXPECT_NO_THROW(MultiprocessorSystem(Scheme::Dragon, config(), 2,
+                                         nullptr, makeBusCostModel(wide)));
 }
 
 TEST(SystemTest, StatsCarryTheSchemeOfASuppliedProtocol)

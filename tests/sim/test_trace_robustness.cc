@@ -244,6 +244,24 @@ TEST(TraceRobustnessTest, CutInsideSecondBlockIsTruncated)
     EXPECT_EQ(readBinaryTrace(whole_pipe).events(), trace.events());
 }
 
+TEST(TraceRobustnessTest, TextReadsTheSameFromAnyStartAndFromAPipe)
+{
+    // A seekable stream is counted ahead and rewound to where the
+    // reader found it; a pipe cannot be, and is read as it comes.
+    std::ostringstream os;
+    writeTextTrace(sampleTrace(), os);
+    const std::string text = os.str();
+
+    std::istringstream after_prefix("not a trace line\n" + text);
+    std::string prefix;
+    std::getline(after_prefix, prefix);
+    EXPECT_EQ(readTextTrace(after_prefix).events(), sampleTrace().events());
+
+    UnseekableBuf buf(text);
+    std::istream pipe(&buf);
+    EXPECT_EQ(readTextTrace(pipe).events(), sampleTrace().events());
+}
+
 TEST(TraceRobustnessTest, TextCpuIdsAreStrictDecimalBelow65535)
 {
     // Each was read as some cpu before: -1 as 65535 (wrapping numCpus
