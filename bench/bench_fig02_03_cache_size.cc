@@ -2,11 +2,16 @@
  * @file
  * Reproduces Figures 2 and 3: impact of cache size (16K/64K/256K, 16B
  * blocks) on the Dragon scheme, model versus simulation, for four or
- * fewer processors (Figure 2) and eight or fewer (Figure 3).
+ * fewer processors (Figure 2) and eight or fewer (Figure 3). Each
+ * figure's findings are computed from its rows and printed as holds
+ * or FAILS; the binary exits 1 when a claim fails.
  */
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "core/parallel.hh"
@@ -18,7 +23,11 @@ namespace
 
 using namespace swcc;
 
-void
+/** Largest |model - simulation| error a row may show, in percent. */
+constexpr double kErrorBoundPct = 5.0;
+
+/** Prints the figure and its findings; true when every claim holds. */
+bool
 runFigure(const char *title, AppProfile profile, CpuId max_cpus,
           std::size_t instructions)
 {
@@ -76,7 +85,47 @@ runFigure(const char *title, AppProfile profile, CpuId max_cpus,
                          std::string(profileName(profile)));
     chart.setAxisTitles("processors", "processing power");
     chart.print(std::cout);
+
+    // At every CPU count, each larger cache must miss less and run
+    // faster in simulation than the one below it.
+    bool misses_fall = true;
+    bool power_rises = true;
+    double worst_error = 0.0;
+    for (CpuId cpus = 1; cpus <= max_cpus; ++cpus) {
+        for (std::size_t row = 1; row < kCacheKb.size(); ++row) {
+            const ValidationPoint &smaller =
+                points[(row - 1) * max_cpus + cpus - 1];
+            const ValidationPoint &larger =
+                points[row * max_cpus + cpus - 1];
+            misses_fall = misses_fall &&
+                larger.sim.dataMissRate() < smaller.sim.dataMissRate();
+            power_rises =
+                power_rises && larger.simPower > smaller.simPower;
+        }
+    }
+    for (const ValidationPoint &point : points) {
+        worst_error =
+            std::max(worst_error, std::abs(point.errorPercent()));
+    }
+    bool holds = true;
+    const auto claim = [&holds](bool ok, const std::string &text) {
+        std::cout << "  [" << (ok ? "holds" : "FAILS") << "] " << text
+                  << '\n';
+        holds = holds && ok;
+    };
+    const std::string cpus =
+        " at 1.." + std::to_string(max_cpus) + " CPUs";
+    std::cout << "\nFindings:\n";
+    claim(misses_fall,
+          "the data miss rate falls from 16K to 64K to 256K" + cpus);
+    claim(power_rises,
+          "simulated power rises from 16K to 64K to 256K" + cpus);
+    claim(worst_error <= kErrorBoundPct,
+          "the model stays within " + formatNumber(kErrorBoundPct, 0) +
+              "% of the simulation in every row (largest |error| " +
+              formatNumber(worst_error, 1) + "%)");
     std::cout << '\n';
+    return holds;
 }
 
 } // namespace
@@ -84,13 +133,11 @@ runFigure(const char *title, AppProfile profile, CpuId max_cpus,
 int
 main()
 {
-    runFigure("Figure 2: cache size impact on Dragon, <= 4 CPUs",
-              AppProfile::PopsLike, 4, 120'000);
-    runFigure("Figure 3: cache size impact on Dragon, <= 8 CPUs",
-              AppProfile::PeroLike, 8, 90'000);
-    std::cout << "Expected shape: larger caches lower miss rates and "
-                 "raise processing power;\n"
-                 "the model tracks each cache size's simulation "
-                 "closely.\n";
-    return 0;
+    const bool fig2 =
+        runFigure("Figure 2: cache size impact on Dragon, <= 4 CPUs",
+                  AppProfile::PopsLike, 4, 120'000);
+    const bool fig3 =
+        runFigure("Figure 3: cache size impact on Dragon, <= 8 CPUs",
+                  AppProfile::PeroLike, 8, 90'000);
+    return fig2 && fig3 ? 0 : 1;
 }

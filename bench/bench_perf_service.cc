@@ -6,8 +6,8 @@
  * --socket), drives it with closed- and open-loop client threads over
  * a mixed bus/network query stream, and reports throughput plus
  * p50/p95/p99/p999 latency from HdrHistogram-style log-bucketed
- * per-thread histograms. The full matrix (threads x batch limit x
- * cache warmth) lands in bench_results/perf_service_qps.csv.
+ * per-thread histograms. The full matrix (threads x batch limit)
+ * lands in bench_results/perf_service_qps.csv.
  *
  * Open-loop rows are coordinated-omission-free: each request's
  * latency is measured from its *scheduled* send time, so a stalled
@@ -21,14 +21,12 @@
  *   --assert-batch-speedup X
  *                        exit nonzero unless batching (batch limit 64
  *                        vs 1) yields >= X throughput at 4 client
- *                        threads, measured memo-cold so the batched
- *                        curve kernels do real work; self-gates on
- *                        hosts with fewer than 4 hardware threads
+ *                        threads; self-gates on hosts with fewer
+ *                        than 4 hardware threads
  *   --assert-min-qps N   exit nonzero unless the best closed-loop
  *                        configuration sustains at least N queries/s
  *   --socket PATH        drive an external daemon instead (loadgen
- *                        mode; cache-warmth rows are skipped since
- *                        the memo gate is process-local)
+ *                        mode)
  *   --duration-ms N, --threads N, --pipeline N, --rate QPS
  */
 
@@ -49,7 +47,6 @@
 
 #include "core/obs/histogram.hh"
 #include "core/report.hh"
-#include "core/solver_cache.hh"
 #include "service/client.hh"
 #include "service/daemon.hh"
 #include "service/service_kernel.hh"
@@ -304,11 +301,10 @@ micros(const obs::Histogram &hist, double quantile)
 
 void
 addRow(TextTable &table, const std::string &mode, unsigned threads,
-       unsigned batch_max, const std::string &warmth,
-       const LoadResult &result)
+       unsigned batch_max, const LoadResult &result)
 {
     table.addRow({mode, std::to_string(threads),
-                  std::to_string(batch_max), warmth,
+                  std::to_string(batch_max),
                   std::to_string(result.requests),
                   formatNumber(result.qps(), 0),
                   micros(result.latency, 0.50),
@@ -482,13 +478,12 @@ main(int argc, char **argv)
         return runSmoke();
     }
 
-    TextTable table({"mode", "threads", "batch_max", "warmth",
-                     "requests", "qps", "p50_us", "p95_us", "p99_us",
-                     "p999_us", "max_us"});
+    TextTable table({"mode", "threads", "batch_max", "requests", "qps",
+                     "p50_us", "p95_us", "p99_us", "p999_us", "max_us"});
 
     if (!bench.externalSocket.empty()) {
-        // Loadgen mode against an external daemon (batch limit and
-        // warmth are the server's business; report them as "-").
+        // Loadgen mode against an external daemon (the batch limit
+        // is the server's business; report it as 0).
         const unsigned threads = bench.loadgenThreads.value_or(4);
         const LoadResult result = open_loop_only
             ? runOpenLoop(bench.externalSocket, threads,
@@ -496,7 +491,7 @@ main(int argc, char **argv)
             : runClosedLoop(bench.externalSocket, threads,
                             bench.pipeline, bench.durationMs);
         addRow(table, open_loop_only ? "open" : "closed", threads, 0,
-               "-", result);
+               result);
         table.print(std::cout);
         if (bench.assertMinQps > 0.0 &&
             result.qps() < bench.assertMinQps) {
@@ -514,45 +509,27 @@ main(int argc, char **argv)
         ? std::vector<unsigned>{*bench.loadgenThreads}
         : std::vector<unsigned>{1, 2, 4};
     double best_qps = 0.0;
-    double qps_batched_4t = 0.0;
-    double qps_unbatched_4t = 0.0;
 
     for (const unsigned batch_max : {1u, 64u}) {
-        for (const bool warm : {false, true}) {
-            // Memo-cold rows disable the process-wide solver cache so
-            // every query exercises the solvers; warm rows leave it
-            // on, the cross-client production configuration.
-            setSolverCacheEnabled(warm);
-            clearSolverCache();
-            LocalDaemon daemon(4, batch_max);
-            for (const unsigned threads : thread_counts) {
-                const LoadResult result =
-                    runClosedLoop(daemon.socket(), threads,
-                                  bench.pipeline, bench.durationMs);
-                addRow(table, "closed", threads, batch_max,
-                       warm ? "warm" : "cold", result);
-                best_qps = std::max(best_qps, result.qps());
-                if (threads == 4 && !warm) {
-                    (batch_max > 1 ? qps_batched_4t
-                                   : qps_unbatched_4t) =
-                        result.qps();
-                }
-            }
+        LocalDaemon daemon(4, batch_max);
+        for (const unsigned threads : thread_counts) {
+            const LoadResult result =
+                runClosedLoop(daemon.socket(), threads, bench.pipeline,
+                              bench.durationMs);
+            addRow(table, "closed", threads, batch_max, result);
+            best_qps = std::max(best_qps, result.qps());
         }
     }
     {
         // Open-loop tail-latency rows at a fixed offered rate.
-        setSolverCacheEnabled(true);
-        clearSolverCache();
         LocalDaemon daemon(4, 64);
         for (const unsigned threads : {2u}) {
             const LoadResult result =
                 runOpenLoop(daemon.socket(), threads,
                             bench.openLoopRate, bench.durationMs);
-            addRow(table, "open", threads, 64, "warm", result);
+            addRow(table, "open", threads, 64, result);
         }
     }
-    setSolverCacheEnabled(true);
 
     table.print(std::cout);
     const std::string csv = exportCsv(table, "perf_service_qps");
@@ -565,15 +542,11 @@ main(int argc, char **argv)
                       << hw << " hardware threads\n";
         } else {
             // Dedicated head-to-head, best of 3 per configuration:
-            // memo-cold, 4 client threads, a deep pipeline, and a
-            // 2-scenario mix (the campaign curve-sweep shape the
-            // kernel's group-coalescing exists for). The matrix rows
-            // above stay informational.
-            (void)qps_batched_4t;
-            (void)qps_unbatched_4t;
+            // 4 client threads, a deep pipeline, and a 2-scenario mix
+            // (the campaign curve-sweep shape the kernel's
+            // group-coalescing exists for). The matrix rows above stay
+            // informational.
             const auto headToHead = [&](unsigned batch_max) {
-                setSolverCacheEnabled(false);
-                clearSolverCache();
                 LocalDaemon daemon(4, batch_max);
                 double best = 0.0;
                 for (int rep = 0; rep < 3; ++rep) {
@@ -587,7 +560,6 @@ main(int argc, char **argv)
             };
             const double unbatched = headToHead(1);
             const double batched = headToHead(64);
-            setSolverCacheEnabled(true);
             const double speedup =
                 unbatched > 0.0 ? batched / unbatched : 0.0;
             std::cout << "batched vs unbatched at 4 threads: "

@@ -18,8 +18,8 @@
  * that round-trips through the journal re-hashes identically on any
  * host with IEEE doubles.
  *
- * CellKey is only the journal hash: the solver memo keys its entries
- * with its own word-at-a-time builder (MemoKey, solver_cache.hh),
+ * CellKey is only the journal hash: the extraction memo keys its
+ * entries with its own word-at-a-time builder (MemoKey, solver_cache.hh),
  * which canonicalises doubles by the same canonicalBits().
  */
 

@@ -5,7 +5,6 @@
 
 #include "core/obs/trace.hh"
 #include "core/per_instruction.hh"
-#include "core/solver_cache.hh"
 
 namespace swcc
 {
@@ -19,26 +18,6 @@ spanName(const char *name)
 {
     return obs::tracer().intern(name);
 }
-
-SolverMemo<BusSolution> &
-busMemo()
-{
-    static SolverMemo<BusSolution> memo;
-    return memo;
-}
-
-SolverMemo<NetworkSolution> &
-networkMemo()
-{
-    static SolverMemo<NetworkSolution> memo;
-    return memo;
-}
-
-[[maybe_unused]] const bool memo_clearers_registered = [] {
-    registerSolverCacheClearer(+[] { busMemo().clear(); });
-    registerSolverCacheClearer(+[] { networkMemo().clear(); });
-    return true;
-}();
 
 } // namespace
 
@@ -54,27 +33,8 @@ BusSolution
 evaluateBus(Scheme scheme, const WorkloadParams &params,
             unsigned processors, const BusCostModel &costs)
 {
-    const bool memo = solverCacheEnabled();
-    BusSolution sol;
-    SolverCacheKey key;
-    if (memo) {
-        key = MemoKey(MemoDomain::Bus)
-                  .add(scheme)
-                  .add(params)
-                  .add(costs)
-                  .add(std::uint64_t{processors})
-                  .key();
-        if (busMemo().lookup(key, sol)) {
-            return sol;
-        }
-    }
     const FrequencyVector freqs = operationFrequencies(scheme, params);
-    const PerInstructionCost cost = perInstructionCost(freqs, costs);
-    sol = solveBus(cost, processors);
-    if (memo) {
-        busMemo().insert(key, sol);
-    }
-    return sol;
+    return solveBus(perInstructionCost(freqs, costs), processors);
 }
 
 NetworkSolution
@@ -86,29 +46,9 @@ evaluateNetwork(Scheme scheme, const WorkloadParams &params,
             "snoopy schemes need a broadcast bus; they cannot run on a "
             "multistage network");
     }
-    const bool memo = solverCacheEnabled();
-    NetworkSolution sol;
-    SolverCacheKey key;
-    if (memo) {
-        // The cost table is NetworkCostModel(stages), fully determined
-        // by the stage count the key ends with.
-        key = MemoKey(MemoDomain::Network)
-                  .add(scheme)
-                  .add(params)
-                  .add(std::uint64_t{stages})
-                  .key();
-        if (networkMemo().lookup(key, sol)) {
-            return sol;
-        }
-    }
     const NetworkCostModel costs(stages);
     const FrequencyVector freqs = operationFrequencies(scheme, params);
-    const PerInstructionCost cost = perInstructionCost(freqs, costs);
-    sol = solveNetwork(cost, stages);
-    if (memo) {
-        networkMemo().insert(key, sol);
-    }
-    return sol;
+    return solveNetwork(perInstructionCost(freqs, costs), stages);
 }
 
 std::vector<BusSolution>

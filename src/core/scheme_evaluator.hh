@@ -4,8 +4,8 @@
  *
  * This is the library's main entry point; it wires together the system
  * model (cost tables), workload model (operation frequencies), and the
- * appropriate contention model. Point evaluations are memoized
- * (core/solver_cache.hh); curves are solved on every call.
+ * appropriate contention model. Points and curves alike are solved on
+ * every call: nothing here stores an answer.
  */
 
 #ifndef SWCC_CORE_SCHEME_EVALUATOR_HH
@@ -54,8 +54,6 @@ NetworkSolution evaluateNetwork(Scheme scheme,
  * Evaluates a scheme at every processor count 1..max_processors in one
  * pass of the MVA recursion (see solveBusCurve()), on the Table 1 bus.
  * Element i is bitwise identical to evaluateBus(scheme, params, i + 1).
- * A curve is solved on every call: it neither reads nor fills the
- * solver memo.
  *
  * @throws std::invalid_argument for max_processors == 0.
  */
@@ -66,8 +64,7 @@ evaluateBusCurve(Scheme scheme, const WorkloadParams &params,
 /**
  * Evaluates a scheme on networks of 2, 4, ..., 2^max_stages processors,
  * one solveNetwork() call per stage count. Element i is bitwise
- * identical to evaluateNetwork(scheme, params, i + 1). Like the bus
- * curve, it neither reads nor fills the solver memo.
+ * identical to evaluateNetwork(scheme, params, i + 1).
  *
  * @throws std::invalid_argument for schemes that need a snooping bus,
  *         and for max_stages == 0.

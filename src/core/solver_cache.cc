@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "core/cost_model.hh"
 #include "core/obs/metrics.hh"
 #include "core/obs/obs.hh"
 #include "core/workload.hh"
@@ -79,17 +78,6 @@ MemoKey::add(const WorkloadParams &params)
         .add(params.oclean)
         .add(params.opres)
         .add(params.nshd);
-}
-
-MemoKey &
-MemoKey::add(const CostModel &costs)
-{
-    for (Operation op : kAllOperations) {
-        const bool supported = costs.supports(op);
-        const OpCost cost = supported ? costs.cost(op) : OpCost{};
-        add(std::uint64_t{supported}).add(cost.cpu).add(cost.channel);
-    }
-    return *this;
 }
 
 bool

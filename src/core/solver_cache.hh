@@ -1,18 +1,17 @@
 /**
  * @file
- * Thread-safe memo cache for analytical solver results.
+ * Thread-safe memo cache, and the key builder its keys come from.
  *
- * Campaigns re-solve the same operating points constantly: the Table 8
- * companion grids revisit each base point per varied parameter,
- * resumed or repeated sweeps recompute identical cells, and swccd's
- * clients repeat one another's queries. The memo cache keys a point
- * solution (evaluateBus(), evaluateNetwork()) by the *complete*
- * canonical description of what the solver computes — domain, scheme,
- * every workload parameter, the full cost table, and machine size —
- * and returns the stored value on a hit. Cached values are the bitwise
- * output of the original solve, so caching never changes a result,
- * only skips recomputing it. Curves (evaluateBusCurve(),
- * evaluateNetworkCurve()) are solved on every call and never stored.
+ * The one memo is validatePoint()'s (sim/mp/validation.cc): it stores
+ * each trace's ExtractedParams, keyed on every input of the trace and
+ * of its extraction, so every scheme validated on one trace in a
+ * process shares one extraction. A stored value is the bitwise output
+ * of the original extraction, so the memo never changes a result, only
+ * skips recomputing it. An entry is about 0.8 KiB plus 96 B per CPU
+ * (its Base and Dragon per-CPU statistics), so at the bound below
+ * (16 shards x 4096 entries) the memo tops out near 100 MiB for 8-CPU
+ * traces. Analytical solves (evaluateBus(), evaluateNetwork() and
+ * their curves) cost microseconds and are never stored.
  *
  * Keys are 128-bit (MemoKey below): a domain tag word, then every
  * field as 64-bit words, folded into two independent lanes by a
@@ -20,28 +19,20 @@
  * has one fixed layout, so two keys of a domain whose words differ in
  * one place always differ; any other collision would need both 64-bit
  * lanes to collide at once, past any campaign size this library will
- * see. The memo is process-local, so the key values are not a format
- * and may change between builds (journals use campaign::CellKey).
+ * see. Keys are process-local, so their values are not a format and
+ * may change between builds (journals use campaign::CellKey). swccd's
+ * batches group their queries by such keys and store nothing.
  *
  * The cache is sharded (16 shards, one mutex each) so concurrent pool
  * lanes hit different locks; each shard is bounded and self-clears on
  * overflow rather than evicting (campaign working sets either fit or
  * churn — LRU bookkeeping would cost more than the rare refill).
  *
- * The memo also holds per-trace parameter extractions: validatePoint()
- * (sim/mp/validation.cc) stores each trace's ExtractedParams, keyed on
- * every input of the trace and of its extraction, so every scheme
- * validated on one trace in a process shares one extraction. An entry
- * is about 0.8 KiB plus 96 B per CPU (its Base and Dragon per-CPU
- * statistics), so at the bound above (16 shards x 4096 entries) the
- * extraction memo tops out near 100 MiB for 8-CPU traces.
- *
  * Gate: SWCC_SOLVER_CACHE=off|0|false disables it process-wide;
- * setSolverCacheEnabled() overrides programmatically (benches measure
- * cold vs warm, tests compare cached vs uncached bitwise). The gate
- * and clearSolverCache() cover every memo, extractions included, and
- * solverCacheStats() (the solver_cache.hits/misses gauges) counts
- * extraction lookups alongside solver lookups.
+ * setSolverCacheEnabled() overrides programmatically (tests compare
+ * cached vs uncached bitwise). clearSolverCache() empties it, and
+ * solverCacheStats() (the solver_cache.hits/misses gauges) counts its
+ * lookups.
  */
 
 #ifndef SWCC_CORE_SOLVER_CACHE_HH
@@ -58,7 +49,6 @@
 
 namespace swcc
 {
-class CostModel;
 struct WorkloadParams;
 
 /** 128-bit memo key: the two finalised lanes of a MemoKey. */
@@ -83,10 +73,6 @@ struct SolverCacheKeyHash
 /** What a memo key names; the first word of every key. */
 enum class MemoDomain : std::uint64_t
 {
-    /** evaluateBus(): scheme, params, cost table, processors. */
-    Bus = 1,
-    /** evaluateNetwork(): scheme, params, stages. */
-    Network = 3,
     /** swccd's batch groups: query domain, scheme, params. */
     ServiceGroup = 5,
     /** validatePoint()'s per-trace extraction: every trace input. */
@@ -94,14 +80,14 @@ enum class MemoDomain : std::uint64_t
 };
 
 /**
- * Builder of solver memo keys (see file comment).
+ * Builder of memo and group keys (see file comment).
  *
  * Every field is one word: integers and enum values as themselves,
  * doubles by canonical bit pattern (campaign::canonicalBits):
  *
  * @code
- *   const SolverCacheKey key = MemoKey(MemoDomain::Bus)
- *       .add(scheme).add(params).add(costs).add(std::uint64_t{n}).key();
+ *   const SolverCacheKey key = MemoKey(MemoDomain::ServiceGroup)
+ *       .add(std::uint64_t{domain}).add(scheme).add(params).key();
  * @endcode
  */
 class MemoKey
@@ -137,14 +123,6 @@ class MemoKey
 
     /** Appends the eleven Table 2 parameters, in table order. */
     MemoKey &add(const WorkloadParams &params);
-
-    /**
-     * Appends the full cost table via its public interface: three
-     * words per operation, whether it is supported and its cpu and
-     * channel cycles (0 and 0 when unsupported), so every table keys
-     * at the same length and two equal tables key identically.
-     */
-    MemoKey &add(const CostModel &costs);
 
     /** The key of the words appended so far. */
     SolverCacheKey
@@ -190,7 +168,7 @@ class MemoKey
     std::uint64_t hi_ = kSeedHi;
 };
 
-/** Hit/miss/eviction totals across every solver memo in the process. */
+/** Hit/miss/eviction totals across every memo in the process. */
 struct SolverCacheStats
 {
     std::uint64_t hits = 0;
@@ -221,14 +199,14 @@ void noteSolverCacheEvictions(std::uint64_t count);
  * Mirrors solverCacheStats() into the metrics registry as the
  * `solver_cache.{hits,misses,evictions}` gauges. Registered as an
  * obs finalize hook on first cache use, so every `--metrics-out`
- * artifact carries the totals; callable any time for a mid-run
- * snapshot (the daemon's scrape reads the raw atomics instead).
+ * artifact of a run that used the memo carries the totals; callable
+ * any time for a mid-run snapshot.
  */
 void publishSolverCacheMetrics();
 
 /**
- * Drops every entry of every registered memo (tests and
- * cold-vs-warm benches). Values reappear on the next solve.
+ * Drops every entry of every registered memo (tests). Values reappear
+ * on the next extraction.
  */
 void clearSolverCache();
 
@@ -237,8 +215,8 @@ void registerSolverCacheClearer(void (*clearer)());
 
 /**
  * One sharded, bounded, thread-safe memo map (see file comment).
- * Instantiated per value type by the evaluators; register the
- * instance's clear with registerSolverCacheClearer() once.
+ * Instantiated per value type by its user; register the instance's
+ * clear with registerSolverCacheClearer() once.
  */
 template <typename Value>
 class SolverMemo

@@ -28,7 +28,6 @@
 #include "core/obs/prometheus.hh"
 #include "core/obs/trace.hh"
 #include "core/parallel.hh"
-#include "core/solver_cache.hh"
 #include "core/types.hh"
 #include "service/flight_recorder.hh"
 #include "service/protocol.hh"
@@ -665,9 +664,6 @@ ServiceDaemon::Impl::workerBody(unsigned index)
                                    batchStartUs, s.trace.traceId);
             }
         }
-        const SolverCacheStats cacheBefore =
-            slowLog ? solverCacheStats() : SolverCacheStats{};
-
         batchQueries.clear();
         batchResults.clear();
         batchQueries.reserve(batch.size());
@@ -747,7 +743,6 @@ ServiceDaemon::Impl::workerBody(unsigned index)
             flight.record(record);
         }
         if (slowLog) {
-            const SolverCacheStats cacheAfter = solverCacheStats();
             for (std::size_t i = 0; i < batch.size(); ++i) {
                 const Submission &s = batch[i];
                 const std::uint64_t totalNs = completeNs - s.decodeNs;
@@ -768,13 +763,7 @@ ServiceDaemon::Impl::workerBody(unsigned index)
                     std::to_string(solveNs / 1000) +
                     ",\"total_us\":" + std::to_string(totalNs / 1000) +
                     ",\"batch_size\":" +
-                    std::to_string(batch.size()) +
-                    ",\"cache_hits\":" +
-                    std::to_string(cacheAfter.hits - cacheBefore.hits) +
-                    ",\"cache_misses\":" +
-                    std::to_string(cacheAfter.misses -
-                                   cacheBefore.misses) +
-                    "}}");
+                    std::to_string(batch.size()) + "}}");
             }
         }
         // Release the connections only after the wakes: a connection
@@ -873,7 +862,6 @@ std::string
 ServiceDaemon::Impl::buildScrape() const
 {
     using Kind = obs::MetricSnapshot::Kind;
-    const SolverCacheStats cache = solverCacheStats();
 
     // Daemon section first: the per-instance atomics plus gauges
     // sampled at scrape time.
@@ -898,9 +886,6 @@ ServiceDaemon::Impl::buildScrape() const
             validationErrors.load(std::memory_order_relaxed));
     counter("service.protocol_errors",
             protocolErrors.load(std::memory_order_relaxed));
-    counter("solver_cache.hits", cache.hits);
-    counter("solver_cache.misses", cache.misses);
-    counter("solver_cache.evictions", cache.evictions);
     gauge("service.inflight",
           static_cast<double>(std::max<std::int64_t>(
               0, inflight.load(std::memory_order_relaxed))));
@@ -944,8 +929,7 @@ ServiceDaemon::Impl::buildScrape() const
         obs::appendPrometheus(out, snap);
     }
     // Process registry metrics (solver, kernel, pool, ...) ride along;
-    // a family already rendered above wins (e.g. the registry's
-    // solver_cache gauges behind the live cache counters).
+    // a family already rendered wins, so no family repeats.
     for (const obs::MetricSnapshot &snap :
          obs::metrics().snapshot()) {
         if (families.insert(obs::promFamilyName(snap)).second) {
@@ -1082,24 +1066,6 @@ const DaemonConfig &
 ServiceDaemon::config() const
 {
     return impl_->config;
-}
-
-DaemonStats
-ServiceDaemon::stats() const
-{
-    const Impl &impl = *impl_;
-    DaemonStats stats;
-    stats.connectionsAccepted =
-        impl.accepted.load(std::memory_order_relaxed);
-    stats.connectionsRefused =
-        impl.refused.load(std::memory_order_relaxed);
-    stats.queries = impl.queries.load(std::memory_order_relaxed);
-    stats.batches = impl.batches.load(std::memory_order_relaxed);
-    stats.validationErrors =
-        impl.validationErrors.load(std::memory_order_relaxed);
-    stats.protocolErrors =
-        impl.protocolErrors.load(std::memory_order_relaxed);
-    return stats;
 }
 
 std::string

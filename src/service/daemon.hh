@@ -78,20 +78,6 @@ struct DaemonConfig
     std::string flightRecorderPath;
 };
 
-/**
- * Monotonic daemon-wide totals: the in-process view of the same
- * atomics the scrape renders as service_* counters.
- */
-struct DaemonStats
-{
-    std::uint64_t connectionsAccepted = 0;
-    std::uint64_t connectionsRefused = 0;
-    std::uint64_t queries = 0;
-    std::uint64_t batches = 0;
-    std::uint64_t validationErrors = 0;
-    std::uint64_t protocolErrors = 0;
-};
-
 class ServiceDaemon
 {
   public:
@@ -127,15 +113,14 @@ class ServiceDaemon
 
     const DaemonConfig &config() const;
 
-    DaemonStats stats() const;
-
     /**
      * The Prometheus text-exposition document served by the
      * protocol's Scrape request, the daemon's one stats surface: the
-     * daemon and solver-cache atomics, point-in-time gauges (queue
-     * depth, in-flight, active connections, workers, batch limit),
-     * the merged per-worker obs::Histogram snapshots, and the process
-     * metrics registry (solver, kernel and pool counters).
+     * daemon's own counters (queries, batches, connections, errors),
+     * point-in-time gauges (queue depth, in-flight, active
+     * connections, workers, batch limit), the merged per-worker
+     * obs::Histogram snapshots, and the process metrics registry
+     * (solver, kernel and pool counters).
      */
     std::string scrapeText() const;
 

@@ -17,8 +17,8 @@
  * Curve element i is bitwise identical to the single-point solve by
  * the solver-layer contract, so batching never changes a result;
  * duplicate queries within a group are answered from the same solve.
- * A group of one size takes one point solve through the process-wide
- * solver memo, shared across clients; curves bypass the memo.
+ * A group of one size takes one point solve. No answer outlives its
+ * batch: a query repeated in a later batch is solved again.
  *
  * The kernel holds no mutable state (limits only), so one instance
  * serves any number of threads concurrently.

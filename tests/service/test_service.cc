@@ -19,7 +19,6 @@
 
 #include "core/obs/metrics.hh"
 #include "core/scheme_evaluator.hh"
-#include "core/solver_cache.hh"
 #include "core/types.hh"
 #include "core/workload.hh"
 #include "service/protocol.hh"
@@ -114,20 +113,6 @@ networkQuery(Scheme scheme, unsigned stages,
 class ServiceKernelTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        setSolverCacheEnabled(true);
-        clearSolverCache();
-    }
-
-    void
-    TearDown() override
-    {
-        clearSolverCache();
-        setSolverCacheEnabled(true);
-    }
-
     ServiceKernel kernel_;
 };
 
@@ -246,10 +231,8 @@ TEST_F(ServiceKernelTest, BatchIsBitwiseIdenticalToPointEvaluation)
 
 TEST_F(ServiceKernelTest, MultiSizeBusGroupStaysBitwiseIdentical)
 {
-    // With the memo on, a multi-size group is answered from one curve;
-    // by the curve prefix contract each member equals its point solve.
-    // Compare against memo-DISABLED point solves so nothing is
-    // answered from a cache.
+    // A multi-size group is answered from one curve; by the curve
+    // prefix contract each member equals its point solve.
     std::vector<Query> queries;
     for (unsigned n : {5u, 23u, 41u}) {
         queries.push_back(busQuery(Scheme::SoftwareFlush, n));
@@ -258,19 +241,17 @@ TEST_F(ServiceKernelTest, MultiSizeBusGroupStaysBitwiseIdentical)
     kernel_.evaluateBatch(queries.data(), queries.size(),
                           batched.data());
 
-    setSolverCacheEnabled(false);
     for (std::size_t i = 0; i < queries.size(); ++i) {
         SCOPED_TRACE("query " + std::to_string(i));
         expectIdentical(batched[i], kernel_.evaluate(queries[i]));
     }
-    setSolverCacheEnabled(true);
 }
 
 TEST_F(ServiceKernelTest, NetworkGroupUpToTheStageLimitStaysBitwiseIdentical)
 {
     // A group reaching the 24-stage admission limit solves a 24-stage
-    // curve. Every member, and the limit itself, must equal a
-    // memo-free point solve.
+    // curve. Every member, and the limit itself, must equal its point
+    // solve.
     std::vector<Query> queries;
     for (unsigned stages : {1u, 3u, 17u, 24u, 3u}) {
         queries.push_back(networkQuery(Scheme::SoftwareFlush, stages));
@@ -279,13 +260,11 @@ TEST_F(ServiceKernelTest, NetworkGroupUpToTheStageLimitStaysBitwiseIdentical)
     kernel_.evaluateBatch(queries.data(), queries.size(),
                           batched.data());
 
-    setSolverCacheEnabled(false);
     for (std::size_t i = 0; i < queries.size(); ++i) {
         SCOPED_TRACE("query " + std::to_string(i));
         ASSERT_TRUE(batched[i].ok) << batched[i].error;
         expectIdentical(batched[i], kernel_.evaluate(queries[i]));
     }
-    setSolverCacheEnabled(true);
 }
 
 std::uint64_t
@@ -302,7 +281,7 @@ counterValue(const std::string &name)
 TEST_F(ServiceKernelTest, MultiSizeGroupSolvesOneCurveOfItsLargestSize)
 {
     // Sizes {5, 23, 41} of one workload: one bus recursion of 41
-    // populations answers all three, whatever the memo holds.
+    // populations answers all three, in every round.
     std::vector<Query> queries;
     for (unsigned n : {5u, 23u, 41u}) {
         queries.push_back(busQuery(Scheme::SoftwareFlush, n));

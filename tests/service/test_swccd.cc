@@ -29,7 +29,6 @@
 
 #include "core/obs/obs.hh"
 #include "core/parallel.hh"
-#include "core/solver_cache.hh"
 #include "core/types.hh"
 #include "core/workload.hh"
 #include "service/client.hh"
@@ -114,8 +113,6 @@ class DaemonFixture : public ::testing::Test
     void
     SetUp() override
     {
-        setSolverCacheEnabled(true);
-        clearSolverCache();
         static std::atomic<unsigned> counter{0};
         socket_ = "/tmp/swccd-test-" + std::to_string(::getpid()) +
             "-" + std::to_string(counter.fetch_add(1)) + ".sock";
@@ -125,7 +122,6 @@ class DaemonFixture : public ::testing::Test
     TearDown() override
     {
         daemon_.reset();
-        clearSolverCache();
     }
 
     void
@@ -254,31 +250,27 @@ scrapeUntilAtLeast(ServiceClient &client, const std::string &name,
     return scrape;
 }
 
-TEST_F(ServiceDaemonTest, ScrapeReportsDaemonCountersAndSolverCache)
+TEST_F(ServiceDaemonTest, ScrapeReportsDaemonAndSolverCounters)
 {
     startDaemon();
     ServiceClient client;
     client.connect(socket_);
     (void)client.query(busQuery(Scheme::Base, 4));
-    (void)client.query(busQuery(Scheme::Base, 4)); // memo hit
+    (void)client.query(busQuery(Scheme::Base, 4)); // solved again
 
     // The query and batch counters are bumped before a response is
-    // sent, so the scrape already holds both queries.
+    // sent, so the scrape already holds both queries, and each query,
+    // alone in its batch, made its own bus solve.
     const std::string scrape = client.scrape();
     EXPECT_EQ(promValue(scrape, "service_queries_total"), 2.0);
-    EXPECT_GE(promValue(scrape, "service_batches_total"), 1.0);
-    EXPECT_GE(promValue(scrape, "service_connections_accepted_total"),
-              1.0);
-    EXPECT_GE(promValue(scrape, "solver_cache_hits_total"), 0.0);
-    EXPECT_GE(promValue(scrape, "solver_cache_misses_total"), 0.0);
-    EXPECT_GE(promValue(scrape, "solver_cache_evictions_total"), 0.0);
-
-    const DaemonStats totals = daemon_->stats();
-    EXPECT_EQ(totals.queries, 2u);
+    EXPECT_EQ(promValue(scrape, "service_batches_total"), 2.0);
     // waitForServer() probes with a bare connect, which the acceptor
     // may or may not have picked up before it closed again.
-    EXPECT_GE(totals.connectionsAccepted, 1u);
-    EXPECT_EQ(totals.protocolErrors, 0u);
+    EXPECT_GE(promValue(scrape, "service_connections_accepted_total"),
+              1.0);
+    EXPECT_EQ(promValue(scrape, "service_protocol_errors_total"), 0.0);
+    EXPECT_GE(promValue(scrape, "solver_bus_solves_total"), 2.0);
+    EXPECT_EQ(scrape.find("solver_cache"), std::string::npos) << scrape;
 }
 
 TEST_F(ServiceDaemonTest, ValidationErrorsKeepTheConnectionAlive)
@@ -299,7 +291,9 @@ TEST_F(ServiceDaemonTest, ValidationErrorsKeepTheConnectionAlive)
 
     // Same connection still answers good queries afterwards.
     EXPECT_TRUE(client.query(busQuery(Scheme::Base, 4)).ok);
-    EXPECT_GE(daemon_->stats().validationErrors, 2u);
+    EXPECT_GE(promValue(daemon_->scrapeText(),
+                        "service_validation_errors_total"),
+              2.0);
 }
 
 TEST_F(ServiceDaemonTest, DrainAnswersEveryInFlightRequest)
@@ -350,7 +344,9 @@ TEST_F(ServiceDaemonTest, OversizedLengthPrefixGetsErrorThenClose)
     ServiceClient client;
     client.connect(socket_);
     EXPECT_TRUE(client.query(busQuery(Scheme::Base, 4)).ok);
-    EXPECT_GE(daemon_->stats().protocolErrors, 1u);
+    EXPECT_GE(promValue(daemon_->scrapeText(),
+                        "service_protocol_errors_total"),
+              1.0);
 }
 
 TEST_F(ServiceDaemonTest, GarbageBytesGetErrorThenClose)
@@ -454,9 +450,8 @@ TEST_F(ServiceDaemonTest, ScrapeEndpointServesPrometheusText)
     for (unsigned i = 0; i < 8; ++i) {
         ASSERT_TRUE(client.recvResult().ok);
     }
-    // The eight may be answered as one group, whose curve bypasses the
-    // memo; a lone query of a workload not asked before is a group of
-    // one size, a point solve that misses the memo.
+    // The eight may be answered as one group, one curve solve; a lone
+    // query of another workload is a group of one size, a point solve.
     ASSERT_TRUE(
         client.query(busQuery(Scheme::Moesi, 6, paramsAtLevel(Level::High)))
             .ok);
@@ -471,8 +466,7 @@ TEST_F(ServiceDaemonTest, ScrapeEndpointServesPrometheusText)
     EXPECT_NE(scrape.find("# TYPE service_request_us histogram\n"),
               std::string::npos);
     EXPECT_GE(promValue(scrape, "service_queries_total"), 8.0);
-    EXPECT_GE(promValue(scrape, "solver_cache_hits_total"), 0.0);
-    EXPECT_GE(promValue(scrape, "solver_cache_misses_total"), 1.0);
+    EXPECT_GE(promValue(scrape, "solver_bus_solves_total"), 2.0);
     EXPECT_GE(promValue(scrape, "service_request_us_count"), 8.0);
     EXPECT_GE(promValue(scrape, "service_batch_size_count"), 1.0);
     EXPECT_GE(promValue(scrape, "service_connections_active"), 1.0);
@@ -570,11 +564,15 @@ TEST_F(ServiceDaemonTest, SlowQueryLogEmitsParseableJson)
     const obs::LogLevel saved = obs::logLevel();
     obs::setLogSink(&captured);
     obs::setLogLevel(obs::LogLevel::Warn);
+    std::string scrape;
     {
         ServiceClient client;
         client.connect(socket_);
         ASSERT_TRUE(client.query(busQuery(Scheme::Dragon, 24)).ok);
+        scrape = client.scrape();
     }
+    // The slow query's solve is on the scrape, not in the log line.
+    EXPECT_GE(promValue(scrape, "solver_bus_solves_total"), 1.0);
     // The worker logs after completion is flushed; stopping joins the
     // workers, so the capture below cannot race their writes.
     daemon_->stop();
@@ -597,7 +595,7 @@ TEST_F(ServiceDaemonTest, SlowQueryLogEmitsParseableJson)
     EXPECT_GE(entry->find("solve_us")->number, 0.0);
     EXPECT_GE(entry->find("total_us")->number, 1.0);
     EXPECT_GE(entry->find("batch_size")->number, 1.0);
-    EXPECT_GE(entry->find("cache_misses")->number, 0.0);
+    EXPECT_EQ(entry->find("cache_misses"), nullptr);
 }
 
 TEST_F(ServiceDaemonTest, TracedRunEmitsConnectedFlowAcrossThreads)
@@ -748,9 +746,10 @@ TEST_F(ServiceParallelTest, ConcurrentClientsGetBitwiseIdenticalResults)
         expectIdentical(audit.query(plan[i]), expected[i]);
     }
 
-    const DaemonStats totals = daemon_->stats();
-    EXPECT_GE(totals.queries, kThreads * kQueriesPerThread);
-    EXPECT_GE(totals.batches, 1u);
+    const std::string scrape = daemon_->scrapeText();
+    EXPECT_GE(promValue(scrape, "service_queries_total"),
+              kThreads * kQueriesPerThread);
+    EXPECT_GE(promValue(scrape, "service_batches_total"), 1.0);
     daemon_->stop();
 }
 

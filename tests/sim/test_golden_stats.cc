@@ -2,13 +2,15 @@
  * @file
  * Golden-statistics tests for the simulator's optimized hot path.
  *
- * The sharer-index directory, shift/mask cache addressing, and the
- * tournament-tree event loop are licensed by one invariant: they speed
- * the simulator up without changing a single statistic. These tests
- * pin that invariant with SimStats::serialize() byte-equality — the
- * optimized directory snoop path against the retained reference scan,
- * for every protocol and application profile, and parallel sweeps
- * against serial ones across thread counts.
+ * The sharer-index directory and shift/mask cache addressing are
+ * licensed by one invariant: they speed the simulator up without
+ * changing a single statistic. These tests pin that invariant with
+ * SimStats::serialize() byte-equality — the optimized directory snoop
+ * path against the retained reference scan, for every protocol and
+ * application profile, and parallel sweeps against serial ones across
+ * thread counts. The two snoop paths share one event loop, so these
+ * comparisons cannot see a change of event order; SchedulerGoldenTest
+ * (test_sim_golden.cc) pins that order.
  */
 
 #include <gtest/gtest.h>

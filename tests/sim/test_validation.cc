@@ -357,7 +357,7 @@ TEST_F(ValidationMemoTest, EntriesFilledByOneSchemeServeTheOthers)
     const auto dragon =
         validate(shortConfig(AppProfile::PopsLike, Scheme::Dragon, 3));
     EXPECT_EQ(simRuns(), before);
-    // Each cell hits its extraction; the bus solves are new points.
+    // Each cell hits its extraction; bus points are never stored.
     EXPECT_EQ(solverCacheStats().hits - stats.hits, 6u);
     for (std::size_t i = 0; i < base.size(); ++i) {
         const CpuId cpus = static_cast<CpuId>(i + 1);
@@ -390,8 +390,8 @@ TEST_F(ValidationMemoTest, ArmedKillHookReadsAndFillsTheMemo)
     const std::uint64_t before = simRuns();
     const auto points = validate(config, armed);
     EXPECT_EQ(simRuns() - before, 2u);
-    // Per cell: its extraction and its bus point.
-    EXPECT_EQ(solverCacheStats().hits - warm.hits, 4u);
+    // Per cell: its extraction. Its bus point is solved, not stored.
+    EXPECT_EQ(solverCacheStats().hits - warm.hits, 2u);
     ASSERT_EQ(points.size(), unarmed.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
         expectIdentical(points[i], unarmed[i], "armed");

@@ -4,8 +4,8 @@
  *
  * Connects to the daemon's unix socket, issues Scrape requests on an
  * interval, and renders either a TTY dashboard (QPS, p50/p99/p999,
- * queue depth, cache hit rate — recomputed from deltas between
- * consecutive scrapes) or a CSV time series for offline plotting.
+ * queue depth — recomputed from deltas between consecutive scrapes)
+ * or a CSV time series for offline plotting.
  *
  * Usage:
  *   swcc_stat --socket PATH [--interval-ms N] [--count N] [--csv]
@@ -227,7 +227,7 @@ formatUs(double us)
 void
 printDashboard(double elapsed, double qps, double batchesPerSec,
                double avgBatch, double p50, double p99, double p999,
-               const Sample &sample, double hitRate)
+               const Sample &sample)
 {
     // Repaint in place: clear screen, home the cursor.
     std::cout << "\x1b[2J\x1b[H";
@@ -251,9 +251,6 @@ printDashboard(double elapsed, double qps, double batchesPerSec,
     std::cout << line;
     std::snprintf(line, sizeof line, "  %-18s %12.0f\n", "connections",
                   valueOr(sample, "service_connections_active"));
-    std::cout << line;
-    std::snprintf(line, sizeof line, "  %-18s %11.1f%%\n",
-                  "cache hit rate", hitRate * 100.0);
     std::cout << line;
     std::snprintf(line, sizeof line, "  %-18s %12.0f\n",
                   "queries total",
@@ -338,7 +335,7 @@ main(int argc, char **argv)
     const bool csv = options.csv || !tty;
     if (csv) {
         std::cout << "elapsed_s,qps,p50_us,p99_us,p999_us,"
-                     "queue_depth,inflight,cache_hit_pct\n";
+                     "queue_depth,inflight\n";
     }
 
     std::optional<Sample> prev;
@@ -413,23 +410,17 @@ main(int argc, char **argv)
         const double p99 = deltaQuantile(cur, prevBuckets, 0.99);
         const double p999 = deltaQuantile(cur, prevBuckets, 0.999);
 
-        const double hits = deltaOf("solver_cache_hits_total");
-        const double misses = deltaOf("solver_cache_misses_total");
-        const double hitRate =
-            hits + misses > 0.0 ? hits / (hits + misses) : 0.0;
-
         if (csv) {
             char line[256];
             std::snprintf(line, sizeof line,
-                          "%.1f,%.0f,%.1f,%.1f,%.1f,%.0f,%.0f,%.1f\n",
+                          "%.1f,%.0f,%.1f,%.1f,%.1f,%.0f,%.0f\n",
                           elapsed, qps, p50, p99, p999,
                           valueOr(sample, "service_queue_depth"),
-                          valueOr(sample, "service_inflight"),
-                          hitRate * 100.0);
+                          valueOr(sample, "service_inflight"));
             std::cout << line << std::flush;
         } else {
             printDashboard(elapsed, qps, batchesPerSec, avgBatch, p50,
-                           p99, p999, sample, hitRate);
+                           p99, p999, sample);
         }
 
         prev = std::move(sample);

@@ -13,9 +13,9 @@
  * On exit it prints a final scrape (the Prometheus text exposition
  * the Scrape request serves) and writes the observability artifacts
  * (--metrics-out / --trace-json). The --metrics-out file holds the
- * process registry, as for a CLI run: solver_cache.*, solver.*,
- * service.kernel.* and pool metrics. The daemon's own service.*
- * totals and histograms live in the scrape only.
+ * process registry, as for a CLI run: solver.*, service.kernel.* and
+ * pool metrics. The daemon's own service.* totals and histograms live
+ * in the scrape only. The daemon keeps no memo: every query is solved.
  */
 
 #include <csignal>
@@ -29,7 +29,6 @@
 #include <unistd.h>
 
 #include "core/obs/obs.hh"
-#include "core/solver_cache.hh"
 #include "service/daemon.hh"
 
 namespace
