@@ -144,6 +144,9 @@ validate(const ValidationConfig &config,
          const campaign::CampaignOptions &options,
          campaign::CampaignReport *report)
 {
+    if (config.maxCpus == 0) {
+        throw std::invalid_argument("maxCpus must be positive");
+    }
     if (config.maxCpus > SyntheticWorkloadConfig::kMaxCpus) {
         throw std::invalid_argument(
             "maxCpus must be at most " +

@@ -103,7 +103,7 @@ std::vector<ValidationPoint> validate(const ValidationConfig &config);
  * processor count, not its position, and the points come back
  * ordered 1..N.
  *
- * @throws std::invalid_argument when maxCpus exceeds
+ * @throws std::invalid_argument when maxCpus is 0 or exceeds
  *         SyntheticWorkloadConfig::kMaxCpus, before any cell runs.
  */
 std::vector<ValidationPoint>

@@ -29,6 +29,8 @@ namespace swcc
  * event count as a little-endian u64, then one 16-byte record per
  * event, the address as a little-endian u64 followed by
  * `cpu | type << 16` as a little-endian u64 (type 0-3 = i, l, s, f).
+ * The record is fixed by the format, not by sizeof(TraceEvent): an
+ * event takes 12 bytes in memory and still 16 on disk.
  *
  * @throws std::runtime_error on stream failure.
  */

@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <streambuf>
+#include <string>
+#include <vector>
 
 #include "core/obs/log.hh"
 #include "sim/synth/rng.hh"
@@ -111,24 +115,114 @@ TEST(TraceRobustnessTest, EmptyTraceRoundTrips)
     EXPECT_EQ(readTextTrace(text).size(), 0u);
 }
 
+/** One event's fields, held apart from TraceEvent's own layout. */
+struct Fields
+{
+    Addr addr;
+    CpuId cpu;
+    RefType type;
+};
+
+void
+expectFields(const TraceEvent &event, const Fields &want,
+             const std::string &where)
+{
+    EXPECT_EQ(static_cast<Addr>(event.addr), want.addr) << where;
+    EXPECT_EQ(event.cpu, want.cpu) << where;
+    EXPECT_EQ(event.type, want.type) << where;
+}
+
+void
+expectTrace(const TraceBuffer &trace, const std::vector<Fields> &want,
+            const std::string &where)
+{
+    ASSERT_EQ(trace.size(), want.size()) << where;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        expectFields(trace[i], want[i],
+                     where + " [" + std::to_string(i) + "]");
+    }
+    std::size_t i = 0;
+    for (const TraceEvent &event : trace) {
+        expectFields(event, want[i],
+                     where + " iterated " + std::to_string(i));
+        ++i;
+    }
+    EXPECT_EQ(i, want.size()) << where;
+}
+
 TEST(TraceRobustnessTest, ExtremeFieldValuesSurvive)
 {
+    // A record is 12 bytes with its address first, so an odd-indexed
+    // event's address sits at 4 mod 8. Each extreme address goes at an
+    // even index and at the odd one after it, beside extreme cpu ids
+    // and every type.
+    const Addr addrs[] = {0,           1,         0xffff'ffffull,
+                          1ull << 32,  1ull << 63, ~0ull};
+    const CpuId cpus[] = {0, 1, 255, 256, 65'000, kMaxTraceCpu};
+    std::vector<Fields> want;
     TraceBuffer trace;
-    trace.append(TraceEvent{~0ull, 65'000, RefType::Store});
-    trace.append(TraceEvent{0, 0, RefType::IFetch});
+    for (std::size_t i = 0; i < 2 * std::size(addrs); ++i) {
+        const Fields fields{addrs[i / 2], cpus[(i * 5) % std::size(cpus)],
+                            static_cast<RefType>(i % 4)};
+        want.push_back(fields);
+        trace.append(fields.cpu, fields.type, fields.addr);
+    }
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&trace[i].addr) % 8,
+                  i % 2 * 4)
+            << i;
+    }
+    expectTrace(trace, want, "appended");
 
-    std::stringstream binary;
-    writeBinaryTrace(trace, binary);
+    // == compares every byte of the address, the cpu and the type.
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        const Fields &f = want[i];
+        EXPECT_TRUE(trace[i] == (TraceEvent{f.addr, f.cpu, f.type})) << i;
+        for (unsigned byte = 0; byte < 8; ++byte) {
+            const Addr other = f.addr ^ (Addr{1} << (8 * byte));
+            EXPECT_FALSE(trace[i] == (TraceEvent{other, f.cpu, f.type}))
+                << i << " byte " << byte;
+        }
+        EXPECT_FALSE(trace[i] ==
+                     (TraceEvent{f.addr, static_cast<CpuId>(f.cpu ^ 1),
+                                 f.type}))
+            << i;
+        EXPECT_FALSE(trace[i] ==
+                     (TraceEvent{f.addr, f.cpu,
+                                 static_cast<RefType>(
+                                     (static_cast<unsigned>(f.type) + 1) %
+                                     4)}))
+            << i;
+    }
+    const TraceBuffer copy = trace;
+    EXPECT_TRUE(copy.events() == trace.events());
+
+    // Restriction repacks the survivors, moving some addresses from
+    // one alignment to the other.
+    std::vector<Fields> low;
+    for (const Fields &f : want) {
+        if (f.cpu < 256) {
+            low.push_back(f);
+        }
+    }
+    expectTrace(trace.restrictedToCpus(256), low, "restricted");
+    expectTrace(trace.restrictedToCpus(kMaxTraceCpu + 1), want,
+                "unrestricted");
+
+    // The binary record on disk stays 16 bytes, whatever the size of
+    // the in-memory one.
+    const std::string bytes = binaryBytes(trace);
+    EXPECT_EQ(bytes.size(), 8 + 8 + 16 * want.size());
+    std::istringstream binary(bytes);
     const TraceBuffer loaded = readBinaryTrace(binary);
-    ASSERT_EQ(loaded.size(), 2u);
-    EXPECT_EQ(loaded[0].addr, ~0ull);
-    EXPECT_EQ(loaded[0].cpu, 65'000);
+    expectTrace(loaded, want, "binary");
+    EXPECT_TRUE(loaded.events() == trace.events());
 
     std::stringstream text;
     writeTextTrace(trace, text);
     const TraceBuffer from_text = readTextTrace(text);
-    ASSERT_EQ(from_text.size(), 2u);
-    EXPECT_EQ(from_text[0].addr, ~0ull);
+    expectTrace(from_text, want, "text");
+    EXPECT_TRUE(from_text.events() == trace.events());
 }
 
 TEST(TraceRobustnessTest, TextTrailingGarbageOnLineIsIgnoredFields)

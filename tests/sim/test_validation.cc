@@ -408,13 +408,18 @@ TEST_F(ValidationMemoTest, ArmedKillHookReadsAndFillsTheMemo)
 
 TEST(ValidationLimitTest, RejectsMoreCpusThanTheGeneratorHolds)
 {
-    // The limit is checked before any cell runs, so no cell simulates.
-    const std::uint64_t before = simRuns();
-    EXPECT_THROW(
-        validate(shortConfig(AppProfile::PopsLike, Scheme::Dragon,
-                             SyntheticWorkloadConfig::kMaxCpus + 1)),
-        std::invalid_argument);
-    EXPECT_EQ(simRuns(), before);
+    // The limits are checked before any cell runs, so no cell
+    // simulates. Zero processors would return no points at all.
+    for (const CpuId cpus :
+         {CpuId{0},
+          static_cast<CpuId>(SyntheticWorkloadConfig::kMaxCpus + 1)}) {
+        const std::uint64_t before = simRuns();
+        EXPECT_THROW(validate(shortConfig(AppProfile::PopsLike,
+                                          Scheme::Dragon, cpus)),
+                     std::invalid_argument)
+            << cpus;
+        EXPECT_EQ(simRuns(), before) << cpus;
+    }
 }
 
 /** validate()'s journal key of the cell at @p cpus processors. */

@@ -288,15 +288,20 @@ TEST(CliTest, GenAndValidateRejectMoreCpusThanTheGeneratorHolds)
         << errors;
     EXPECT_FALSE(std::ifstream(path).good());
 
-    // 65537 would wrap to 1 as a CpuId.
-    for (const char *cpus : {"65", "65537"}) {
+    // 65537 would wrap to 1 as a CpuId; 0 would print an empty table.
+    const std::pair<const char *, const char *> cases[] = {
+        {"65", "error: --cpus must be at most 64"},
+        {"65537", "error: --cpus must be at most 64"},
+        {"0", "error: maxCpus must be positive"},
+    };
+    for (const auto &[cpus, message] : cases) {
         EXPECT_EQ(runCli({"validate", "--cpus", cpus, "--instructions",
                           "100"},
                          &output, &errors),
-                  2);
-        EXPECT_NE(errors.find("--cpus must be at most 64"),
-                  std::string::npos)
-            << errors;
+                  2)
+            << cpus;
+        EXPECT_NE(errors.find(message), std::string::npos) << errors;
+        EXPECT_EQ(output, "") << cpus;
     }
 }
 
