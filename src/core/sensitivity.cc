@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <stdexcept>
 
 #include "core/campaign/cell_hash.hh"
 #include "core/obs/progress.hh"
@@ -109,6 +110,9 @@ sensitivityTable(const SensitivityConfig &config,
                  const campaign::CampaignOptions &options,
                  campaign::CampaignReport *report)
 {
+    if (config.processors == 0) {
+        throw std::invalid_argument("processors must be positive");
+    }
     // Table 8 column order: the paper's four schemes only — the
     // extension family is not part of the Table 8 reproduction.
     constexpr std::array<Scheme, kNumPaperSchemes> column_order = {

@@ -74,6 +74,9 @@ sensitivityTable(const SensitivityConfig &config);
  * Table 8 as a resumable campaign: one journaled cell per
  * (parameter, scheme) pair. The parameterless overload delegates here
  * with journaling disabled.
+ *
+ * @throws std::invalid_argument for zero processors, before any cell
+ *         runs or the journal opens.
  */
 std::vector<SensitivityEntry>
 sensitivityTable(const SensitivityConfig &config,

@@ -131,6 +131,9 @@ sweepPowerGrid(ParamId param, bool sweep_apl,
                const campaign::CampaignOptions &options,
                campaign::CampaignReport *report)
 {
+    if (processors == 0) {
+        throw std::invalid_argument("processors must be positive");
+    }
     auto row_params = [&](std::size_t i) {
         WorkloadParams params = base;
         if (sweep_apl) {

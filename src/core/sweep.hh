@@ -100,6 +100,8 @@ struct SweepRow
  * @param schemes   Schemes evaluated per cell (row width).
  * @param options   Journal / resume configuration (campaign.hh).
  * @param report    Campaign accounting when non-null.
+ * @throws std::invalid_argument for zero processors, before any cell
+ *         runs or the journal opens.
  */
 std::vector<SweepRow>
 sweepPowerGrid(ParamId param, bool sweep_apl,

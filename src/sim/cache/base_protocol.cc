@@ -24,9 +24,9 @@ BaseProtocol::access(CpuId cpu, RefType type, Addr addr, AccessResult &out)
     CacheLine &victim = cache.victimFor(addr);
     const bool dirty_victim = evict(cpu, victim);
     out.addOp(missOp(false, dirty_victim));
-    fillLine(cpu, victim, addr,
-             type == RefType::Store ? LineState::Dirty
-                                    : LineState::Exclusive);
+    cache.fill(victim, addr,
+               type == RefType::Store ? LineState::Dirty
+                                      : LineState::Exclusive);
 }
 
 } // namespace swcc

@@ -1,6 +1,8 @@
 #include "sim/cache/cache.hh"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 namespace swcc
 {
@@ -10,7 +12,6 @@ Cache::Cache(const CacheConfig &config)
 {
     config_.validate();
     lines_.resize(config_.numLines());
-    tags_.assign(config_.numLines(), kInvalidTag);
     blockMask_ = ~static_cast<Addr>(config_.blockBytes - 1);
     blockShift_ = config_.blockShift();
     setMask_ = config_.setMask();
@@ -20,19 +21,23 @@ Cache::Cache(const CacheConfig &config)
 void
 Cache::touch(CacheLine &line)
 {
+    if (useCounter_ == std::numeric_limits<std::uint32_t>::max()) {
+        throw std::overflow_error(
+            "cache LRU stamps exhausted: more than 2^32 - 1 touches");
+    }
     line.lastUse = ++useCounter_;
 }
 
 CacheLine &
 Cache::victimFor(Addr addr)
 {
-    const std::size_t base = setBase(addr);
-    CacheLine *victim = &lines_[base];
+    CacheLine *set = &lines_[setBase(addr)];
+    CacheLine *victim = set;
     for (std::size_t way = 0; way < assoc_; ++way) {
-        if (tags_[base + way] == kInvalidTag) {
-            return lines_[base + way];
+        CacheLine &line = set[way];
+        if (line.blockAddr == CacheLine::kInvalidTag) {
+            return line;
         }
-        CacheLine &line = lines_[base + way];
         if (line.lastUse < victim->lastUse) {
             victim = &line;
         }
@@ -45,16 +50,14 @@ Cache::fill(CacheLine &victim, Addr addr, LineState state)
 {
     victim.blockAddr = addr & blockMask_;
     victim.state = state;
-    tags_[static_cast<std::size_t>(&victim - lines_.data())] =
-        victim.blockAddr;
     touch(victim);
 }
 
 void
 Cache::invalidate(CacheLine &line)
 {
+    line.blockAddr = CacheLine::kInvalidTag;
     line.state = LineState::Invalid;
-    tags_[static_cast<std::size_t>(&line - lines_.data())] = kInvalidTag;
 }
 
 std::size_t

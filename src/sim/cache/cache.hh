@@ -51,15 +51,35 @@ isValidState(LineState state)
     return state != LineState::Invalid;
 }
 
-/** One cache line: the block address it holds plus coherence state. */
+/**
+ * One cache line in 16 bytes: the block address it holds, which is
+ * also its tag, an LRU stamp and the coherence state.
+ */
 struct CacheLine
 {
-    /** Block-aligned address of the held block (valid lines only). */
-    Addr blockAddr = 0;
+    /**
+     * Block address of invalid ways: all ones, which no block-aligned
+     * address equals (CacheConfig::validate() requires blocks of at
+     * least 2 bytes), so an invalid way never matches a lookup.
+     */
+    static constexpr Addr kInvalidTag = ~Addr{0};
+
+    /** Block-aligned address of the held block; kInvalidTag when the
+     *  way is invalid. */
+    Addr blockAddr = kInvalidTag;
+    /**
+     * LRU timestamp (larger = more recent), from the owning cache's
+     * counter. 32 bits suffice in the simulator:
+     * MultiprocessorSystem::run() refuses a trace of 2^32 or more
+     * events, a system runs once, and each event stamps at most one
+     * line, in its own processor's cache, so no counter passes
+     * 2^32 - 1. A standalone Cache throws rather than wrap (touch()).
+     */
+    std::uint32_t lastUse = 0;
     LineState state = LineState::Invalid;
-    /** LRU timestamp (larger = more recent). */
-    std::uint64_t lastUse = 0;
 };
+
+static_assert(sizeof(CacheLine) <= 16, "a cache line is at most 16 bytes");
 
 /**
  * A single processor's cache.
@@ -69,10 +89,10 @@ struct CacheLine
  * checking.
  *
  * Address decomposition is shift/mask only (the power-of-two geometry
- * is enforced by CacheConfig::validate()), and a dense per-set tag
- * array shadows the line array so find() is a branch-light compare
- * loop: invalid ways carry a sentinel tag that no block-aligned
- * address can equal.
+ * is enforced by CacheConfig::validate()), and a line's block address
+ * is its tag, so find() is a branch-light compare loop over one set's
+ * lines: invalid ways carry CacheLine::kInvalidTag, which no
+ * block-aligned address can equal.
  */
 class Cache
 {
@@ -98,10 +118,10 @@ class Cache
     find(Addr addr)
     {
         const Addr tag = addr & blockMask_;
-        const std::size_t base = setBase(addr);
+        CacheLine *set = &lines_[setBase(addr)];
         for (std::size_t way = 0; way < assoc_; ++way) {
-            if (tags_[base + way] == tag) {
-                return &lines_[base + way];
+            if (set[way].blockAddr == tag) {
+                return &set[way];
             }
         }
         return nullptr;
@@ -113,7 +133,12 @@ class Cache
         return const_cast<Cache *>(this)->find(addr);
     }
 
-    /** Marks a line most recently used. */
+    /**
+     * Marks a line most recently used.
+     *
+     * @throws std::overflow_error rather than wrap the 32-bit stamp
+     *         counter (after 2^32 - 1 stamps; see CacheLine::lastUse).
+     */
     void touch(CacheLine &line);
 
     /**
@@ -129,7 +154,7 @@ class Cache
      */
     void fill(CacheLine &victim, Addr addr, LineState state);
 
-    /** Invalidates a line. */
+    /** Invalidates a line: its way answers no find() until refilled. */
     void invalidate(CacheLine &line);
 
     /** All lines, for snooping and invariant checks. */
@@ -141,9 +166,6 @@ class Cache
     std::size_t validLines() const;
 
   private:
-    /** Tag value of invalid ways; never block-aligned for real blocks. */
-    static constexpr Addr kInvalidTag = ~Addr{0};
-
     /** First line index of @p addr's set. */
     std::size_t
     setBase(Addr addr) const
@@ -154,9 +176,7 @@ class Cache
 
     CacheConfig config_;
     std::vector<CacheLine> lines_;
-    /** tags_[i] == lines_[i].blockAddr for valid ways, else sentinel. */
-    std::vector<Addr> tags_;
-    std::uint64_t useCounter_ = 0;
+    std::uint32_t useCounter_ = 0;
     Addr blockMask_ = 0;
     unsigned blockShift_ = 0;
     std::size_t setMask_ = 0;

@@ -1,28 +1,12 @@
 #include "sim/cache/coherence.hh"
 
-#include <atomic>
 #include <string>
 #include <unordered_map>
 
-#include "core/obs/log.hh"
 #include "core/obs/metrics.hh"
 
 namespace swcc
 {
-
-namespace
-{
-
-/** Publishes the active snoop path (1 = Directory, 0 = scan). */
-void
-noteSnoopPath(bool directory)
-{
-    static obs::Gauge &path =
-        obs::metrics().gauge("sim.snoop_path.directory");
-    path.set(directory ? 1.0 : 0.0);
-}
-
-} // namespace
 
 bool
 AccessResult::hasMiss() const
@@ -57,57 +41,6 @@ CoherenceProtocol::CoherenceProtocol(const CacheConfig &cache_config,
     for (CpuId i = 0; i < num_cpus; ++i) {
         caches_.emplace_back(cache_config);
     }
-    useDirectory_ = num_cpus <= kMaxDirectoryCpus;
-    if (useDirectory_) {
-        // Worst case: every line of every cache holds a distinct
-        // block. Sizing for it up front means the map never rehashes.
-        directory_ = HolderMap(static_cast<std::size_t>(num_cpus) *
-                               caches_.front().lines().size());
-    }
-    noteSnoopPath(useDirectory_);
-}
-
-void
-CoherenceProtocol::setSnoopPath(SnoopPath path)
-{
-    for (const Cache &cache : caches_) {
-        if (cache.validLines() != 0) {
-            throw std::logic_error(
-                "setSnoopPath() requires a cold system");
-        }
-    }
-    if (path == SnoopPath::Directory &&
-        numCpus() > kMaxDirectoryCpus) {
-        // The silent fallback here once made a 128-CPU "directory"
-        // benchmark measure the scan path; say what actually runs —
-        // but only once, or a >64-CPU sweep drowns the log in the
-        // same warning for every constructed system.
-        static std::atomic<unsigned> fallback_warnings{0};
-        const std::string message =
-            "snoop path Directory requested for " +
-            std::to_string(numCpus()) +
-            " CPUs but the sharer index holds at most " +
-            std::to_string(CoherenceProtocol::kMaxDirectoryCpus) +
-            "; falling back to ReferenceScan";
-        if (fallback_warnings.fetch_add(
-                1, std::memory_order_relaxed) == 0) {
-            SWCC_LOG_WARN(message +
-                          " (further fallback warnings suppressed)");
-        } else {
-            SWCC_LOG_DEBUG(message);
-        }
-    }
-    useDirectory_ = path == SnoopPath::Directory &&
-        numCpus() <= kMaxDirectoryCpus;
-    SWCC_LOG_DEBUG(std::string("snoop path set to ") +
-                   (useDirectory_ ? "Directory" : "ReferenceScan"));
-    noteSnoopPath(useDirectory_);
-}
-
-CoherenceProtocol::HolderMask
-CoherenceProtocol::holderMask(Addr block) const
-{
-    return directory_.mask(block);
 }
 
 bool
@@ -117,27 +50,8 @@ CoherenceProtocol::evict(CpuId cpu, CacheLine &victim)
         return false;
     }
     const bool dirty = isDirtyState(victim.state);
-    invalidateLine(cpu, victim);
+    caches_[cpu].invalidate(victim);
     return dirty;
-}
-
-void
-CoherenceProtocol::fillLine(CpuId cpu, CacheLine &victim, Addr addr,
-                            LineState state)
-{
-    caches_[cpu].fill(victim, addr, state);
-    if (useDirectory_) {
-        directory_.setBit(victim.blockAddr, cpu);
-    }
-}
-
-void
-CoherenceProtocol::invalidateLine(CpuId cpu, CacheLine &line)
-{
-    if (useDirectory_ && isValidState(line.state)) {
-        directory_.clearBit(line.blockAddr, cpu);
-    }
-    caches_[cpu].invalidate(line);
 }
 
 CoherenceProtocol::Fill
@@ -167,8 +81,8 @@ CoherenceProtocol::snoopFill(CpuId cpu, Addr addr, AccessResult &out,
         });
 
     out.addOp(missOp(owner_supplied || forwarded, dirty_victim));
-    fillLine(cpu, victim, addr,
-             holders > 0 ? LineState::SharedClean : LineState::Exclusive);
+    cache.fill(victim, addr,
+               holders > 0 ? LineState::SharedClean : LineState::Exclusive);
     return {victim, owner_supplied};
 }
 
@@ -199,7 +113,7 @@ CoherenceProtocol::invalidateCopies(CpuId cpu, Addr block,
     ++measured.invalidations;
     forEachOtherHolder(cpu, block, [&](CpuId other, CacheLine &line) {
         ++measured.copiesInvalidated;
-        invalidateLine(other, line);
+        caches_[other].invalidate(line);
         lostBlocks_[other].insert(block);
         // The victim's controller spends a snoop cycle killing the
         // line, exactly like an update.
@@ -218,7 +132,6 @@ checkCoherenceInvariants(const CoherenceProtocol &protocol)
         unsigned holders = 0;
         unsigned owners = 0;
         unsigned exclusives = 0;
-        CoherenceProtocol::HolderMask mask = 0;
     };
     std::unordered_map<Addr, BlockView> blocks;
 
@@ -229,7 +142,6 @@ checkCoherenceInvariants(const CoherenceProtocol &protocol)
             }
             BlockView &view = blocks[line.blockAddr];
             ++view.holders;
-            view.mask |= CoherenceProtocol::HolderMask{1} << cpu;
             if (isDirtyState(line.state)) {
                 ++view.owners;
             }
@@ -251,23 +163,6 @@ checkCoherenceInvariants(const CoherenceProtocol &protocol)
             throw std::logic_error(
                 "block " + std::to_string(addr) + " has " +
                 std::to_string(view.owners) + " dirty owners");
-        }
-    }
-
-    if (protocol.snoopPath() == SnoopPath::Directory) {
-        if (protocol.directoryBlocks() != blocks.size()) {
-            throw std::logic_error(
-                "sharer index tracks " +
-                std::to_string(protocol.directoryBlocks()) +
-                " blocks but the caches hold " +
-                std::to_string(blocks.size()));
-        }
-        for (const auto &[addr, view] : blocks) {
-            if (protocol.holderMask(addr) != view.mask) {
-                throw std::logic_error(
-                    "sharer index disagrees with the caches on block " +
-                    std::to_string(addr));
-            }
         }
     }
 }

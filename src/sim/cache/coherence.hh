@@ -9,7 +9,6 @@
 #define SWCC_SIM_CACHE_COHERENCE_HH
 
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <string_view>
@@ -19,7 +18,6 @@
 #include "core/operation.hh"
 #include "core/types.hh"
 #include "sim/cache/cache.hh"
-#include "sim/cache/holder_map.hh"
 #include "sim/trace/trace_event.hh"
 
 namespace swcc
@@ -105,22 +103,6 @@ struct InvalidationMeasurements
 };
 
 /**
- * How a protocol locates the other caches holding a block.
- *
- * Directory is the optimized default: a block→holder-bitset
- * sharer index maintained on every fill/evict/invalidate lets snoops
- * visit only actual holders. ReferenceScan is the retained
- * pre-directory path — an O(P) probe of every other cache — kept so
- * that tests and the perf harness can assert the two produce
- * byte-identical statistics and measure the speedup.
- */
-enum class SnoopPath : std::uint8_t
-{
-    Directory,
-    ReferenceScan,
-};
-
-/**
  * A cache-coherence protocol driving all per-processor caches.
  *
  * The protocol owns the caches so that it can snoop across them, which
@@ -128,13 +110,10 @@ enum class SnoopPath : std::uint8_t
  * completes (including all state transitions in every cache) before the
  * next begins.
  *
- * Alongside the caches the base class maintains a sharer index: for
- * every resident block, a bitset of the caches holding it. Concrete
- * protocols keep it consistent by routing every line installation and
- * invalidation through fillLine()/invalidateLine()/evict(), and in
- * exchange get O(sharers) holder iteration instead of O(P) snooping.
- * The index records residency only; a state change on a valid line is
- * a plain assignment.
+ * A snoop walks the other caches: forEachOtherHolder() probes each
+ * one at the block's set, in ascending processor order. Snoops are
+ * rare (bus transactions are a few percent of events), so no
+ * per-block index of holders is kept beside the caches.
  *
  * Each snoopy action has one implementation here, and the protocols
  * compose them. snoopFill() is every snooping protocol's miss (Dragon,
@@ -150,12 +129,6 @@ enum class SnoopPath : std::uint8_t
 class CoherenceProtocol
 {
   public:
-    /** Holder bitset: bit c set means cache c holds the block. */
-    using HolderMask = std::uint64_t;
-
-    /** Largest processor count the sharer index can represent. */
-    static constexpr CpuId kMaxDirectoryCpus = 64;
-
     /**
      * @param cache_config Geometry of every per-processor cache.
      * @param num_cpus Number of processors.
@@ -191,51 +164,12 @@ class CoherenceProtocol
     /** A processor's cache, for tests and invariant checks. */
     const Cache &cache(CpuId cpu) const { return caches_[cpu]; }
 
-    /**
-     * Selects the snoop path. Directory requests fall back to
-     * ReferenceScan beyond kMaxDirectoryCpus processors. Must be
-     * called on a cold system (before the first access).
-     *
-     * @throws std::logic_error if any cache already holds lines.
-     */
-    void setSnoopPath(SnoopPath path);
-
-    /** The effective snoop path (after any fallback). */
-    SnoopPath
-    snoopPath() const
-    {
-        return useDirectory_ ? SnoopPath::Directory
-                             : SnoopPath::ReferenceScan;
-    }
-
-    /**
-     * The sharer index's holder bitset for @p block (0 when absent or
-     * when the directory is inactive); for tests and invariants.
-     */
-    HolderMask holderMask(Addr block) const;
-
-    /** Number of blocks the sharer index currently tracks. */
-    std::size_t directoryBlocks() const { return directory_.size(); }
-
   protected:
     /**
      * Evicts @p victim if valid and reports whether a write-back was
      * needed (i.e. the victim was dirty).
      */
     bool evict(CpuId cpu, CacheLine &victim);
-
-    /**
-     * Installs @p addr's block into @p victim of @p cpu's cache and
-     * records the holder in the sharer index.
-     */
-    void fillLine(CpuId cpu, CacheLine &victim, Addr addr,
-                  LineState state);
-
-    /**
-     * Invalidates @p line of @p cpu's cache and removes the holder
-     * from the sharer index.
-     */
-    void invalidateLine(CpuId cpu, CacheLine &line);
 
     /** What snoopFill() installed and who supplied it. */
     struct Fill
@@ -297,24 +231,13 @@ class CoherenceProtocol
 
     /**
      * Invokes fn(other, line) for every other cache holding @p block,
-     * in ascending processor order (the same order as the reference
-     * scan, so the two paths yield identical statistics). @p fn may
-     * invalidate the line it is handed via invalidateLine().
+     * in ascending processor order, probing each cache at the block's
+     * set. @p fn may invalidate the line it is handed.
      */
     template <typename Fn>
     void
     forEachOtherHolder(CpuId cpu, Addr block, Fn &&fn)
     {
-        if (useDirectory_) {
-            HolderMask mask = directory_.mask(block) & ~cpuBit(cpu);
-            while (mask != 0) {
-                const auto other =
-                    static_cast<CpuId>(std::countr_zero(mask));
-                mask &= mask - 1;
-                fn(other, *caches_[other].find(block));
-            }
-            return;
-        }
         for (CpuId other = 0; other < numCpus(); ++other) {
             if (other == cpu) {
                 continue;
@@ -328,15 +251,6 @@ class CoherenceProtocol
     std::vector<Cache> caches_;
 
   private:
-    static HolderMask
-    cpuBit(CpuId cpu)
-    {
-        return HolderMask{1} << cpu;
-    }
-
-    /** Block → bitset of holding caches; empty entries are erased. */
-    HolderMap directory_;
-    bool useDirectory_ = true;
     /** Blocks each cache lost to invalidateCopies(). */
     std::vector<std::unordered_set<Addr>> lostBlocks_;
 };
@@ -347,9 +261,7 @@ class CoherenceProtocol
  *  - a block Exclusive or Dirty in one cache appears in no other cache;
  *  - at most one cache holds a block in an owner (dirty) state;
  *  - SharedClean/SharedDirty states never coexist with Exclusive/Dirty
- *    for the same block;
- *  - when the sharer index is active, it lists exactly the holders the
- *    caches contain, block for block.
+ *    for the same block.
  *
  * @throws std::logic_error describing the first violation found.
  */

@@ -44,6 +44,15 @@ MesiFamilyProtocol::access(CpuId cpu, RefType type, Addr addr,
         // Read before the fill; its eviction touches only this cache,
         // so the slot still answers for the snoop.
         const bool forwarded = mesif && forwarderOf(block) >= 0;
+        if (mesif) {
+            // The fill evicts the way victimFor() names; a slot this
+            // CPU holds for the victim's block goes with it.
+            const auto slot =
+                forwarder_.find(cache.victimFor(addr).blockAddr);
+            if (slot != forwarder_.end() && slot->second == cpu) {
+                forwarder_.erase(slot);
+            }
+        }
         // MOESI's owner keeps ownership (Owned) and defers the
         // write-back to its eviction; Illinois updates memory in the
         // same transaction and leaves the owner a clean copy.

@@ -75,8 +75,9 @@ struct MesiFamilyMeasurements : InvalidationMeasurements
  * (modified, shared, memory stale). A store to a shared line is costed
  * as the 1-bus-cycle word broadcast of Table 1 and destroys every
  * remote copy, each victim cache losing one snoop cycle. A miss is the
- * shared snoopy fill, and MESIF's forwarder slot is checked against
- * the caches when it is read, so the fill needs no hook of its own.
+ * shared snoopy fill; MESIF drops the victim's forwarder slot before
+ * it, since victimFor() names the way the fill evicts, so the fill
+ * needs no hook of its own.
  */
 class MesiFamilyProtocol : public CoherenceProtocol
 {
@@ -100,13 +101,17 @@ class MesiFamilyProtocol : public CoherenceProtocol
      */
     int forwarderOf(Addr block) const;
 
+    /** Number of blocks holding a forwarder slot (MESIF only). */
+    std::size_t forwarderSlots() const { return forwarder_.size(); }
+
   private:
     MesiVariant variant_;
     MesiFamilyMeasurements measured_;
     /**
      * MESIF: block → CPU given the clean-forwarder (F) slot by the
-     * block's last fill. An eviction leaves the entry behind, so
-     * forwarderOf() checks that the CPU still holds the block.
+     * block's last fill. The slot goes when its CPU evicts the block
+     * or a store invalidates the other copies, so every slot names a
+     * live holder; forwarderOf() still checks that it does.
      */
     std::unordered_map<Addr, CpuId> forwarder_;
 };

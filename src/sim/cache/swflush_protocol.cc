@@ -25,7 +25,7 @@ SwFlushProtocol::access(CpuId cpu, RefType type, Addr addr,
     if (dirty) {
         ++measured_.dirtyFlushes;
     }
-    invalidateLine(cpu, *line);
+    caches_[cpu].invalidate(*line);
     out.addOp(dirty ? Operation::DirtyFlush : Operation::CleanFlush);
 }
 

@@ -111,9 +111,9 @@ struct SimStats
      * Canonical, lossless text form of every counter and clock (cycle
      * values rendered as hexfloats). Two runs produced the same
      * statistics if and only if their serializations compare equal,
-     * which is how the golden-stats tests and the simulator perf
-     * harness assert bit-identical behaviour across snoop paths and
-     * thread counts.
+     * which is how the golden-stats tests and the benchmark harness
+     * pin statistics and assert bit-identical behaviour across thread
+     * counts.
      */
     std::string serialize() const;
 };

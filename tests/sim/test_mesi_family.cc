@@ -10,8 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <unordered_set>
 #include <vector>
 
 #include "sim/cache/mesi_family_protocol.hh"
@@ -279,6 +282,41 @@ TEST(MesifTest, EvictedForwarderDropsTheSlot)
     protocol.access(1, RefType::Load, kBlockA + 1024, result);
     ASSERT_EQ(stateOf(protocol, 1, kBlockA), LineState::Invalid);
     EXPECT_EQ(protocol.forwarderOf(kBlockA), -1);
+    EXPECT_EQ(protocol.forwarderSlots(), 0u);
+}
+
+TEST(MesifTest, EverySlotNamesALiveForwarderAfterAWholeRun)
+{
+    // 48 CPUs on 4 KiB 2-way caches evict forwarders all the time; a
+    // slot must go with its CPU's copy, so at the end of the run the
+    // map holds exactly the blocks forwarderOf() answers for.
+    constexpr CpuId kCpus = 48;
+    const SyntheticWorkloadConfig workload =
+        profileConfig(AppProfile::PeroLike, kCpus, 1'500, 29, false);
+    CacheConfig cache;
+    cache.sizeBytes = 4 * 1024;
+    cache.blockBytes = 16;
+    cache.associativity = 2;
+    auto owned = std::make_unique<MesiFamilyProtocol>(MesiVariant::Mesif,
+                                                      cache, kCpus);
+    const MesiFamilyProtocol &protocol = *owned;
+    MultiprocessorSystem system(std::move(owned));
+    system.run(generateTrace(workload));
+
+    std::unordered_set<Addr> blocks;
+    for (CpuId cpu = 0; cpu < kCpus; ++cpu) {
+        for (const CacheLine &line : protocol.cache(cpu).lines()) {
+            if (isValidState(line.state)) {
+                blocks.insert(line.blockAddr);
+            }
+        }
+    }
+    const auto forwarded = std::count_if(
+        blocks.begin(), blocks.end(),
+        [&](Addr block) { return protocol.forwarderOf(block) >= 0; });
+    EXPECT_GT(forwarded, 0);
+    EXPECT_EQ(protocol.forwarderSlots(),
+              static_cast<std::size_t>(forwarded));
 }
 
 TEST(MoesiTest, OwnerSuppliesAndKeepsOwnership)

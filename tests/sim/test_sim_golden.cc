@@ -9,8 +9,7 @@
  * serialized SimStats (operation counts, misses, bus occupancy,
  * makespan and every CPU's counters) are folded into one FNV-1a digest
  * per run. A change to a protocol, the cache, the bus, the event loop
- * or the cost table moves these numbers, even one that moves both
- * snoop paths alike.
+ * or the cost table moves these numbers.
  *
  * The protocols' own measurement counters are pinned the same way:
  * Dragon's six extraction counters (with the workload's classifier),
@@ -19,8 +18,7 @@
  * flush-bearing trace), one digest per (protocol, profile) at 8 CPUs.
  * At 4 CPUs thor-like issues no invalidation at all, so the
  * invalidation counters would read 0 there. The counters come from the
- * snoopy fill's and broadcast's holder walk, which branches on the
- * snoop path, so the same digests are checked on both paths.
+ * snoopy fill's and broadcast's walk over the other caches.
  *
  * The event loop's order is pinned apart from the protocols: the same
  * serialized SimStats at 1, 8, 48 and 68 CPUs on pero-like, with
@@ -29,7 +27,7 @@
  * bus-saturated No-Cache run on 4 KiB 2-way caches, whose processors'
  * clocks spread over hundreds of cycles. Every processor's finish time
  * and bus wait depends on which processor goes next, so a reordered
- * event loop moves these digests on either snoop path.
+ * event loop moves these digests.
  */
 
 #include <gtest/gtest.h>
@@ -207,14 +205,12 @@ printCounters(std::ostream &out, const FlushMeasurements &m)
         << " missedFlushes=" << m.missedFlushes;
 }
 
-/** Runs @p protocol over @p trace on @p path and prints its counters. */
+/** Runs @p protocol over @p trace and prints its counters. */
 template <typename Protocol>
 std::string
 countersAfterRun(std::unique_ptr<Protocol> protocol,
-                 const TraceBuffer &trace, SnoopPath path)
+                 const TraceBuffer &trace)
 {
-    protocol->setSnoopPath(path);
-    EXPECT_EQ(protocol->snoopPath(), path);
     const Protocol &measured = *protocol;
     MultiprocessorSystem system(std::move(protocol));
     system.run(trace);
@@ -224,8 +220,7 @@ countersAfterRun(std::unique_ptr<Protocol> protocol,
 }
 
 std::string
-countersOf(const GoldenRun &golden,
-           SnoopPath path = SnoopPath::Directory)
+countersOf(const GoldenRun &golden)
 {
     const SyntheticWorkloadConfig workload =
         profileConfig(golden.profile, kMeasuredCpus, 10'000, 23,
@@ -239,7 +234,7 @@ countersOf(const GoldenRun &golden,
         return countersAfterRun(
             std::make_unique<DragonProtocol>(cache, kMeasuredCpus,
                                              workload.sharedClassifier()),
-            trace, path);
+            trace);
       case Scheme::Mesi:
       case Scheme::Mesif:
       case Scheme::Moesi: {
@@ -249,16 +244,16 @@ countersOf(const GoldenRun &golden,
                                              : MesiVariant::Moesi;
         return countersAfterRun(std::make_unique<MesiFamilyProtocol>(
                                     variant, cache, kMeasuredCpus),
-                                trace, path);
+                                trace);
       }
       case Scheme::Hybrid:
         return countersAfterRun(
-            std::make_unique<HybridProtocol>(cache, kMeasuredCpus), trace,
-            path);
+            std::make_unique<HybridProtocol>(cache, kMeasuredCpus),
+            trace);
       case Scheme::SoftwareFlush:
         return countersAfterRun(
-            std::make_unique<SwFlushProtocol>(cache, kMeasuredCpus), trace,
-            path);
+            std::make_unique<SwFlushProtocol>(cache, kMeasuredCpus),
+            trace);
       default:
         ADD_FAILURE() << "no measurements for " << schemeName(golden.scheme);
         return "";
@@ -273,17 +268,6 @@ TEST_P(MeasurementGoldenTest, CountersDigestIsPinned)
 {
     const GoldenRun &golden = GetParam();
     const std::string counters = countersOf(golden);
-    const std::uint64_t digest =
-        campaign::fnv1a64(counters.data(), counters.size(), kFnvOffset);
-    EXPECT_EQ(digest, golden.digest)
-        << std::hex << "0x" << digest << "ull\n" << counters;
-}
-
-TEST_P(MeasurementGoldenTest, CountersDigestIsPinnedOnTheReferenceScan)
-{
-    const GoldenRun &golden = GetParam();
-    const std::string counters =
-        countersOf(golden, SnoopPath::ReferenceScan);
     const std::uint64_t digest =
         campaign::fnv1a64(counters.data(), counters.size(), kFnvOffset);
     EXPECT_EQ(digest, golden.digest)

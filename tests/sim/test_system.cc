@@ -271,6 +271,26 @@ TEST(SystemTest, EveryProtocolKnowsItsScheme)
     }
 }
 
+TEST(SystemTest, SelectingTheReferenceScanLeavesStatisticsUnchanged)
+{
+    // The benchmark harness selects SnoopPath::ReferenceScan on a cold
+    // system before it checks statistics; it is the only snoop walk,
+    // so the call must change nothing.
+    const SyntheticWorkloadConfig workload =
+        profileConfig(AppProfile::PeroLike, 8, 3'000, 13, false);
+    const TraceBuffer trace = generateTrace(workload);
+    for (Scheme scheme : kAllSchemes) {
+        MultiprocessorSystem plain(scheme, config(), 8,
+                                   workload.sharedClassifier());
+        MultiprocessorSystem selected(scheme, config(), 8,
+                                      workload.sharedClassifier());
+        selected.setSnoopPath(SnoopPath::ReferenceScan);
+        EXPECT_EQ(selected.run(trace).serialize(),
+                  plain.run(trace).serialize())
+            << schemeName(scheme);
+    }
+}
+
 TEST(SystemTest, SchemeOrderingOnARealisticTrace)
 {
     const SyntheticWorkloadConfig workload =

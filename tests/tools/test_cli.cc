@@ -303,6 +303,28 @@ TEST(CliTest, GenAndValidateRejectMoreCpusThanTheGeneratorHolds)
         EXPECT_NE(errors.find(message), std::string::npos) << errors;
         EXPECT_EQ(output, "") << cpus;
     }
+
+    // eval, sensitivity and sweep reject zero processors before any
+    // output: one error line, nothing on stdout, no campaign cell
+    // named.
+    const std::string positive = "error: --cpus must be positive\n";
+    EXPECT_EQ(runCli({"eval", "--cpus", "0"}, &output, &errors), 2);
+    EXPECT_EQ(errors, positive);
+    EXPECT_EQ(output, "");
+    EXPECT_EQ(runCli({"eval", "--network", "--cpus", "0"}, &output,
+                     &errors),
+              2);
+    EXPECT_EQ(errors, positive);
+    EXPECT_EQ(output, "");
+    EXPECT_EQ(runCli({"sensitivity", "--cpus", "0"}, &output, &errors),
+              2);
+    EXPECT_EQ(errors, "error: processors must be positive\n");
+    EXPECT_EQ(output, "");
+    EXPECT_EQ(runCli({"sweep", "--param", "apl", "--cpus", "0"}, &output,
+                     &errors),
+              2);
+    EXPECT_EQ(errors, "error: processors must be positive\n");
+    EXPECT_EQ(output, "");
 }
 
 TEST(CliTest, SimRejectsOneByteBlocks)

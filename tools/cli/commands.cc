@@ -249,6 +249,9 @@ cmdEval(const Options &options, std::ostream &out)
         withWorkload(withGlobals({"cpus", "network", "stages"})));
     const WorkloadParams params = workloadFromOptions(options);
     const unsigned cpus = options.unsignedOr("cpus", 8);
+    if (cpus == 0) {
+        throw std::invalid_argument("--cpus must be positive");
+    }
 
     if (options.has("network") || options.has("stages")) {
         const unsigned stages =
@@ -543,11 +546,11 @@ cmdSensitivity(const Options &options, std::ostream &out,
         campaignFromOptions(options);
     campaign::CampaignReport campaign_report;
 
+    const auto table =
+        sensitivityTable(config, campaign, &campaign_report);
     out << "Sensitivity (% change in execution time, low -> high, "
         << config.processors << " CPUs"
         << (config.averageOverGrid ? ", grid-averaged" : "") << "):\n\n";
-    const auto table =
-        sensitivityTable(config, campaign, &campaign_report);
     TextTable report({"parameter", "Software-Flush", "No-Cache",
                       "Dragon", "Base"});
     for (ParamId param : kAllParams) {
