@@ -138,45 +138,50 @@ TEST(CacheStateTest, DirtyAndValidHelpers)
     EXPECT_TRUE(isValidState(LineState::SharedDirty));
 }
 
-TEST(CacheTest, LowestAndHighestBlocksFillHitInvalidateAndRefill)
+/** The cache at 1, 2 and 8 ways: 256 bytes of 16-byte blocks. */
+class CacheWaysTest : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(CacheWaysTest, LowestAndHighestBlocksFillHitInvalidateAndRefill)
 {
     // A line's block address is its tag and an invalid way holds all
     // ones, so the extreme blocks are the ones a sentinel could alias:
     // 0 and all ones except the 16-byte offset bits.
     const Addr highest = ~Addr{15};
-    for (const std::size_t ways : {1u, 2u, 8u}) {
-        SCOPED_TRACE(ways);
-        Cache cache(tinyConfig(256, 16, ways));
-        // ~0 lies in the highest block; a cold cache holds nothing.
-        for (const Addr addr : {Addr{0}, highest, ~Addr{0}}) {
-            EXPECT_EQ(cache.find(addr), nullptr) << addr;
-        }
-        for (const Addr block : {Addr{0}, highest}) {
-            SCOPED_TRACE(block);
-            CacheLine &way = cache.victimFor(block);
-            cache.fill(way, block + 7, LineState::Dirty);
-            ASSERT_EQ(cache.find(block), &way);
-            EXPECT_EQ(cache.find(block + 15), &way);
-            EXPECT_EQ(way.blockAddr, block);
-
-            cache.invalidate(way);
-            EXPECT_EQ(way.state, LineState::Invalid);
-            EXPECT_EQ(cache.find(block), nullptr);
-            for (const Addr addr : {Addr{0}, highest, ~Addr{0}}) {
-                EXPECT_NE(cache.find(addr), &way) << addr;
-            }
-
-            // The freed way is the set's victim and takes the block
-            // back.
-            ASSERT_EQ(&cache.victimFor(block), &way);
-            cache.fill(way, block, LineState::Exclusive);
-            EXPECT_EQ(cache.find(block), &way);
-            EXPECT_EQ(way.state, LineState::Exclusive);
-        }
-        EXPECT_EQ(cache.validLines(), 2u);
-        EXPECT_NE(cache.find(~Addr{0}), nullptr);
+    Cache cache(tinyConfig(256, 16, GetParam()));
+    // ~0 lies in the highest block; a cold cache holds nothing.
+    for (const Addr addr : {Addr{0}, highest, ~Addr{0}}) {
+        EXPECT_EQ(cache.find(addr), nullptr) << addr;
     }
+    for (const Addr block : {Addr{0}, highest}) {
+        SCOPED_TRACE(block);
+        CacheLine &way = cache.victimFor(block);
+        cache.fill(way, block + 7, LineState::Dirty);
+        ASSERT_EQ(cache.find(block), &way);
+        EXPECT_EQ(cache.find(block + 15), &way);
+        EXPECT_EQ(way.blockAddr, block);
+
+        cache.invalidate(way);
+        EXPECT_EQ(way.state, LineState::Invalid);
+        EXPECT_EQ(cache.find(block), nullptr);
+        for (const Addr addr : {Addr{0}, highest, ~Addr{0}}) {
+            EXPECT_NE(cache.find(addr), &way) << addr;
+        }
+
+        // The freed way is the set's victim and takes the block back.
+        ASSERT_EQ(&cache.victimFor(block), &way);
+        cache.fill(way, block, LineState::Exclusive);
+        EXPECT_EQ(cache.find(block), &way);
+        EXPECT_EQ(way.state, LineState::Exclusive);
+    }
+    EXPECT_EQ(cache.validLines(), 2u);
+    EXPECT_NE(cache.find(~Addr{0}), nullptr);
 }
+
+INSTANTIATE_TEST_SUITE_P(Ways, CacheWaysTest,
+                         ::testing::Values(std::size_t{1}, std::size_t{2},
+                                           std::size_t{8}));
 
 TEST(CacheTest, DirectMappedConflicts)
 {

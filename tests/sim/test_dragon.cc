@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/cache/dragon_protocol.hh"
 #include "sim/synth/rng.hh"
 
@@ -101,6 +103,35 @@ TEST(DragonTest, WriteToSharedBroadcastsAndStealsCycles)
     EXPECT_EQ(stateOf(protocol, 0, kBlockA), LineState::SharedDirty);
     EXPECT_EQ(stateOf(protocol, 1, kBlockA), LineState::SharedClean);
     EXPECT_EQ(stateOf(protocol, 2, kBlockA), LineState::SharedClean);
+}
+
+TEST(DragonTest, UpdateReachesEveryHolderBeyondSixtyFourCpus)
+{
+    // The snoop walk probes every other cache, so no processor count
+    // caps it: at 68 CPUs, past any 64-bit holder mask, a broadcast
+    // from the middle updates the 67 other copies in ascending order.
+    constexpr CpuId kCpus = 68;
+    constexpr CpuId kWriter = 40;
+    DragonProtocol protocol(config(), kCpus);
+    AccessResult result;
+    for (CpuId cpu = 0; cpu < kCpus; ++cpu) {
+        protocol.access(cpu, RefType::Load, kBlockA, result);
+    }
+
+    protocol.access(kWriter, RefType::Store, kBlockA, result);
+    EXPECT_EQ(opsOf(result),
+              std::vector<Operation>{Operation::WriteBroadcast});
+    std::vector<CpuId> others;
+    for (CpuId cpu = 0; cpu < kCpus; ++cpu) {
+        if (cpu != kWriter) {
+            others.push_back(cpu);
+            EXPECT_EQ(stateOf(protocol, cpu, kBlockA),
+                      LineState::SharedClean)
+                << unsigned{cpu};
+        }
+    }
+    EXPECT_EQ(result.steals, others);
+    EXPECT_EQ(stateOf(protocol, kWriter, kBlockA), LineState::SharedDirty);
 }
 
 TEST(DragonTest, OwnershipMovesToTheLatestWriter)

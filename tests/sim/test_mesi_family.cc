@@ -87,6 +87,37 @@ TEST_P(MesiFamilyTest, WriteToSharedInvalidatesEveryRemoteCopy)
     EXPECT_EQ(protocol.measurements().copiesInvalidated, 2u);
 }
 
+TEST_P(MesiFamilyTest, InvalidationReachesEveryHolderBeyondSixtyFourCpus)
+{
+    // The invalidation walk probes every other cache and may free the
+    // line it is handed: at 68 CPUs, past any 64-bit holder mask, a
+    // write from the middle destroys the 67 other copies in ascending
+    // order.
+    constexpr CpuId kCpus = 68;
+    constexpr CpuId kWriter = 40;
+    MesiFamilyProtocol protocol(GetParam(), config(), kCpus);
+    AccessResult result;
+    for (CpuId cpu = 0; cpu < kCpus; ++cpu) {
+        protocol.access(cpu, RefType::Load, kBlockA, result);
+    }
+
+    protocol.access(kWriter, RefType::Store, kBlockA, result);
+    EXPECT_EQ(opsOf(result),
+              std::vector<Operation>{Operation::WriteBroadcast});
+    std::vector<CpuId> others;
+    for (CpuId cpu = 0; cpu < kCpus; ++cpu) {
+        if (cpu != kWriter) {
+            others.push_back(cpu);
+            EXPECT_EQ(stateOf(protocol, cpu, kBlockA), LineState::Invalid)
+                << unsigned{cpu};
+        }
+    }
+    EXPECT_EQ(result.steals, others);
+    EXPECT_EQ(stateOf(protocol, kWriter, kBlockA), LineState::Dirty);
+    EXPECT_EQ(protocol.measurements().invalidations, 1u);
+    EXPECT_EQ(protocol.measurements().copiesInvalidated, kCpus - 1u);
+}
+
 TEST_P(MesiFamilyTest, RepeatWritesAfterTheInvalidationAreFree)
 {
     MesiFamilyProtocol protocol(GetParam(), config(), 2);

@@ -1,9 +1,15 @@
 /**
  * @file
- * Unit tests for the Base, No-Cache and Software-Flush protocols.
+ * Unit tests for the Base, No-Cache and Software-Flush protocols, the
+ * snoop walk every snooping protocol shares, and the cross-cache
+ * invariant checker.
  */
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "sim/cache/base_protocol.hh"
 #include "sim/cache/nocache_protocol.hh"
@@ -186,6 +192,116 @@ TEST(SwFlushProtocolTest, RefetchAfterFlushMissesCleanly)
 TEST(ProtocolBaseTest, RejectsZeroCpus)
 {
     EXPECT_THROW(BaseProtocol(config(), 0), std::invalid_argument);
+}
+
+/**
+ * A protocol whose lines are planted directly, to drive the snoop walk
+ * and the invariant checker without an access sequence.
+ */
+class PlantedProtocol : public CoherenceProtocol
+{
+  public:
+    using CoherenceProtocol::CoherenceProtocol;
+
+    void
+    access(CpuId, RefType, Addr, AccessResult &) override
+    {
+        throw std::logic_error("a planted protocol takes no accesses");
+    }
+
+    Scheme scheme() const override { return Scheme::Base; }
+
+    /** Installs @p addr's block in @p cpu's cache in @p state. */
+    CacheLine &
+    plant(CpuId cpu, Addr addr, LineState state)
+    {
+        Cache &cache = caches_[cpu];
+        CacheLine &line = cache.victimFor(addr);
+        cache.fill(line, addr, state);
+        return line;
+    }
+
+    /** Invalidates @p line of @p cpu's cache. */
+    void drop(CpuId cpu, CacheLine &line) { caches_[cpu].invalidate(line); }
+
+    /** The processors the snoop walk visits for @p cpu and @p block. */
+    std::vector<CpuId>
+    walk(CpuId cpu, Addr block)
+    {
+        std::vector<CpuId> visited;
+        forEachOtherHolder(cpu, block, [&](CpuId other, CacheLine &line) {
+            EXPECT_EQ(line.blockAddr, block) << unsigned{other};
+            visited.push_back(other);
+        });
+        return visited;
+    }
+};
+
+/** The checker's complaint about @p protocol, or "" when it holds. */
+std::string
+violation(const PlantedProtocol &protocol)
+{
+    try {
+        checkCoherenceInvariants(protocol);
+    } catch (const std::logic_error &error) {
+        return error.what();
+    }
+    return "";
+}
+
+TEST(SnoopWalkTest, VisitsOtherHoldersInAscendingCpuOrder)
+{
+    // 32 sets of 2 ways: kShared + 512 and + 1024 share kShared's set.
+    PlantedProtocol protocol(config(), 8);
+    for (const CpuId cpu : {CpuId{6}, CpuId{1}, CpuId{4}, CpuId{0}}) {
+        protocol.plant(cpu, kShared, LineState::SharedClean);
+    }
+    // A copy invalidated in place, and a set holding other blocks.
+    protocol.drop(3, protocol.plant(3, kShared, LineState::SharedClean));
+    protocol.plant(2, kShared + 512, LineState::Dirty);
+    protocol.plant(2, kShared + 1024, LineState::Exclusive);
+
+    EXPECT_EQ(protocol.walk(4, kShared), (std::vector<CpuId>{0, 1, 6}));
+    EXPECT_EQ(protocol.walk(7, kShared),
+              (std::vector<CpuId>{0, 1, 4, 6}));
+    EXPECT_EQ(protocol.walk(2, kShared + 512), std::vector<CpuId>{});
+    EXPECT_EQ(protocol.walk(0, kShared + 512), std::vector<CpuId>{2});
+}
+
+TEST(CoherenceInvariantsTest, AcceptsSharedCopiesBesideOneOwner)
+{
+    PlantedProtocol protocol(config(), 4);
+    protocol.plant(0, kShared, LineState::SharedDirty);
+    protocol.plant(1, kShared, LineState::SharedClean);
+    protocol.plant(2, kShared, LineState::SharedClean);
+    protocol.plant(3, kPrivate, LineState::Dirty);
+    // An invalidated way holds no block, whatever it held before.
+    protocol.drop(2, protocol.plant(2, kPrivate, LineState::Exclusive));
+    EXPECT_EQ(violation(protocol), "");
+}
+
+TEST(CoherenceInvariantsTest, FlagsAnExclusiveBlockHeldElsewhere)
+{
+    for (const LineState exclusive :
+         {LineState::Exclusive, LineState::Dirty}) {
+        PlantedProtocol protocol(config(), 3);
+        protocol.plant(1, kShared, exclusive);
+        protocol.plant(2, kShared, LineState::SharedClean);
+        EXPECT_NE(violation(protocol).find("is exclusive in one cache"),
+                  std::string::npos)
+            << violation(protocol);
+    }
+}
+
+TEST(CoherenceInvariantsTest, FlagsTwoDirtyOwners)
+{
+    PlantedProtocol protocol(config(), 3);
+    protocol.plant(0, kShared, LineState::SharedDirty);
+    protocol.plant(1, kShared, LineState::SharedClean);
+    protocol.plant(2, kShared, LineState::SharedDirty);
+    EXPECT_NE(violation(protocol).find("has 2 dirty owners"),
+              std::string::npos)
+        << violation(protocol);
 }
 
 TEST(AccessResultTest, OpAccountingHelpers)
