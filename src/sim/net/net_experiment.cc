@@ -1,5 +1,6 @@
 #include "sim/net/net_experiment.hh"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "core/network_model.hh"
@@ -21,8 +22,8 @@ validateNetworkPoint(double rate, double size, unsigned stages,
                      NetMode mode, std::uint64_t cycles,
                      std::uint64_t seed, unsigned switch_dim)
 {
-    if (rate <= 0.0) {
-        throw std::invalid_argument("rate must be positive");
+    if (!std::isfinite(rate) || rate <= 0.0) {
+        throw std::invalid_argument("rate must be finite and positive");
     }
 
     NetworkValidationPoint point;

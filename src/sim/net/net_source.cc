@@ -10,10 +10,11 @@ NetSource::NetSource(double mean_think, double units_mean,
                      std::uint32_t num_dests)
     : meanThink_(mean_think), unitsMean_(units_mean), numDests_(num_dests)
 {
-    if (mean_think < 0.0) {
-        throw std::invalid_argument("mean think time must be >= 0");
+    if (!std::isfinite(mean_think) || mean_think < 0.0) {
+        throw std::invalid_argument(
+            "mean think time must be finite and >= 0");
     }
-    if (units_mean < 1.0) {
+    if (!std::isfinite(units_mean) || units_mean < 1.0) {
         throw std::invalid_argument(
             "transactions need at least one unit request on average");
     }

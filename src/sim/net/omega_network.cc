@@ -1,6 +1,7 @@
 #include "sim/net/omega_network.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <iterator>
 #include <stdexcept>
@@ -35,11 +36,12 @@ OmegaConfig::validate() const
     if (switchDim < 2) {
         throw std::invalid_argument("switch dimension must be >= 2");
     }
-    if (meanThink < 0.0) {
-        throw std::invalid_argument("meanThink must be >= 0");
+    if (!std::isfinite(meanThink) || meanThink < 0.0) {
+        throw std::invalid_argument("meanThink must be finite and >= 0");
     }
-    if (messageCycles < 1.0) {
-        throw std::invalid_argument("messageCycles must be >= 1");
+    if (!std::isfinite(messageCycles) || messageCycles < 1.0) {
+        throw std::invalid_argument(
+            "messageCycles must be finite and >= 1");
     }
     portCount(*this);
 }
@@ -54,10 +56,30 @@ OmegaNetwork::OmegaNetwork(const OmegaConfig &config)
                               ports_);
     }
     paths_.assign(static_cast<std::size_t>(ports_) * config_.stages, 0);
+    // Each stage applies a k-ary perfect shuffle (rotating the top
+    // digit to the bottom), then sets the bottom digit to the
+    // destination's next digit, top first. So after stage i a request
+    // sits at the port whose top n-1-i digits are the source's low
+    // n-1-i digits and whose low i+1 digits are the destination's top
+    // i+1 digits.
+    sourcePart_.resize(paths_.size());
+    destPart_.resize(paths_.size());
+    const std::size_t n = config_.stages;
+    std::uint32_t rest = ports_; // dim^(n-i-1) at stage i
+    for (std::size_t stage = 0; stage < n; ++stage) {
+        rest /= config_.switchDim;
+        for (std::uint32_t p = 0; p < ports_; ++p) {
+            sourcePart_[p * n + stage] = p % rest * (ports_ / rest);
+            destPart_[p * n + stage] = p / rest;
+        }
+    }
     if (config_.mode == NetMode::Circuit) {
         portFreeAt_.assign(paths_.size(), 0.0);
     }
     slots_.resize(ports_);
+    for (std::vector<std::uint32_t> &claimants : claimants_) {
+        claimants.resize(ports_);
+    }
     stageOffered_.assign(config_.stages, 0);
     // Every source starts Thinking with no time left, so all of them
     // fire in cycle 0.
@@ -80,53 +102,46 @@ OmegaNetwork::schedule(std::uint32_t source, std::uint64_t first_tick)
 void
 OmegaNetwork::computePath(std::uint32_t source)
 {
-    const unsigned n = config_.stages;
-    const std::uint32_t dim = config_.switchDim;
-    const std::uint32_t rotate_div = ports_ / dim; // dim^(n-1)
-    const std::uint32_t dest = sources_[source].dest();
-    std::uint32_t *path = &paths_[static_cast<std::size_t>(source) * n];
-    std::uint32_t pos = source;
-    std::uint32_t digit_div = rotate_div;
-    for (unsigned stage = 0; stage < n; ++stage) {
-        // k-ary perfect shuffle into the stage (rotate the top digit
-        // to the bottom), then destination-digit routing.
-        const std::uint32_t shuffled = n == 1
-            ? pos
-            : (pos % rotate_div) * dim + pos / rotate_div;
-        const std::uint32_t out_digit = (dest / digit_div) % dim;
-        pos = (shuffled / dim) * dim + out_digit;
-        path[stage] = pos;
-        digit_div /= dim;
+    const std::size_t n = config_.stages;
+    const std::uint32_t *from = &sourcePart_[source * n];
+    const std::uint32_t *to = &destPart_[sources_[source].dest() * n];
+    std::uint32_t *path = &paths_[source * n];
+    for (std::size_t stage = 0; stage < n; ++stage) {
+        path[stage] = from[stage] + to[stage];
     }
 }
 
-void
+std::span<const std::uint32_t>
 OmegaNetwork::route()
 {
     const unsigned n = config_.stages;
     const bool circuit = config_.mode == NetMode::Circuit;
     const double now = static_cast<double>(now_);
-    members_.clear();
-    for (std::uint32_t k = 0; k < requesters_.size(); ++k) {
-        members_.push_back(k);
-    }
-    alive_.assign(requesters_.size(), 1);
-
+    const std::uint32_t *members = requesters_.data();
+    std::size_t count = requesters_.size();
+    // Members not displaced at the stage before.
+    std::size_t alive = count;
     for (unsigned stage = 0; stage < n; ++stage) {
-        stageOffered_[stage] += members_.size();
+        stageOffered_[stage] += alive;
         ++epoch_;
         const double *free_at =
             circuit ? &portFreeAt_[std::size_t{stage} * ports_] : nullptr;
-        for (std::uint32_t k : members_) {
-            const std::uint32_t port =
-                paths_[std::size_t{requesters_[k]} * n + stage];
+        std::uint32_t *claimants = claimants_[stage & 1].data();
+        std::size_t claimed = 0;
+        std::size_t displaced = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+            const std::uint32_t src = members[i];
+            if (src == kLost) {
+                continue;
+            }
+            const std::uint32_t port = paths_[std::size_t{src} * n + stage];
             if (circuit && free_at[port] > now) {
-                alive_[k] = 0;
                 continue;
             }
             Slot &slot = slots_[port];
             if (slot.epoch != epoch_) {
-                slot = {epoch_, k, 1};
+                slot = {epoch_, static_cast<std::uint32_t>(claimed), 1};
+                claimants[claimed++] = src;
                 continue;
             }
             // Up to dim inputs of one switch may want this output: the
@@ -134,20 +149,18 @@ OmegaNetwork::route()
             // 1/i, making the final survivor uniform.
             ++slot.contenders;
             if (rng_.chance(1.0 / static_cast<double>(slot.contenders))) {
-                alive_[slot.winner] = 0;
-                slot.winner = k;
-            } else {
-                alive_[k] = 0;
+                claimants[slot.winner] = kLost;
+                slot.winner = static_cast<std::uint32_t>(claimed);
+                claimants[claimed++] = src;
+                ++displaced;
             }
         }
-        std::erase_if(members_,
-                      [this](std::uint32_t k) { return !alive_[k]; });
+        members = claimants;
+        count = claimed;
+        alive = claimed - displaced;
     }
-
-    winners_.clear();
-    for (std::uint32_t k : members_) {
-        winners_.push_back(requesters_[k]);
-    }
+    accepted_ += alive;
+    return {members, count};
 }
 
 void
@@ -155,15 +168,17 @@ OmegaNetwork::stepCycle()
 {
     thinkCycles_ += thinking_;
     attempts_ += requesters_.size();
-    route();
-    accepted_ += winners_.size();
+    const std::span<const std::uint32_t> claimants = route();
 
     // (2) Accepted sources. A source whose transaction completes here
     // must not also consume a think cycle now; its thinking starts
     // next cycle. A new circuit holder's setup cycle is its first held
     // cycle, so it ticks this cycle.
     const unsigned n = config_.stages;
-    for (std::uint32_t src : winners_) {
+    for (std::uint32_t src : claimants) {
+        if (src == kLost) {
+            continue;
+        }
         NetSource &source = sources_[src];
         if (config_.mode == NetMode::UnitRequest) {
             source.unitAccepted(rng_);

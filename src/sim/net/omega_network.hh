@@ -10,6 +10,7 @@
 #define SWCC_SIM_NET_OMEGA_NETWORK_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/net/net_source.hh"
@@ -93,6 +94,8 @@ struct OmegaStats
  * The cycle order, which fixes the RNG draw order, is (1) arbitration,
  * stage-major and by ascending source id within a stage; (2) accepted
  * sources, ascending; (3) timers that fire this cycle, ascending.
+ * Arbitration is one pass per stage over the sources that claimed an
+ * output at the stage before, in that order.
  */
 class OmegaNetwork
 {
@@ -114,10 +117,12 @@ class OmegaNetwork
     void stepCycle();
 
     /**
-     * Arbitrates this cycle's requests stage by stage, leaving the
-     * surviving sources, ascending, in winners_.
+     * Arbitrates this cycle's requests stage by stage and returns the
+     * sources that claimed an output at the last stage, ascending, with
+     * kLost in place of each one displaced there; the rest won this
+     * cycle.
      */
-    void route();
+    std::span<const std::uint32_t> route();
 
     /** Computes the output port at every stage of @p source's request. */
     void computePath(std::uint32_t source);
@@ -133,7 +138,7 @@ class OmegaNetwork
     struct Slot
     {
         std::uint64_t epoch = 0;
-        /** Index into requesters_ of the current winner. */
+        /** Position of the current winner in its stage's claimants. */
         std::uint32_t winner = 0;
         std::uint32_t contenders = 0;
     };
@@ -146,6 +151,10 @@ class OmegaNetwork
     /** Output port of each source's request at each stage,
      *  [source * stages + stage]. */
     std::vector<std::uint32_t> paths_;
+    /** A request's port at each stage is the part its source fixes
+     *  plus the part its destination fixes, [id * stages + stage]. */
+    std::vector<std::uint32_t> sourcePart_;
+    std::vector<std::uint32_t> destPart_;
     /** Requesting sources, ascending. */
     std::vector<std::uint32_t> requesters_;
     /** Min-heap of (expiry cycle << 16) | source over every Thinking
@@ -158,11 +167,15 @@ class OmegaNetwork
     /** Arbitration scratch, reused every cycle. */
     std::vector<Slot> slots_;
     std::uint64_t epoch_ = 0;
-    /** Indices into requesters_ of the requests still alive at the
-     *  current stage, ascending. */
-    std::vector<std::uint32_t> members_;
-    std::vector<std::uint8_t> alive_;
-    std::vector<std::uint32_t> winners_;
+    /**
+     * The sources that claimed an output at even and at odd stages,
+     * ascending, ports_ entries each: a stage reads the other stage's
+     * buffer and appends to its own. A claimant displaced later in its
+     * stage is overwritten with kLost, which the next stage skips, so
+     * no pass compacts the buffer.
+     */
+    std::vector<std::uint32_t> claimants_[2];
+    static constexpr std::uint32_t kLost = ~std::uint32_t{0};
     std::vector<std::uint32_t> fired_;
     std::vector<std::uint32_t> merged_;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <functional>
 #include <stdexcept>
 
@@ -14,8 +15,8 @@ PacketNetConfig::validate() const
     if (stages == 0 || stages > 14) {
         throw std::invalid_argument("stages must be in [1, 14]");
     }
-    if (meanThink < 0.0) {
-        throw std::invalid_argument("meanThink must be >= 0");
+    if (!std::isfinite(meanThink) || meanThink < 0.0) {
+        throw std::invalid_argument("meanThink must be finite and >= 0");
     }
     if (requestWords == 0) {
         throw std::invalid_argument(

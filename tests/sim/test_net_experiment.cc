@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "sim/net/net_experiment.hh"
 
@@ -85,6 +87,18 @@ TEST(NetValidationTest, RejectsNonPositiveRate)
     EXPECT_THROW(
         validateNetworkPoint(0.0, 8.0, 4, NetMode::UnitRequest, 1'000),
         std::invalid_argument);
+}
+
+TEST(NetValidationTest, RejectsNonFiniteRate)
+{
+    for (double rate : {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity()}) {
+        for (NetMode mode : {NetMode::UnitRequest, NetMode::Circuit}) {
+            EXPECT_THROW(validateNetworkPoint(rate, 8.0, 3, mode, 50),
+                         std::invalid_argument)
+                << rate;
+        }
+    }
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/campaign/cell_hash.hh"
@@ -120,6 +121,73 @@ TEST(NetGoldenTest, OmegaGridDigest)
     }
     EXPECT_EQ(configs, 936u);
     EXPECT_EQ(hash, 0xb454cb80000293afull);
+}
+
+TEST(NetGoldenTest, OmegaDeepNetworkDigest)
+{
+    // Binary networks of 128 and 256 ports at X1's rates: the heavy
+    // contention the grid above does not reach.
+    std::uint64_t hash = kFnvOffset;
+    std::size_t configs = 0;
+    for (unsigned n : {7u, 8u}) {
+        for (double rate : {0.005, 0.01, 0.02, 0.04, 0.08}) {
+            for (NetMode mode : {NetMode::UnitRequest, NetMode::Circuit}) {
+                OmegaNetwork network(omegaConfig(
+                    2, n, 1.0 / rate, n == 7 ? 18.0 : 20.0, mode, 42));
+                mix(hash, network.run(4'000));
+                ++configs;
+            }
+        }
+    }
+    EXPECT_EQ(configs, 20u);
+    EXPECT_EQ(hash, 0xad4b0199d8385310ull);
+}
+
+TEST(NetGoldenTest, OmegaLargestNetworkDigest)
+{
+    // The largest network of each switch dimension up to 2^16 ports,
+    // saturated, for a few cycles.
+    std::uint64_t hash = kFnvOffset;
+    std::size_t configs = 0;
+    for (const auto &[dim, n] :
+         {std::pair{2u, 16u}, std::pair{3u, 10u}, std::pair{4u, 8u},
+          std::pair{16u, 4u}, std::pair{256u, 2u},
+          std::pair{65'536u, 1u}}) {
+        for (NetMode mode : {NetMode::UnitRequest, NetMode::Circuit}) {
+            OmegaNetwork network(omegaConfig(dim, n, 0.0, 3.0, mode, 9));
+            mix(hash, network.run(5));
+            ++configs;
+        }
+    }
+    EXPECT_EQ(configs, 12u);
+    EXPECT_EQ(hash, 0xd6d8735e4e93a014ull);
+}
+
+TEST(NetGoldenTest, OmegaSplitRunUnderContention)
+{
+    // run(a); run(b) is run(a + b) at 256 ports under contention,
+    // including splits inside a busy stretch.
+    std::uint64_t hash = kFnvOffset;
+    for (NetMode mode : {NetMode::UnitRequest, NetMode::Circuit}) {
+        for (double think : {12.5, 50.0}) {
+            const OmegaConfig config =
+                omegaConfig(2, 8, think, 20.0, mode, 11);
+            OmegaNetwork split(config);
+            split.run(1);
+            split.run(1'236);
+            const OmegaStats second = split.run(1'763);
+            const OmegaStats whole = OmegaNetwork(config).run(3'000);
+            std::uint64_t split_hash = kFnvOffset;
+            std::uint64_t whole_hash = kFnvOffset;
+            mix(split_hash, second);
+            mix(whole_hash, whole);
+            EXPECT_EQ(split_hash, whole_hash)
+                << "think " << think << " circuit "
+                << (mode == NetMode::Circuit);
+            mix(hash, whole);
+        }
+    }
+    EXPECT_EQ(hash, 0xa265e04350c79183ull);
 }
 
 TEST(NetGoldenTest, PacketGridDigest)

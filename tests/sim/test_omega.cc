@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "sim/net/omega_network.hh"
@@ -38,6 +40,34 @@ TEST(OmegaConfigTest, Validation)
                  std::invalid_argument);
     EXPECT_THROW(config(4, 10.0, 0.5).validate(),
                  std::invalid_argument);
+}
+
+/** Values that a `< 0` or a `< 1` check lets through but that are no
+ *  length of time. */
+constexpr double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity()};
+
+TEST(OmegaConfigTest, RejectsNonFiniteThinkTime)
+{
+    for (double think : kNonFinite) {
+        for (NetMode mode : {NetMode::UnitRequest, NetMode::Circuit}) {
+            const OmegaConfig c = config(3, think, 8.0, mode);
+            EXPECT_THROW(c.validate(), std::invalid_argument) << think;
+            EXPECT_THROW(OmegaNetwork{c}, std::invalid_argument) << think;
+        }
+    }
+}
+
+TEST(OmegaConfigTest, RejectsNonFiniteMessageCycles)
+{
+    for (double message : kNonFinite) {
+        for (NetMode mode : {NetMode::UnitRequest, NetMode::Circuit}) {
+            const OmegaConfig c = config(3, 10.0, message, mode);
+            EXPECT_THROW(c.validate(), std::invalid_argument) << message;
+            EXPECT_THROW(OmegaNetwork{c}, std::invalid_argument)
+                << message;
+        }
+    }
 }
 
 TEST(OmegaNetworkTest, PortCountIsTwoToTheStages)
@@ -220,6 +250,14 @@ TEST(NetSourceTest, StateMachineGuards)
     EXPECT_THROW(NetSource(-1.0, 2.0, 8), std::invalid_argument);
     EXPECT_THROW(NetSource(5.0, 0.5, 8), std::invalid_argument);
     EXPECT_THROW(NetSource(5.0, 2.0, 0), std::invalid_argument);
+}
+
+TEST(NetSourceTest, RejectsNonFiniteTimes)
+{
+    for (double value : kNonFinite) {
+        EXPECT_THROW(NetSource(value, 2.0, 8), std::invalid_argument);
+        EXPECT_THROW(NetSource(5.0, value, 8), std::invalid_argument);
+    }
 }
 
 } // namespace

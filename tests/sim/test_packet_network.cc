@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "sim/net/net_experiment.hh"
 #include "sim/net/packet_network.hh"
@@ -40,6 +42,17 @@ TEST(PacketNetConfigTest, Validation)
                  std::invalid_argument);
     EXPECT_THROW(config(4, 10.0, 0, 4).validate(),
                  std::invalid_argument);
+}
+
+TEST(PacketNetConfigTest, RejectsNonFiniteThinkTime)
+{
+    for (double think : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+        const PacketNetConfig c = config(3, think, 1, 4);
+        EXPECT_THROW(c.validate(), std::invalid_argument) << think;
+        EXPECT_THROW(PacketOmegaNetwork{c}, std::invalid_argument)
+            << think;
+    }
 }
 
 TEST(PacketNetworkTest, RunsAndCompletesTransactions)
