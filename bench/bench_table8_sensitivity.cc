@@ -82,14 +82,14 @@ checkClaims(const std::vector<SensitivityEntry> &table)
     const auto effect = [&table](Scheme scheme, ParamId param) {
         return std::abs(change(table, scheme, param));
     };
-    // True when every parameter of params moves scheme's time by more
-    // than low and less than high percent.
+    // True when every parameter of params moves scheme's time by at
+    // least low and less than high percent.
     const auto within = [&effect](Scheme scheme,
                                   std::initializer_list<ParamId> params,
                                   double low, double high) {
         for (ParamId param : params) {
             const double pct = effect(scheme, param);
-            if (!(pct > low && pct < high)) {
+            if (!(pct >= low && pct < high)) {
                 return false;
             }
         }
@@ -119,7 +119,7 @@ checkClaims(const std::vector<SensitivityEntry> &table)
     claim(within(kFlush,
                  {ParamId::Wr, ParamId::Oclean, ParamId::Opres,
                   ParamId::Nshd},
-                 -1.0, kMinorPct),
+                 0.0, kMinorPct),
           "Software-Flush: wr, oclean, opres and nshd are minor (each "
           "under " + formatNumber(kMinorPct, 0) + "%)");
     claim(rank(table, kNoCache, ParamId::Shd) == 1 &&
